@@ -156,7 +156,9 @@ class ExperimentConfig:
 
     def build_policy(self):
         try:
-            return make_policy(self.policy)
+            policy = make_policy(self.policy)
+            policy.reset(len(self.arms), self.T)  # the parameter checks an episode runs
+            return policy
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad policy spec: {exc}") from exc
 
@@ -381,6 +383,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def worker_count(text: str) -> int:
+    n = int(text)
+    if n < -1:
+        raise argparse.ArgumentTypeError(f"must be -1, 0 or a positive count, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="patientbandits", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -388,7 +397,7 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="execute one experiment config file")
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p_run.add_argument("--jobs", type=worker_count, default=1, help="worker processes (default 1)")
 
     p_preset = sub.add_parser("preset", help="execute a bundled figure preset")
     p_preset.add_argument("name", choices=PRESET_NAMES)
@@ -396,7 +405,8 @@ def _build_parser() -> _Parser:
                           help="run-count multiplier (default 0.25)")
     p_preset.add_argument("--out", default=None, help="output directory")
     p_preset.add_argument("--seed", type=int, default=None, help="override master seed")
-    p_preset.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p_preset.add_argument("--jobs", type=worker_count, default=1,
+                          help="worker processes (default 1)")
 
     p_lb = sub.add_parser("lowerbound", help="print the censored hard-instance pair")
     p_lb.add_argument("--T", type=int, required=True, help="horizon")

@@ -110,8 +110,8 @@ class ParetoCeil:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     def tail(self, m):
         # m ** -alpha exactly (no 1 - (1 - x) cancellation) for m >= 1.
@@ -125,7 +125,10 @@ class ParetoCeil:
     def sample(self, rng, size=None):
         if size is None:
             u = 1.0 - rng.random()  # uniform on (0, 1]
-            return math.ceil(u ** (-1.0 / self.alpha))
+            try:
+                return math.ceil(u ** (-1.0 / self.alpha))
+            except OverflowError:  # past any horizon; the array path gives inf too
+                return math.inf
         u = 1.0 - rng.random(size)
         return np.ceil(u ** (-1.0 / self.alpha))
 
@@ -180,6 +183,8 @@ class Geometric:
     def __post_init__(self):
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
+        if 1.0 - self.q == 1.0:
+            raise ValueError(f"q={self.q} is too small: 1 - q rounds to 1")
 
     def tail(self, m):
         m = np.asarray(m, dtype=np.float64)

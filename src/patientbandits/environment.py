@@ -29,6 +29,7 @@ class EpisodeComplete(RuntimeError):
 class PullRecord:
     """One pull of one arm: what happened and when it becomes visible.
 
+    ``delay`` is exact up to the horizon ``T``; a longer one is ``T + 1``.
     ``arrival_round`` is ``round + max(delay, 1)``, or ``None`` when that
     lands past the horizon (the reward is censored and never observed).
     """
@@ -74,9 +75,6 @@ class BanditInstance:
         self.means = tuple(r.mean() for r, _ in arms)
         self.best_mean = max(self.means)
         self.gaps = tuple(self.best_mean - mu for mu in self.means)
-        # Bound methods cached once; pulls are the innermost hot path.
-        self._reward_samplers = [r.sample for r, _ in arms]
-        self._delay_samplers = [d.sample for _, d in arms]
 
     @property
     def n_arms(self) -> int:
@@ -94,17 +92,8 @@ class BanditInstance:
         Order is pinned: reward first, delay second, two stream values per
         pull. Reproducibility of whole episodes hangs on this.
         """
-        return self._reward_samplers[arm](rng), self._delay_samplers[arm](rng)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_reward_samplers"], state["_delay_samplers"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._reward_samplers = [r.sample for r, _ in self.arms]
-        self._delay_samplers = [d.sample for _, d in self.arms]
+        reward_law, delay_law = self.arms[arm]
+        return reward_law.sample(rng), delay_law.sample(rng)
 
 
 class ObservationView:
@@ -166,17 +155,11 @@ class DelayedBanditEnv:
         K, T = instance.n_arms, instance.horizon
         self._round = 1
         self._delivered_through = 0
-        self._pulls_made = 0
         self._counts = [0] * K
         self._sums = [0.0] * K
         self._calendar = [[] for _ in range(T + 2)]
         self._censored = 0
-        # Global chronological log (pull p happened at round p + 1).
-        self._log_arm = np.empty(T, dtype=np.int64)
-        self._log_reward = np.empty(T, dtype=np.float64)
-        self._log_delay = []  # exact ints; heavy tails overflow fixed width
-        self._log_arrival = np.empty(T, dtype=np.int64)  # -1 once censored
-        # Per-arm chronological logs backing windowed queries.
+        # Per-arm chronological logs: the one record of every pull.
         self._arm_rounds = [np.empty(T, dtype=np.int64) for _ in range(K)]
         self._arm_delays = [np.empty(T, dtype=np.int64) for _ in range(K)]
         self._arm_rewards = [np.empty(T, dtype=np.float64) for _ in range(K)]
@@ -223,56 +206,40 @@ class DelayedBanditEnv:
         if s > T:
             raise EpisodeComplete(f"episode over: cannot pull at round {s} > horizon {T}")
         reward, delay = self.instance.draw(arm, rng)
-        delay = int(delay)
+        # Clamp: any delay past the horizon (even an infinite one) behaves
+        # identically within the episode.
+        delay = int(delay) if delay <= T else T + 1
         arrival = s + (delay if delay >= 1 else 1)
-        p = self._pulls_made
-        self._log_arm[p] = arm
-        self._log_reward[p] = reward
-        self._log_delay.append(delay)
         if arrival <= T:
-            self._log_arrival[p] = arrival
             self._calendar[arrival].append((arm, reward))
         else:
-            self._log_arrival[p] = -1
             self._censored += 1
         f = self._arm_fill[arm]
         self._arm_rounds[arm][f] = s
-        # Clamp: any delay past the horizon behaves identically in-window.
-        self._arm_delays[arm][f] = delay if delay <= T else T + 1
+        self._arm_delays[arm][f] = delay
         self._arm_rewards[arm][f] = reward
         self._arm_fill[arm] = f + 1
         self._counts[arm] += 1
-        self._pulls_made += 1
         self._round += 1
 
-    def true_pseudo_regret(self, t: Optional[int] = None) -> float:
-        """Gap-weighted suboptimal pull count after ``t`` completed rounds.
+    def true_pseudo_regret(self) -> float:
+        """Gap-weighted suboptimal pull count over the rounds played so far.
 
         Environment-side accounting only; uses the true gaps, which no
         policy ever sees.
         """
-        if t is None:
-            t = self._pulls_made
-        if t > self._pulls_made:
-            raise ValueError(f"round {t} not yet played (at {self._pulls_made})")
-        gaps = self.instance.gaps
-        if t == self._pulls_made:
-            return float(sum(g * c for g, c in zip(gaps, self._counts)))
-        counts = np.bincount(self._log_arm[:t], minlength=self.instance.n_arms)
-        return float(np.dot(np.asarray(gaps), counts))
+        return float(sum(g * c for g, c in zip(self.instance.gaps, self._counts)))
 
     def pull_records(self) -> list[PullRecord]:
-        """Chronological log of every pull made so far."""
-        out = []
-        for p in range(self._pulls_made):
-            arrival = int(self._log_arrival[p])
-            out.append(
-                PullRecord(
-                    arm=int(self._log_arm[p]),
-                    round=p + 1,
-                    reward=float(self._log_reward[p]),
-                    delay=self._log_delay[p],
-                    arrival_round=None if arrival < 0 else arrival,
-                )
-            )
-        return out
+        """Every pull made so far, merged by round from the per-arm logs.
+
+        A delay past the horizon ``T`` is reported as ``T + 1``.
+        """
+        T = self.instance.horizon
+        records = []
+        logs = zip(self._arm_rounds, self._arm_rewards, self._arm_delays, self._arm_fill)
+        for arm, (rounds, rewards, delays, n) in enumerate(logs):
+            for s, reward, delay in zip(*(log[:n].tolist() for log in (rounds, rewards, delays))):
+                arrival = s + max(delay, 1)
+                records.append(PullRecord(arm, s, reward, delay, arrival if arrival <= T else None))
+        return sorted(records, key=lambda r: r.round)

@@ -44,16 +44,21 @@ def log_log_schedule(t: int) -> float:
     return max(math.log(log_t) if log_t > 0 else 0.0, 1e-6) / log_t
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class UcbParams:
     """Inputs of the delay-corrected confidence radius.
 
-    ``alpha`` may be a positive float or a per-round schedule
-    ``t -> alpha_t`` (e.g. :func:`log_log_schedule`). ``delta`` defaults to
-    ``1 / (K * T**3)``.
+    ``alpha`` may be a positive float, a per-round schedule ``t -> alpha_t``
+    (e.g. :func:`log_log_schedule`), or ``None`` for a radius without the
+    bias term. ``delta`` defaults to ``1 / (K * T**3)``.
     """
 
-    alpha: AlphaInput
+    alpha: Optional[AlphaInput]
     K: int
     T: int
     delta: Optional[float] = None
@@ -61,14 +66,14 @@ class UcbParams:
     def __post_init__(self):
         if self.K < 1 or self.T < 1:
             raise ValueError(f"need K >= 1 and T >= 1, got K={self.K}, T={self.T}")
-        if not callable(self.alpha) and self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if self.alpha is not None and not callable(self.alpha):
+            _check_positive_finite("alpha", self.alpha)
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 / (self.K * self.T**3))
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
-    def alpha_at(self, round_: Optional[int] = None) -> float:
+    def alpha_at(self, round_: Optional[int] = None) -> Optional[float]:
         if callable(self.alpha):
             if round_ is None:
                 raise ValueError("alpha is a schedule; the current round is required")
@@ -94,10 +99,8 @@ class AdaptParams:
     def __post_init__(self):
         if not 0.0 < self.c <= 1.0:
             raise ValueError(f"c must be in (0, 1], got {self.c}")
-        if self.alpha_floor <= 0.0:
-            raise ValueError(f"alpha_floor must be positive, got {self.alpha_floor}")
-        if self.mu_floor <= 0.0:
-            raise ValueError(f"mu_floor must be positive, got {self.mu_floor}")
+        _check_positive_finite("alpha_floor", self.alpha_floor)
+        _check_positive_finite("mu_floor", self.mu_floor)
         if self.K < 1 or self.T < 1:
             raise ValueError(f"need K >= 1 and T >= 1, got K={self.K}, T={self.T}")
 
@@ -113,13 +116,30 @@ def mu_hat(sum_arrived: float, pulls: int) -> float:
     return sum_arrived / pulls
 
 
+def deviation(pulls, delta: float):
+    """Sampling deviation ``sqrt(2 * log(2 / delta) / pulls)``; int or array ``pulls``."""
+    two_log = 2.0 * math.log(2.0 / delta)
+    if isinstance(pulls, np.ndarray):
+        return np.sqrt(two_log / pulls)
+    return math.sqrt(two_log / pulls)
+
+
+def delay_bias(pulls, alpha: float):
+    """Cover ``2 * pulls ** -(min(alpha, 0.5))`` for in-flight conversions; int or array.
+
+    numpy's array pow can differ from the C library's in the last bit, so a
+    caller that must stay bitwise stable keeps to the form it has.
+    """
+    return 2.0 * pulls ** -min(alpha, 0.5)
+
+
 def confidence_radius(pulls: int, params: UcbParams, round_: Optional[int] = None) -> float:
     """Deviation plus delay-bias radius for an arm pulled ``pulls`` times."""
     if pulls < 1:
         raise UndefinedEstimatorError("confidence radius undefined with zero pulls")
     alpha = params.alpha_at(round_)
-    dev = math.sqrt(2.0 * math.log(2.0 / params.delta) / pulls)
-    return dev + 2.0 * pulls ** -min(alpha, 0.5)
+    dev = deviation(pulls, params.delta)
+    return dev if alpha is None else dev + delay_bias(pulls, alpha)
 
 
 class BiasBound(NamedTuple):
@@ -152,7 +172,7 @@ def bias_bound_oracle(
         if alpha is None:
             raise ValueError("law has no tail index attribute; pass alpha explicitly")
     exact = mu * float(np.mean(law.tail(t - rounds)))
-    bound = 2.0 * rounds.size ** -min(alpha, 0.5)
+    bound = delay_bias(rounds.size, alpha)
     return BiasBound(exact, bound)
 
 
@@ -188,7 +208,7 @@ def alpha_bar(
         raise InsufficientDataError(
             f"need at least 2 pulls of the leader, got {pulls_of_leader}"
         )
-    b = math.sqrt(2.0 * math.log(2.0 / delta))
+    b = deviation(1, delta)
     correction = math.log(2.0**3.5 * b / (params.c * params.mu_floor)) / math.log(
         pulls_of_leader
     )

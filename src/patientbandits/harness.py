@@ -154,9 +154,12 @@ def monte_carlo(
 
     ``policy_spec`` is a config-style mapping (a fresh policy is built per
     run, which keeps replications independent across worker processes).
+    ``n_jobs`` is the number of worker processes; 0 or -1 means one per CPU.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if n_jobs < -1:
+        raise ValueError(f"n_jobs must be -1, 0 or a positive count, got {n_jobs}")
     cps = _validated_checkpoints(checkpoints, instance.horizon)
     payloads = [
         (instance, policy_spec, split_seed(master_seed, i), cps) for i in range(runs)

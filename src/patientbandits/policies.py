@@ -18,7 +18,7 @@ import numpy as np
 from . import estimators
 from .distributions import DelayLaw, delay_law_from_spec
 from .environment import ObservationView
-from .estimators import AdaptParams, UcbParams, mu_hat
+from .estimators import AdaptParams, AlphaInput, UcbParams, mu_hat
 
 
 class Policy:
@@ -33,15 +33,57 @@ class Policy:
         raise NotImplementedError
 
 
-def _argmax_lowest(indices) -> int:
-    best, best_value = 0, indices[0]
-    for i in range(1, len(indices)):
-        if indices[i] > best_value:
-            best, best_value = i, indices[i]
-    return best
+class OptimisticIndex(Policy):
+    """Pick the arm maximising ``arrived mean + deviation + delay bias``.
+
+    Every arm is first swept ``init_pulls`` times, fewest pulls first and
+    the lowest index on ties; afterwards the argmax of the index is taken,
+    again breaking ties toward the lowest index. ``alpha`` is the bias
+    exponent: ``None`` for no bias term, a float folded into the radius
+    table once per episode, or a schedule of the round. Subclasses whose
+    exponent depends on the round override :meth:`bias_alpha`.
+    """
+
+    init_pulls = 1
+    alpha: Optional[AlphaInput] = None
+
+    def reset(self, n_arms: int, horizon: int) -> None:
+        self.params = UcbParams(alpha=self.alpha, K=n_arms, T=horizon, delta=self.delta)
+        n = np.arange(1, horizon + 1, dtype=np.float64)
+        radius = estimators.deviation(n, self.params.delta)
+        if self.alpha is not None and not callable(self.alpha):
+            radius = radius + estimators.delay_bias(n, self.alpha)
+        # Python floats: exact copies of the float64 entries, faster to add.
+        self._radius_table = radius.tolist()
+
+    def bias_alpha(self, view: ObservationView) -> Optional[float]:
+        """This round's bias exponent, or None when the table holds the whole radius."""
+        return self.alpha(view.t) if callable(self.alpha) else None
+
+    def select(self, view: ObservationView, rng) -> int:
+        K = view.n_arms
+        sweep_arm, sweep_count = -1, self.init_pulls
+        for i in range(K):
+            n = view.pull_count(i)
+            if n < sweep_count:
+                sweep_arm, sweep_count = i, n
+        if sweep_arm >= 0:
+            return sweep_arm
+        alpha = self.bias_alpha(view)
+        table = self._radius_table
+        best, best_index = 0, -math.inf
+        for i in range(K):
+            n = view.pull_count(i)
+            radius = table[n - 1]
+            if alpha is not None:
+                radius = radius + estimators.delay_bias(n, alpha)
+            index = mu_hat(view.arrived_sum(i), n) + radius
+            if index > best_index:
+                best, best_index = i, index
+        return best
 
 
-class PatientBandits(Policy):
+class PatientBandits(OptimisticIndex):
     """Optimistic index policy with a bias bonus for in-flight conversions.
 
     Pulls every arm once, then maximizes ``arrived mean + radius`` where
@@ -61,34 +103,8 @@ class PatientBandits(Policy):
         else:
             self.label = f"patient(alpha={alpha:g})"
 
-    def reset(self, n_arms: int, horizon: int) -> None:
-        self.params = UcbParams(alpha=self.alpha, K=n_arms, T=horizon, delta=self.delta)
-        self._radius_table = None
-        if not callable(self.alpha):
-            n = np.arange(1, horizon + 1, dtype=np.float64)
-            dev = np.sqrt(2.0 * math.log(2.0 / self.params.delta) / n)
-            self._radius_table = dev + 2.0 * n ** -min(self.alpha, 0.5)
 
-    def select(self, view: ObservationView, rng) -> int:
-        K = view.n_arms
-        for i in range(K):
-            if view.pull_count(i) == 0:
-                return i
-        table = self._radius_table
-        best, best_index = 0, -math.inf
-        for i in range(K):
-            n = view.pull_count(i)
-            if table is not None:
-                radius = table[n - 1]
-            else:
-                radius = estimators.confidence_radius(n, self.params, round_=view.t)
-            index = mu_hat(view.arrived_sum(i), n) + radius
-            if index > best_index:
-                best, best_index = i, index
-        return best
-
-
-class AdaptPatientBandits(Policy):
+class AdaptPatientBandits(OptimisticIndex):
     """Patient index policy that estimates the tail exponent as it goes.
 
     Pulls every arm twice, then each round probes the most-pulled arm with
@@ -97,6 +113,8 @@ class AdaptPatientBandits(Policy):
     bound into the patient radius. Needs only coarse structural floors
     (``c``, ``alpha_floor``, ``mu_floor``), not the index itself.
     """
+
+    init_pulls = 2
 
     def __init__(
         self,
@@ -114,15 +132,14 @@ class AdaptPatientBandits(Policy):
         self.alpha_bar_history: list[float] = []
 
     def reset(self, n_arms: int, horizon: int) -> None:
-        self.params = AdaptParams(
+        super().reset(n_arms, horizon)
+        self.tail_params = AdaptParams(
             c=self.c,
             alpha_floor=self.alpha_floor,
             mu_floor=self.mu_floor,
             K=n_arms,
             T=horizon,
         )
-        self._delta = self.delta if self.delta is not None else 1.0 / (n_arms * horizon**3)
-        self._two_log = 2.0 * math.log(2.0 / self._delta)
         self.alpha_bar_history = []
 
     def current_alpha_bar(self, view: ObservationView) -> float:
@@ -133,7 +150,7 @@ class AdaptPatientBandits(Policy):
             n = view.pull_count(i)
             if n > leader_pulls:
                 leader, leader_pulls = i, n
-        long_wait, short_wait = estimators.window_pair(leader_pulls, self.params)
+        long_wait, short_wait = estimators.window_pair(leader_pulls, self.tail_params)
         w_long = view.windowed(leader, long_wait)
         w_short = view.windowed(leader, short_wait)
         if w_long.count > 0 and w_short.count > 0:
@@ -141,28 +158,12 @@ class AdaptPatientBandits(Policy):
         else:
             diff = 0.0  # no usable window yet; same discounting as a null signal
         ahat = estimators.alpha_hat(diff, leader_pulls)
-        return estimators.alpha_bar(ahat, leader_pulls, self.params, self._delta)
+        return estimators.alpha_bar(ahat, leader_pulls, self.tail_params, self.params.delta)
 
-    def select(self, view: ObservationView, rng) -> int:
-        K = view.n_arms
-        # Initialisation: two round-robin sweeps, fewest pulls first.
-        init_arm, init_count = -1, 2
-        for i in range(K):
-            n = view.pull_count(i)
-            if n < init_count:
-                init_arm, init_count = i, n
-        if init_arm >= 0:
-            return init_arm
+    def bias_alpha(self, view: ObservationView) -> float:
         abar = self.current_alpha_bar(view)
         self.alpha_bar_history.append(abar)
-        best, best_index = 0, -math.inf
-        for i in range(K):
-            n = view.pull_count(i)
-            radius = math.sqrt(self._two_log / n) + 2.0 * n ** -min(abar, 0.5)
-            index = mu_hat(view.arrived_sum(i), n) + radius
-            if index > best_index:
-                best, best_index = i, index
-        return best
+        return abar
 
 
 def ducb_index(windowed_total: float, windowed_count: int, tau_m: float, t: int) -> float:
@@ -194,7 +195,7 @@ class DUcb(Policy):
         self.label = f"ducb(m={m})"
 
     def reset(self, n_arms: int, horizon: int) -> None:
-        self._K = n_arms
+        pass
 
     def select(self, view: ObservationView, rng) -> int:
         t = view.t
@@ -210,31 +211,13 @@ class DUcb(Policy):
         return best
 
 
-class VanillaUcb(Policy):
+class VanillaUcb(OptimisticIndex):
     """Classical UCB, blind to delays: arrived mean plus deviation term only."""
 
     label = "ucb"
 
     def __init__(self, delta: Optional[float] = None):
         self.delta = delta
-
-    def reset(self, n_arms: int, horizon: int) -> None:
-        delta = self.delta if self.delta is not None else 1.0 / (n_arms * horizon**3)
-        n = np.arange(1, horizon + 1, dtype=np.float64)
-        self._radius_table = np.sqrt(2.0 * math.log(2.0 / delta) / n)
-
-    def select(self, view: ObservationView, rng) -> int:
-        K = view.n_arms
-        for i in range(K):
-            if view.pull_count(i) == 0:
-                return i
-        best, best_index = 0, -math.inf
-        for i in range(K):
-            n = view.pull_count(i)
-            index = mu_hat(view.arrived_sum(i), n) + self._radius_table[n - 1]
-            if index > best_index:
-                best, best_index = i, index
-        return best
 
 
 class UniformRandom(Policy):

@@ -94,10 +94,6 @@ class _CoupledInstance(BanditInstance):
             return (0.0, 0)
         return (0.0, T)
 
-    def __getstate__(self):
-        state = super().__getstate__()
-        return state
-
 
 def make_coupled_pair(T: int, alpha: float) -> tuple[BanditInstance, BanditInstance]:
     """The lower-bound pair with draw streams coupled across problems.

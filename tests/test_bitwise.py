@@ -1,0 +1,68 @@
+"""Cross-version bit-equality: pinned digests of every policy's regret curves.
+
+The seeding and draw-order contract promises that a given config produces
+the same regret values bit for bit on every version of the package. These
+digests were recorded once; a refactor that changes any of them changes the
+simulator, not just its code.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from patientbandits.distributions import Bernoulli, ParetoCeil
+from patientbandits.environment import BanditInstance
+from patientbandits.harness import monte_carlo
+
+T = 400
+INSTANCE = BanditInstance(
+    [(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.6), ParetoCeil(0.3))], horizon=T
+)
+
+PINNED = {
+    "patient(0.3)": (
+        {"kind": "patient", "alpha": 0.3},
+        "1d1fde93c56061d9536a66791ad1784a61ed018e08cfe7cc1df6d812d2465a23",
+    ),
+    "patient(loglog)": (
+        {"kind": "patient", "alpha": "loglog"},
+        "5356fd2ebfb7748f36d3f8820775ec7ada517b80d2cebd73ddd16768f7025ca7",
+    ),
+    "adapt": (
+        {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5},
+        "55676d1442dffc6b7450907a10e2952657b6e1c400bd77181e00141eecbb98e7",
+    ),
+    # mu_floor above every mean is legal but loose; with delta=0.5 it lets the
+    # bound rise above 0 at this horizon, so the online bias exponent moves.
+    "adapt(alpha_bar>0)": (
+        {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 8.0, "delta": 0.5},
+        "a4fead997dec729128b96c1b4c916c2a21579a7182a2713ed080b4bb37ec03cd",
+    ),
+    "ducb": (
+        {"kind": "ducb", "m": 20, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}},
+        "99d49b72ee2dadeb47e1ee0a6871bf5c890db0baba2b3938e966b7dbb4aa78db",
+    ),
+    "ucb": (
+        {"kind": "ucb"},
+        "55676d1442dffc6b7450907a10e2952657b6e1c400bd77181e00141eecbb98e7",
+    ),
+    "uniform": (
+        {"kind": "uniform"},
+        "c841b1b2828cf17c6d3c7115b6d671d12d8ca42812d9bbad95c74ace9872327b",
+    ),
+}
+
+
+def _digest(spec) -> str:
+    result = monte_carlo(INSTANCE, spec, runs=3, master_seed=20061045,
+                         checkpoints=range(1, T + 1))
+    regrets = np.ascontiguousarray(result.regrets, dtype=np.float64)
+    return hashlib.sha256(regrets.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_regret_digest_is_pinned(name):
+    spec, expected = PINNED[name]
+    assert _digest(spec) == expected

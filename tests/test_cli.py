@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from patientbandits.cli import (
@@ -15,6 +17,9 @@ from patientbandits.cli import (
     preset,
     run_config,
 )
+from patientbandits.environment import BanditInstance
+from patientbandits.harness import simulate
+from patientbandits.policies import UniformRandom
 
 MINIMAL = {
     "arms": [
@@ -123,6 +128,75 @@ def test_horizon_below_arm_count_exits_1(tmp_path):
     bad = {**TWO_ARM, "T": 1, "checkpoints": [1]}
     path = _write(tmp_path, bad)
     assert main(["run", path, "--out", str(tmp_path)]) == 1
+
+
+def _pareto_arms(*alphas):
+    return [
+        {"reward": {"kind": "bernoulli", "mu": 0.5 + 0.1 * i},
+         "delay": {"kind": "pareto_ceil", "alpha": a}}
+        for i, a in enumerate(alphas)
+    ]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param({**TWO_ARM, "policy": {"kind": "patient", "alpha": NAN}},
+                     id="patient-alpha-nan"),
+        pytest.param({**TWO_ARM, "policy": {"kind": "patient", "alpha": INF}},
+                     id="patient-alpha-inf"),
+        pytest.param({**TWO_ARM, "policy": {"kind": "ducb", "m": 5,
+                                            "cdf": {"kind": "pareto_ceil", "alpha": NAN}}},
+                     id="ducb-cdf-alpha-nan"),
+        pytest.param({**TWO_ARM, "arms": _pareto_arms(1.0, NAN)}, id="pareto-alpha-nan"),
+        pytest.param({**TWO_ARM, "policy": {"kind": "adapt", "c": 1.0, "alpha_floor": NAN,
+                                            "mu_floor": 0.5}},
+                     id="adapt-alpha-floor-nan"),
+        pytest.param({**TWO_ARM, "policy": {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2,
+                                            "mu_floor": NAN}},
+                     id="adapt-mu-floor-nan"),
+        pytest.param({**MINIMAL, "arms": [{"reward": {"kind": "bernoulli", "mu": 0.5},
+                                           "delay": {"kind": "geometric", "q": 1e-17}}]},
+                     id="geometric-q-1e-17"),
+    ],
+)
+def test_unrepresentable_parameters_exit_1(tmp_path, capsys, config):
+    path = _write(tmp_path, config)
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_pareto_overflow_runs_and_censors(tmp_path):
+    # At alpha = 0.01 about one draw in 1200 overflows a float.
+    config = {**TWO_ARM, "arms": _pareto_arms(0.01, 0.01), "T": 3000,
+              "runs": 2, "checkpoints": [3000]}
+    assert main(["run", _write(tmp_path, config), "--out", str(tmp_path)]) == 0
+
+    class RawDelays(BanditInstance):
+        def draw(self, arm, rng):
+            reward, delay = super().draw(arm, rng)
+            self.raw.append(delay)
+            return reward, delay
+
+    instance = RawDelays(ExperimentConfig.from_dict(config).build_instance().arms, 3000)
+    instance.raw = []
+    env, _ = simulate(instance, UniformRandom(), np.random.default_rng(3))
+    overflowed = [i for i, d in enumerate(instance.raw) if d == math.inf]
+    assert overflowed
+    records = env.pull_records()
+    assert all(records[i].delay == 3001 and records[i].censored for i in overflowed)
+    assert env.censored_count == sum(r.censored for r in records) >= len(overflowed)
+
+
+def test_jobs_below_minus_one_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, MINIMAL)
+    assert main(["run", path, "--out", str(tmp_path), "--jobs", "-3"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "config.csv").exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -198,8 +198,23 @@ def test_unknown_tags_rejected():
         lambda: TwoPointMass(p=0.5, d0=-1, d1=1),
         lambda: Geometric(0.0),
         lambda: Geometric(1.5),
+        lambda: ParetoCeil(float("nan")),
+        lambda: ParetoCeil(float("inf")),
+        lambda: Geometric(1e-17),  # 1 - q rounds to 1: the sampler would divide by 0
     ],
 )
 def test_invalid_parameters_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_pareto_ceil_overflow_saturates_to_inf():
+    class NearOne:
+        def random(self, size=None):
+            u = 1e-10  # u ** -100 overflows a float
+            return 1.0 - u if size is None else np.full(size, 1.0 - u)
+
+    law = ParetoCeil(0.01)
+    assert law.sample(NearOne()) == math.inf
+    with np.errstate(over="ignore"):
+        assert np.all(law.sample(NearOne(), size=3) == math.inf)  # same as the array path

@@ -18,6 +18,8 @@ from patientbandits.estimators import (
     alpha_hat,
     bias_bound_oracle,
     confidence_radius,
+    delay_bias,
+    deviation,
     log_log_schedule,
     mu_hat,
     window_pair,
@@ -59,6 +61,19 @@ def test_confidence_radius_monotonicity():
     assert at(0.5) == at(0.9) == at(10.0)
 
 
+def test_radius_terms_accept_ints_and_arrays():
+    n = np.arange(1, 500, dtype=np.float64)
+    scalar = [deviation(k, 1e-6) for k in range(1, 500)]
+    assert isinstance(scalar[0], float)
+    assert deviation(n, 1e-6).tolist() == scalar  # sqrt is correctly rounded
+    # numpy's pow may differ from the C library's in the last bit.
+    assert delay_bias(n, 0.3) == pytest.approx(
+        [delay_bias(k, 0.3) for k in range(1, 500)], rel=1e-15
+    )
+    no_bias = UcbParams(alpha=None, K=2, T=100)
+    assert confidence_radius(7, no_bias) == deviation(7, no_bias.delta)
+
+
 def test_radius_vanishes_with_pulls():
     params = UcbParams(alpha=1.0, K=2, T=10**6)
     assert confidence_radius(10**6, params) < 0.02
@@ -71,6 +86,9 @@ def test_default_delta_and_override():
         UcbParams(alpha=1.0, K=3, T=100, delta=2.0)
     with pytest.raises(ValueError):
         UcbParams(alpha=-1.0, K=3, T=100)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            UcbParams(alpha=bad, K=3, T=100)
 
 
 def test_alpha_schedule():
@@ -207,6 +225,10 @@ def test_adapt_params_validation():
         _adapt_params(alpha_floor=0.0)
     with pytest.raises(ValueError):
         _adapt_params(mu_floor=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        _adapt_params(alpha_floor=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        _adapt_params(mu_floor=math.inf)
 
 
 def test_theorem_style_coverage_smoke():

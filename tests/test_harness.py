@@ -144,6 +144,11 @@ def test_checkpoint_validation():
         monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=0, master_seed=1)
 
 
+def test_worker_count_below_minus_one_rejected():
+    with pytest.raises(ValueError, match="n_jobs"):
+        monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=2, master_seed=1, n_jobs=-3)
+
+
 def test_adapt_diagnostics_recorded():
     inst = BanditInstance(
         [(Bernoulli(0.5), ParetoCeil(0.5)), (Bernoulli(0.7), ParetoCeil(0.5))], 300

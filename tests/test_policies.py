@@ -5,9 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from conftest import FakeView
 from patientbandits.distributions import Bernoulli, Dirac, ParetoCeil
 from patientbandits.environment import BanditInstance
@@ -18,7 +15,6 @@ from patientbandits.policies import (
     PatientBandits,
     UniformRandom,
     VanillaUcb,
-    _argmax_lowest,
     ducb_index,
     make_policy,
 )
@@ -202,19 +198,6 @@ def test_information_hygiene_identical_views_same_arm():
         b = policy.select(FakeView([7, 6], [3.0, 4.0], t=14, windows=windows),
                           np.random.default_rng(0))
         assert a == b
-
-
-@given(
-    values=st.lists(
-        st.floats(min_value=-100, max_value=100).map(lambda x: round(x, 3)),
-        min_size=1,
-        max_size=6,
-    ),
-    shift=st.sampled_from([-5.0, 1.0, 100.0]),
-)
-@settings(max_examples=200, deadline=None)
-def test_argmax_shift_invariance(values, shift):
-    assert _argmax_lowest(values) == _argmax_lowest([v + shift for v in values])
 
 
 def test_make_policy_tags():
