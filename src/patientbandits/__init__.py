@@ -8,6 +8,8 @@ deterministic seeding.
 __version__ = "0.1.0"
 
 from .distributions import (
+    DELAY_LAWS,
+    REWARD_LAWS,
     Bernoulli,
     Dirac,
     Geometric,
@@ -15,8 +17,7 @@ from .distributions import (
     PointMass,
     TwoPointMass,
     assumption1_margin,
-    delay_law_from_spec,
-    reward_law_from_spec,
+    from_spec,
 )
 from .environment import (
     BanditInstance,
@@ -49,13 +50,13 @@ from .harness import (
     split_seed,
 )
 from .policies import (
+    POLICIES,
     AdaptPatientBandits,
     DUcb,
     PatientBandits,
     Policy,
     UniformRandom,
     VanillaUcb,
-    make_policy,
 )
 from .theory import (
     LowerBoundPair,
@@ -67,14 +68,14 @@ from .theory import (
 __all__ = [
     "__version__",
     "Bernoulli", "PointMass", "Dirac", "ParetoCeil", "TwoPointMass", "Geometric",
-    "assumption1_margin", "reward_law_from_spec", "delay_law_from_spec",
+    "assumption1_margin", "from_spec", "REWARD_LAWS", "DELAY_LAWS",
     "BanditInstance", "DelayedBanditEnv", "EpisodeComplete", "ObservationView",
     "PullRecord", "WindowedSum",
     "UcbParams", "AdaptParams", "mu_hat", "confidence_radius", "bias_bound_oracle",
     "alpha_hat", "alpha_bar", "window_pair", "log_log_schedule",
     "UndefinedEstimatorError", "InsufficientDataError",
     "Policy", "PatientBandits", "AdaptPatientBandits", "DUcb", "VanillaUcb",
-    "UniformRandom", "make_policy",
+    "UniformRandom", "POLICIES",
     "RegretTrace", "MonteCarloResult", "split_seed", "default_checkpoints",
     "simulate", "run_episode", "monte_carlo",
     "LowerBoundPair", "make_lower_bound_pair", "make_coupled_pair", "observable_mean",

@@ -33,6 +33,11 @@ Reward kinds: ``bernoulli(mu)``, ``point_mass(value)``. Delay kinds:
 ``dirac(d)``, ``pareto_ceil(alpha)``, ``two_point(p, d0, d1)``,
 ``geometric(q)``. Policy kinds: ``patient(alpha)``,
 ``adapt(c, alpha_floor, mu_floor)``, ``ducb(m, cdf)``, ``ucb``, ``uniform``.
+Parameters go to the class unconverted (tables ``REWARD_LAWS``,
+``DELAY_LAWS``, ``POLICIES``), so an unknown parameter or a count that is
+not an integer (``T``, ``runs``, ``master_seed``, ``d``, ``d0``, ``d1``,
+``m``) is a config error, as are bad checkpoints, a non-string ``name`` or
+``output``, and ``notes`` that are not a list of strings.
 
 Running a config writes a CSV with header
 ``policy,run_count,round,mean_regret,stderr`` plus a ``.meta.json`` sidecar
@@ -51,10 +56,10 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .distributions import assumption1_margin, delay_law_from_spec, reward_law_from_spec
+from .distributions import DELAY_LAWS, REWARD_LAWS, assumption1_margin, check_int, from_spec
 from .environment import BanditInstance
-from .harness import MonteCarloResult, monte_carlo
-from .policies import make_policy
+from .harness import MonteCarloResult, _validated_checkpoints, monte_carlo
+from .policies import POLICIES
 from .theory import make_lower_bound_pair, observable_mean
 
 OUTDIR_ENV = "PATIENTBANDITS_OUTDIR"
@@ -94,33 +99,44 @@ class ExperimentConfig:
             if required not in data:
                 raise ConfigError(f"config field {required!r} is missing")
 
-        def _int_field(key):
-            value = data[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"field {key!r} must be an integer, got {value!r}")
-            return value
+        def _int_field(key, least=None):
+            try:
+                return check_int(f"field {key!r}", data[key], least)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
-        name = data.get("name")
+        name, output, notes = data.get("name"), data.get("output"), data.get("notes", ())
+        for key, value in (("name", name), ("output", output)):
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"field {key!r} must be a string, got {value!r}")
         if name is not None and ("," in name or "\n" in name):
             raise ConfigError("field 'name' must not contain commas or newlines")
+        if not isinstance(notes, (list, tuple)) or not all(isinstance(n, str) for n in notes):
+            raise ConfigError(f"field 'notes' must be a list of strings, got {notes!r}")
         arms = data["arms"]
         if not isinstance(arms, (list, tuple)) or not arms:
             raise ConfigError("field 'arms' must be a nonempty list")
         for i, arm in enumerate(arms):
             for part in ("reward", "delay"):
-                if part not in arm:
+                if not isinstance(arm, Mapping) or part not in arm:
                     raise ConfigError(f"arms[{i}] is missing its {part!r} law")
+        T = _int_field("T")
         checkpoints = data.get("checkpoints")
+        if checkpoints is not None:
+            try:
+                checkpoints = _validated_checkpoints(checkpoints, T)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"bad checkpoints: {exc}") from exc
         cfg = cls(
             arms=tuple(arms),
-            T=_int_field("T"),
+            T=T,
             policy=data["policy"],
-            runs=_int_field("runs"),
+            runs=_int_field("runs", least=1),
             master_seed=_int_field("master_seed"),
             name=name,
-            checkpoints=None if checkpoints is None else tuple(int(c) for c in checkpoints),
-            output=data.get("output"),
-            notes=tuple(data.get("notes", ())),
+            checkpoints=checkpoints,
+            output=output,
+            notes=tuple(notes),
         )
         cfg.build_instance()  # surface law/shape errors at parse time
         cfg.build_policy()
@@ -147,7 +163,10 @@ class ExperimentConfig:
     def build_instance(self) -> BanditInstance:
         try:
             arms = [
-                (reward_law_from_spec(a["reward"]), delay_law_from_spec(a["delay"]))
+                (
+                    from_spec(REWARD_LAWS, a["reward"], "reward law"),
+                    from_spec(DELAY_LAWS, a["delay"], "delay law"),
+                )
                 for a in self.arms
             ]
             return BanditInstance(arms, horizon=self.T)
@@ -156,7 +175,7 @@ class ExperimentConfig:
 
     def build_policy(self):
         try:
-            policy = make_policy(self.policy)
+            policy = from_spec(POLICIES, self.policy, "policy")
             policy.reset(len(self.arms), self.T)  # the parameter checks an episode runs
             return policy
         except (ValueError, KeyError, TypeError) as exc:

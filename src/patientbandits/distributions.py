@@ -5,15 +5,16 @@ nonnegative integers. The delay CDF ``tau(m) = P(D <= m)`` is the quantity
 everything else in this package is built on: confidence bonuses, bias
 audits, and tail-decay checks all reduce to how fast ``1 - tau(m)`` falls.
 
-Stream contract: every scalar ``sample`` call consumes exactly one value
-from the supplied random generator, whatever the law. Coupled-run tests
-rely on this to keep two environments' draw streams aligned.
+Every law draws by inverse transform: ``from_uniform(u)`` maps one uniform
+``u`` in [0, 1) to one value, with no randomness of its own. Which uniform
+feeds which law is pinned in one place, ``BanditInstance.draw``.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -21,6 +22,19 @@ import numpy as np
 def _scalar_or_array(x):
     # np.where produces 0-d arrays for scalar queries; unwrap those.
     return float(x) if np.ndim(x) == 0 else x
+
+
+def check_int(name: str, value, least: Optional[int] = None) -> int:
+    """Return ``value`` if it is an integer, and at least ``least`` if given.
+
+    Bools, floats (whole or infinite) and strings are refused, not
+    truncated: a count or a delay written as 2.7 is a mistake.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +55,8 @@ class Bernoulli:
     def mean(self) -> float:
         return self.mu
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return 1.0 if rng.random() < self.mu else 0.0
-        return (rng.random(size) < self.mu).astype(np.float64)
+    def from_uniform(self, u: float) -> float:
+        return 1.0 if u < self.mu else 0.0
 
 
 @dataclass(frozen=True)
@@ -60,12 +72,8 @@ class PointMass:
     def mean(self) -> float:
         return self.value
 
-    def sample(self, rng, size=None):
-        if size is None:
-            rng.random()  # consumed so every pull costs one draw per law
-            return self.value
-        rng.random(size)
-        return np.full(size, self.value)
+    def from_uniform(self, u: float) -> float:
+        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +88,7 @@ class Dirac:
     d: int
 
     def __post_init__(self):
-        if self.d < 0 or int(self.d) != self.d:
-            raise ValueError(f"d must be a nonnegative integer, got {self.d}")
+        check_int("d", self.d, 0)
 
     def tail(self, m):
         return _scalar_or_array(np.where(np.asarray(m) >= self.d, 0.0, 1.0))
@@ -89,12 +96,8 @@ class Dirac:
     def cdf(self, m):
         return _scalar_or_array(np.where(np.asarray(m) >= self.d, 1.0, 0.0))
 
-    def sample(self, rng, size=None):
-        if size is None:
-            rng.random()
-            return self.d
-        rng.random(size)
-        return np.full(size, float(self.d))
+    def from_uniform(self, u: float) -> int:
+        return self.d
 
 
 @dataclass(frozen=True)
@@ -122,15 +125,11 @@ class ParetoCeil:
         m = np.asarray(m, dtype=np.float64)
         return _scalar_or_array(np.where(m >= 1.0, 1.0 - self.tail(m), 0.0))
 
-    def sample(self, rng, size=None):
-        if size is None:
-            u = 1.0 - rng.random()  # uniform on (0, 1]
-            try:
-                return math.ceil(u ** (-1.0 / self.alpha))
-            except OverflowError:  # past any horizon; the array path gives inf too
-                return math.inf
-        u = 1.0 - rng.random(size)
-        return np.ceil(u ** (-1.0 / self.alpha))
+    def from_uniform(self, u: float):
+        try:
+            return math.ceil((1.0 - u) ** (-1.0 / self.alpha))  # 1 - u is in (0, 1]
+        except OverflowError:  # past any horizon
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -149,10 +148,8 @@ class TwoPointMass:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
-        for name in ("d0", "d1"):
-            v = getattr(self, name)
-            if v < 0 or int(v) != v:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v}")
+        check_int("d0", self.d0, 0)
+        check_int("d1", self.d1, 0)
 
     def tail(self, m):
         m = np.asarray(m)
@@ -168,10 +165,8 @@ class TwoPointMass:
         )
         return _scalar_or_array(out)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.d1 if rng.random() < self.p else self.d0
-        return np.where(rng.random(size) < self.p, float(self.d1), float(self.d0))
+    def from_uniform(self, u: float) -> int:
+        return self.d1 if u < self.p else self.d0
 
 
 @dataclass(frozen=True)
@@ -196,16 +191,10 @@ class Geometric:
         out = np.where(m >= 0.0, 1.0 - (1.0 - self.q) ** (np.floor(m) + 1.0), 0.0)
         return _scalar_or_array(out)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            u = 1.0 - rng.random()
-            if self.q >= 1.0:
-                return 0
-            return int(math.log(u) / math.log(1.0 - self.q))
-        u = 1.0 - rng.random(size)
+    def from_uniform(self, u: float) -> int:
         if self.q >= 1.0:
-            return np.zeros(size)
-        return np.floor(np.log(u) / math.log(1.0 - self.q))
+            return 0
+        return int(math.log(1.0 - u) / math.log(1.0 - self.q))
 
 
 RewardLaw = Union[Bernoulli, PointMass]
@@ -231,29 +220,23 @@ def assumption1_margin(law: DelayLaw, alpha: float, m_max: int) -> float:
 # Construction from config tags
 # ---------------------------------------------------------------------------
 
-_REWARD_TAGS = {"bernoulli", "point_mass"}
-_DELAY_TAGS = {"dirac", "pareto_ceil", "two_point", "geometric"}
+REWARD_LAWS = {"bernoulli": Bernoulli, "point_mass": PointMass}
+DELAY_LAWS = {
+    "dirac": Dirac,
+    "pareto_ceil": ParetoCeil,
+    "two_point": TwoPointMass,
+    "geometric": Geometric,
+}
 
 
-def reward_law_from_spec(spec: Mapping) -> RewardLaw:
-    """Build a reward law from a ``{"kind": tag, ...params}`` mapping."""
-    kind = spec.get("kind")
-    if kind == "bernoulli":
-        return Bernoulli(mu=float(spec["mu"]))
-    if kind == "point_mass":
-        return PointMass(value=float(spec["value"]))
-    raise ValueError(f"unknown reward law kind {kind!r}; expected one of {sorted(_REWARD_TAGS)}")
+def from_spec(kinds: Mapping, spec: Mapping, what: str):
+    """Build ``kinds[tag]`` from a ``{"kind": tag, ...params}`` mapping.
 
-
-def delay_law_from_spec(spec: Mapping) -> DelayLaw:
-    """Build a delay law from a ``{"kind": tag, ...params}`` mapping."""
-    kind = spec.get("kind")
-    if kind == "dirac":
-        return Dirac(d=int(spec["d"]))
-    if kind == "pareto_ceil":
-        return ParetoCeil(alpha=float(spec["alpha"]))
-    if kind == "two_point":
-        return TwoPointMass(p=float(spec["p"]), d0=int(spec["d0"]), d1=int(spec["d1"]))
-    if kind == "geometric":
-        return Geometric(q=float(spec["q"]))
-    raise ValueError(f"unknown delay law kind {kind!r}; expected one of {sorted(_DELAY_TAGS)}")
+    The parameters are passed on as they are, so the class's own checks
+    are the only ones; a missing or unknown parameter raises ``TypeError``.
+    """
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    if kind not in kinds:
+        raise ValueError(f"unknown {what} kind {kind!r}; expected one of {sorted(kinds)}")
+    return kinds[kind](**params)

@@ -89,11 +89,13 @@ class BanditInstance:
     def draw(self, arm: int, rng) -> Tuple[float, int]:
         """Draw one independent (reward, delay) pair for ``arm``.
 
-        Order is pinned: reward first, delay second, two stream values per
-        pull. Reproducibility of whole episodes hangs on this.
+        This is the stream contract, and the only place that reads the
+        stream: one uniform per law, reward first, so every pull consumes
+        exactly two values whatever the laws. Reproducibility of whole
+        episodes, and coupled runs, hang on this.
         """
         reward_law, delay_law = self.arms[arm]
-        return reward_law.sample(rng), delay_law.sample(rng)
+        return reward_law.from_uniform(rng.random()), delay_law.from_uniform(rng.random())
 
 
 class ObservationView:
@@ -103,14 +105,13 @@ class ObservationView:
     keeps answering for its own round even after the episode moves on.
     """
 
-    __slots__ = ("_env", "t", "_counts", "_sums", "_fills")
+    __slots__ = ("_env", "t", "_counts", "_sums")
 
-    def __init__(self, env, t, counts, sums, fills):
+    def __init__(self, env, t, counts, sums):
         self._env = env
         self.t = t
         self._counts = counts
         self._sums = sums
-        self._fills = fills
 
     @property
     def n_arms(self) -> int:
@@ -136,7 +137,7 @@ class ObservationView:
             return WindowedSum(0, 0.0, True)
         if wait < 0:
             raise ValueError(f"wait must be nonnegative, got {wait}")
-        n = self._fills[arm]
+        n = self._counts[arm]
         rounds = self._env._arm_rounds[arm]
         count = int(np.searchsorted(rounds[:n], t - wait, side="right"))
         if count == 0:
@@ -163,7 +164,6 @@ class DelayedBanditEnv:
         self._arm_rounds = [np.empty(T, dtype=np.int64) for _ in range(K)]
         self._arm_delays = [np.empty(T, dtype=np.int64) for _ in range(K)]
         self._arm_rewards = [np.empty(T, dtype=np.float64) for _ in range(K)]
-        self._arm_fill = [0] * K
 
     @property
     def round(self) -> int:
@@ -195,9 +195,7 @@ class DelayedBanditEnv:
             self._delivered_through += 1
             for arm, reward in self._calendar[self._delivered_through]:
                 sums[arm] += reward
-        return ObservationView(
-            self, t, list(self._counts), list(sums), list(self._arm_fill)
-        )
+        return ObservationView(self, t, list(self._counts), list(sums))
 
     def pull(self, arm: int, rng) -> None:
         """Pull ``arm`` at the current round and schedule its reward arrival."""
@@ -214,12 +212,11 @@ class DelayedBanditEnv:
             self._calendar[arrival].append((arm, reward))
         else:
             self._censored += 1
-        f = self._arm_fill[arm]
-        self._arm_rounds[arm][f] = s
-        self._arm_delays[arm][f] = delay
-        self._arm_rewards[arm][f] = reward
-        self._arm_fill[arm] = f + 1
-        self._counts[arm] += 1
+        n = self._counts[arm]
+        self._arm_rounds[arm][n] = s
+        self._arm_delays[arm][n] = delay
+        self._arm_rewards[arm][n] = reward
+        self._counts[arm] = n + 1
         self._round += 1
 
     def true_pseudo_regret(self) -> float:
@@ -237,7 +234,7 @@ class DelayedBanditEnv:
         """
         T = self.instance.horizon
         records = []
-        logs = zip(self._arm_rounds, self._arm_rewards, self._arm_delays, self._arm_fill)
+        logs = zip(self._arm_rounds, self._arm_rewards, self._arm_delays, self._counts)
         for arm, (rounds, rewards, delays, n) in enumerate(logs):
             for s, reward, delay in zip(*(log[:n].tolist() for log in (rounds, rewards, delays))):
                 arrival = s + max(delay, 1)

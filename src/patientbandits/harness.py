@@ -15,8 +15,9 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .distributions import from_spec
 from .environment import BanditInstance, DelayedBanditEnv
-from .policies import Policy, make_policy
+from .policies import POLICIES, Policy
 
 _MASK64 = (1 << 64) - 1
 
@@ -138,7 +139,7 @@ def run_episode(
 
 def _replicate(args) -> np.ndarray:
     instance, policy_spec, seed, checkpoints = args
-    trace = run_episode(instance, make_policy(policy_spec), seed, checkpoints)
+    trace = run_episode(instance, from_spec(POLICIES, policy_spec, "policy"), seed, checkpoints)
     return trace.regret
 
 

@@ -6,7 +6,7 @@ Ties in any argmax break toward the lowest arm index so that episodes are
 bit-for-bit reproducible.
 
 Config tags: ``patient``, ``adapt``, ``ducb``, ``ucb``, ``uniform``
-(see :func:`make_policy`).
+(see :data:`POLICIES`).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import estimators
-from .distributions import DelayLaw, delay_law_from_spec
+from .distributions import DELAY_LAWS, DelayLaw, check_int, from_spec
 from .environment import ObservationView
 from .estimators import AdaptParams, AlphaInput, UcbParams, mu_hat
 
@@ -183,9 +183,7 @@ class DUcb(Policy):
     """
 
     def __init__(self, m: int, cdf: DelayLaw):
-        if m < 1 or int(m) != m:
-            raise ValueError(f"threshold m must be a positive integer, got {m}")
-        self.m = int(m)
+        self.m = check_int("threshold m", m, 1)
         self.cdf = cdf
         self.tau_m = float(cdf.cdf(self.m))
         if self.tau_m <= 0.0:
@@ -232,25 +230,14 @@ class UniformRandom(Policy):
         return int(rng.integers(view.n_arms))
 
 
-def make_policy(spec: Mapping) -> Policy:
-    """Build a policy from a ``{"kind": tag, ...params}`` mapping."""
-    kind = spec.get("kind")
-    if kind == "patient":
-        return PatientBandits(alpha=spec["alpha"], delta=spec.get("delta"))
-    if kind == "adapt":
-        return AdaptPatientBandits(
-            c=float(spec["c"]),
-            alpha_floor=float(spec["alpha_floor"]),
-            mu_floor=float(spec["mu_floor"]),
-            delta=spec.get("delta"),
-        )
-    if kind == "ducb":
-        return DUcb(m=int(spec["m"]), cdf=delay_law_from_spec(spec["cdf"]))
-    if kind == "ucb":
-        return VanillaUcb(delta=spec.get("delta"))
-    if kind == "uniform":
-        return UniformRandom()
-    raise ValueError(
-        f"unknown policy kind {kind!r}; expected one of "
-        "['patient', 'adapt', 'ducb', 'ucb', 'uniform']"
-    )
+def _ducb_from_spec(m, cdf: Mapping) -> DUcb:
+    return DUcb(m, from_spec(DELAY_LAWS, cdf, "delay law"))
+
+
+POLICIES = {
+    "patient": PatientBandits,
+    "adapt": AdaptPatientBandits,
+    "ducb": _ducb_from_spec,  # its assumed delay CDF is itself a law spec
+    "ucb": VanillaUcb,
+    "uniform": UniformRandom,
+}

@@ -58,30 +58,27 @@ def observable_mean(problem: BanditInstance, arm: int, window: int) -> float:
 
 
 class _CoupledInstance(BanditInstance):
-    """One side of the pair with draws driven through a shared coupling.
+    """Problem B with arm 2's draws coupled to problem A's plain draws.
 
-    Each pull consumes exactly two uniforms whichever arm is chosen, and
-    arm 2's within-horizon observable conversion is the event
-    ``u1 < 1/2 - q`` on both sides. Marginals per side are exact; only the
-    joint across sides is constructed.
+    Problem A's arm 2 converts on the event ``u1 < 1/2 - q`` of its first
+    uniform; here the same event is arm 2's within-horizon observable
+    conversion. Each pull still consumes exactly two uniforms, and arm 1
+    draws as in :meth:`BanditInstance.draw`. Marginals are exact; only the
+    joint across the two problems is constructed.
     """
 
-    def __init__(self, arms, horizon, side, p, q):
+    def __init__(self, arms, horizon, p, q):
         super().__init__(arms, horizon)
-        self._side = side
         self._p = p
         self._q = q
 
     def draw(self, arm, rng):
+        if arm == 0:
+            return super().draw(arm, rng)
         u1 = rng.random()
         u2 = rng.random()
-        if arm == 0:
-            return (1.0 if u1 < 0.5 else 0.0, 0)
         q, p, T = self._q, self._p, self.horizon
-        visible = u1 < 0.5 - q
-        if self._side == "A":
-            return (1.0 if visible else 0.0, 0)
-        if visible:
+        if u1 < 0.5 - q:
             return (1.0, 0)
         # Residual mass 1/2 + q split to keep reward Bernoulli(1/2 + q),
         # delay mass p at T, and the two independent.
@@ -103,6 +100,5 @@ def make_coupled_pair(T: int, alpha: float) -> tuple[BanditInstance, BanditInsta
     exactly; distributional indistinguishability becomes a trace equality.
     """
     pair = make_lower_bound_pair(T, alpha)
-    coupled_a = _CoupledInstance(pair.problem_a.arms, T, "A", pair.p, pair.q)
-    coupled_b = _CoupledInstance(pair.problem_b.arms, T, "B", pair.p, pair.q)
-    return coupled_a, coupled_b
+    coupled_b = _CoupledInstance(pair.problem_b.arms, T, pair.p, pair.q)
+    return pair.problem_a, coupled_b

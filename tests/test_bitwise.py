@@ -12,7 +12,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from patientbandits.distributions import Bernoulli, ParetoCeil
+from patientbandits.distributions import (
+    Bernoulli,
+    Dirac,
+    Geometric,
+    ParetoCeil,
+    PointMass,
+    TwoPointMass,
+)
 from patientbandits.environment import BanditInstance
 from patientbandits.harness import monte_carlo
 
@@ -55,8 +62,38 @@ PINNED = {
 }
 
 
-def _digest(spec) -> str:
-    result = monte_carlo(INSTANCE, spec, runs=3, master_seed=20061045,
+# Every other law kind: a constant reward, a fixed delay, a two-point delay
+# whose long branch lies past the horizon (censored), and a geometric delay.
+# Recorded while the laws still drew from the stream themselves, before they
+# became inverse-CDF transforms.
+MIXED_INSTANCE = BanditInstance(
+    [
+        (PointMass(0.45), Dirac(3)),
+        (Bernoulli(0.6), TwoPointMass(p=0.3, d0=2, d1=T + 100)),
+        (Bernoulli(0.5), Geometric(0.2)),
+    ],
+    horizon=T,
+)
+
+MIXED_PINNED = {
+    "patient(0.3)": (
+        {"kind": "patient", "alpha": 0.3},
+        "6daaa2ca06606ae15bde5d6db8ca0f690d8a310167c45b111703dae29eecc0f8",
+    ),
+    "ducb(two_point)": (
+        {"kind": "ducb", "m": 20,
+         "cdf": {"kind": "two_point", "p": 0.3, "d0": 2, "d1": T + 100}},
+        "55120840ee22d439524f970926f39abd694d7f8d20c65f3969b263daf1daa653",
+    ),
+    "ucb": (
+        {"kind": "ucb"},
+        "93ee2d6ca721cb8ce53c7c69bb4a8ab29eb5013f91e30fa79212eb7ce8779506",
+    ),
+}
+
+
+def _digest(instance, spec) -> str:
+    result = monte_carlo(instance, spec, runs=3, master_seed=20061045,
                          checkpoints=range(1, T + 1))
     regrets = np.ascontiguousarray(result.regrets, dtype=np.float64)
     return hashlib.sha256(regrets.tobytes()).hexdigest()
@@ -65,4 +102,10 @@ def _digest(spec) -> str:
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_regret_digest_is_pinned(name):
     spec, expected = PINNED[name]
-    assert _digest(spec) == expected
+    assert _digest(INSTANCE, spec) == expected
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_PINNED))
+def test_mixed_law_regret_digest_is_pinned(name):
+    spec, expected = MIXED_PINNED[name]
+    assert _digest(MIXED_INSTANCE, spec) == expected

@@ -161,6 +161,34 @@ NAN, INF = float("nan"), float("inf")
         pytest.param({**MINIMAL, "arms": [{"reward": {"kind": "bernoulli", "mu": 0.5},
                                            "delay": {"kind": "geometric", "q": 1e-17}}]},
                      id="geometric-q-1e-17"),
+        pytest.param({**MINIMAL, "runs": 0}, id="runs-0"),
+        pytest.param({**TWO_ARM, "checkpoints": [0, 10]}, id="checkpoint-0"),
+        pytest.param({**TWO_ARM, "checkpoints": ["a"]}, id="checkpoint-string"),
+        pytest.param({**MINIMAL, "name": 5}, id="name-int"),
+        pytest.param({**MINIMAL, "output": 5}, id="output-int"),
+        pytest.param({**MINIMAL, "notes": "abc"}, id="notes-string"),
+        pytest.param({**MINIMAL, "arms": [{"reward": {"kind": "bernoulli", "mu": 0.5},
+                                           "delay": {"kind": "dirac", "d": 2.7}}]},
+                     id="dirac-d-2.7"),
+        pytest.param({**MINIMAL, "arms": [{"reward": {"kind": "bernoulli", "mu": 0.5},
+                                           "delay": {"kind": "dirac", "d": INF}}]},
+                     id="dirac-d-inf"),
+        pytest.param({**MINIMAL, "arms": [{"reward": {"kind": "bernoulli", "mu": 0.5},
+                                           "delay": {"kind": "two_point", "p": 0.5,
+                                                     "d0": 0, "d1": INF}}]},
+                     id="two-point-d1-inf"),
+        pytest.param({**TWO_ARM, "policy": {"kind": "ducb", "m": 2.5,
+                                            "cdf": {"kind": "pareto_ceil", "alpha": 0.7}}},
+                     id="ducb-m-2.5"),
+        pytest.param({**TWO_ARM, "policy": {"kind": "ducb", "m": INF,
+                                            "cdf": {"kind": "pareto_ceil", "alpha": 0.7}}},
+                     id="ducb-m-inf"),
+        pytest.param({**MINIMAL, "arms": [{"reward": {"kind": "bernoulli", "mu": 0.5,
+                                                      "sigma": 0.1},
+                                           "delay": {"kind": "dirac", "d": 0}}]},
+                     id="unknown-law-key"),
+        pytest.param({**TWO_ARM, "policy": {"kind": "ucb", "dleta": 0.1}},
+                     id="ucb-misspelt-delta"),
     ],
 )
 def test_unrepresentable_parameters_exit_1(tmp_path, capsys, config):
@@ -261,6 +289,13 @@ def test_preset_figure4_and_5_structure():
     true_alpha = fig4[0].arms[0]["delay"]["alpha"]
     assert all(c.policy["cdf"]["alpha"] == true_alpha for c in fig4 if c.policy["kind"] == "ducb")
     assert {a["delay"]["alpha"] for a in fig5[0].arms} == {1.0, 0.3}
+
+
+@pytest.mark.parametrize("name", ["figure2", "figure3", "figure4", "figure5"])
+def test_preset_configs_round_trip(name):
+    # Presets are built directly, so they must pass the validator they bypass.
+    for cfg in preset(name, scale=0.01):
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_preset_scaling_rule():

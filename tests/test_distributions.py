@@ -1,4 +1,4 @@
-"""Distribution laws: exact CDFs, sampler consistency, tail-bound margins."""
+"""Distribution laws: exact CDFs, inverse-transform consistency, tail-bound margins."""
 from __future__ import annotations
 
 import math
@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patientbandits.distributions import (
+    DELAY_LAWS,
+    REWARD_LAWS,
     Bernoulli,
     Dirac,
     Geometric,
@@ -16,11 +18,12 @@ from patientbandits.distributions import (
     PointMass,
     TwoPointMass,
     assumption1_margin,
-    delay_law_from_spec,
-    reward_law_from_spec,
+    from_spec,
 )
+from patientbandits.environment import BanditInstance
 
-DELAY_LAWS = [
+REWARD_LAW_CASES = [Bernoulli(0.3), PointMass(0.7)]
+DELAY_LAW_CASES = [
     Dirac(0),
     Dirac(3),
     TwoPointMass(p=0.3, d0=2, d1=50),
@@ -31,57 +34,56 @@ DELAY_LAWS = [
 ]
 
 
+def _draws(law, n, seed):
+    """``n`` values of ``law`` by inverse transform of one seeded stream."""
+    rng = np.random.default_rng(seed)
+    return np.array([law.from_uniform(u) for u in rng.random(n).tolist()], dtype=np.float64)
+
+
 def test_bernoulli_degenerate_and_mean():
-    rng = np.random.default_rng(0)
     law = Bernoulli(1.0)
     assert law.mean() == 1.0
-    assert all(law.sample(rng) == 1.0 for _ in range(20))
+    assert all(law.from_uniform(u) == 1.0 for u in np.linspace(0.0, 0.999, 20))
     assert Bernoulli(0.25).mean() == 0.25
+    assert Bernoulli(0.25).from_uniform(0.2) == 1.0
+    assert Bernoulli(0.25).from_uniform(0.25) == 0.0
 
 
 def test_point_mass_sample():
-    rng = np.random.default_rng(0)
-    assert PointMass(0.5).sample(rng) == 0.5
+    assert PointMass(0.5).from_uniform(0.9) == 0.5
     assert PointMass(0.5).mean() == 0.5
 
 
 def test_bernoulli_empirical_mean():
     # CLT band: 3 sigma = 3 * 0.5 / sqrt(1e6) = 0.0015 < 0.002
-    rng = np.random.default_rng(7)
-    draws = Bernoulli(0.5).sample(rng, 10**6)
+    draws = _draws(Bernoulli(0.5), 10**6, seed=7)
     assert set(np.unique(draws)) <= {0.0, 1.0}
     assert abs(draws.mean() - 0.5) < 0.002
 
 
-def test_reward_sample_consumes_one_draw():
-    for law in (Bernoulli(0.3), PointMass(0.7)):
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        law.sample(rng_a)
-        rng_b.random()
-        assert rng_a.random() == rng_b.random()
-
-
-def test_delay_sample_consumes_one_draw():
-    for law in DELAY_LAWS:
-        rng_a = np.random.default_rng(9)
-        rng_b = np.random.default_rng(9)
-        law.sample(rng_a)
-        rng_b.random()
-        assert rng_a.random() == rng_b.random()
+def test_draw_consumes_two_uniforms_per_pull():
+    # Reward first, delay second: exactly one uniform each, whatever the laws.
+    for reward in REWARD_LAW_CASES:
+        for delay in DELAY_LAW_CASES:
+            instance = BanditInstance([(reward, delay)], horizon=1)
+            rng_a = np.random.default_rng(9)
+            rng_b = np.random.default_rng(9)
+            got = instance.draw(0, rng_a)
+            u1, u2 = rng_b.random(), rng_b.random()
+            assert got == (reward.from_uniform(u1), delay.from_uniform(u2))
+            assert rng_a.random() == rng_b.random()
 
 
 def test_dirac_sampling_and_cdf():
-    rng = np.random.default_rng(1)
-    assert Dirac(3).sample(rng) == 3
+    assert Dirac(3).from_uniform(0.5) == 3
     assert Dirac(0).cdf(0) == 1.0
     assert Dirac(5).cdf(4) == 0.0
     assert Dirac(5).cdf(5) == 1.0
 
 
 def test_two_point_mass():
-    rng = np.random.default_rng(2)
-    assert TwoPointMass(p=0.0, d0=0, d1=99).sample(rng) == 0
+    assert TwoPointMass(p=0.0, d0=0, d1=99).from_uniform(0.0) == 0
+    assert TwoPointMass(p=0.3, d0=0, d1=99).from_uniform(0.29) == 99
     # Only the d0 mass has arrived by m = 50.
     assert TwoPointMass(p=0.25, d0=0, d1=100).cdf(50) == pytest.approx(0.75, abs=1e-15)
 
@@ -102,8 +104,7 @@ def test_pareto_ceil_tail_is_exact():
 
 def test_pareto_ceil_sampled_tail_fraction():
     # Exact tail P(D > 2) = 2 ** -1 = 0.5 for alpha = 1.
-    rng = np.random.default_rng(3)
-    draws = ParetoCeil(alpha=1.0).sample(rng, 10**5)
+    draws = _draws(ParetoCeil(alpha=1.0), 10**5, seed=3)
     assert abs(np.mean(draws > 2) - 0.5) < 0.01
     assert draws.min() >= 1
 
@@ -115,7 +116,7 @@ def test_geometric_cdf_matches_pmf_sum():
         assert law.cdf(m) == pytest.approx(direct, abs=1e-12)
 
 
-@pytest.mark.parametrize("law", DELAY_LAWS, ids=str)
+@pytest.mark.parametrize("law", DELAY_LAW_CASES, ids=str)
 @given(m=st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=40, deadline=None)
 def test_cdf_monotone_and_bounded(law, m):
@@ -123,7 +124,7 @@ def test_cdf_monotone_and_bounded(law, m):
     assert 0.0 <= lo <= hi <= 1.0
 
 
-@pytest.mark.parametrize("law", DELAY_LAWS, ids=str)
+@pytest.mark.parametrize("law", DELAY_LAW_CASES, ids=str)
 def test_cdf_approaches_one(law):
     # Heavy tails converge slowly; 1e15**-0.3 is still ~3e-5.
     assert law.tail(10**15) < 1e-2
@@ -157,32 +158,45 @@ def _dkw_sup(draws: np.ndarray, law) -> float:
     return sup
 
 
-@pytest.mark.parametrize("law", DELAY_LAWS, ids=str)
+@pytest.mark.parametrize("law", DELAY_LAW_CASES, ids=str)
 def test_sampler_cdf_consistency_dkw(law):
     n = 10**5
-    rng = np.random.default_rng(11)
-    draws = np.asarray(law.sample(rng, n), dtype=np.float64)
+    draws = _draws(law, n, seed=11)
     # DKW band at confidence 0.999: sqrt(log(2 / 0.001) / (2n))
     eps = math.sqrt(math.log(2.0 / 0.001) / (2.0 * n))
     assert _dkw_sup(draws, law) <= eps
 
 
 def test_law_specs_round_trip():
-    assert reward_law_from_spec({"kind": "bernoulli", "mu": 0.5}) == Bernoulli(0.5)
-    assert reward_law_from_spec({"kind": "point_mass", "value": 1.0}) == PointMass(1.0)
-    assert delay_law_from_spec({"kind": "dirac", "d": 2}) == Dirac(2)
-    assert delay_law_from_spec({"kind": "pareto_ceil", "alpha": 0.3}) == ParetoCeil(0.3)
-    assert delay_law_from_spec(
-        {"kind": "two_point", "p": 0.1, "d0": 0, "d1": 9}
-    ) == TwoPointMass(0.1, 0, 9)
-    assert delay_law_from_spec({"kind": "geometric", "q": 0.5}) == Geometric(0.5)
+    def reward(spec):
+        return from_spec(REWARD_LAWS, spec, "reward law")
+
+    def delay(spec):
+        return from_spec(DELAY_LAWS, spec, "delay law")
+
+    assert reward({"kind": "bernoulli", "mu": 0.5}) == Bernoulli(0.5)
+    assert reward({"kind": "point_mass", "value": 1.0}) == PointMass(1.0)
+    assert delay({"kind": "dirac", "d": 2}) == Dirac(2)
+    assert delay({"kind": "pareto_ceil", "alpha": 0.3}) == ParetoCeil(0.3)
+    assert delay({"kind": "two_point", "p": 0.1, "d0": 0, "d1": 9}) == TwoPointMass(0.1, 0, 9)
+    assert delay({"kind": "geometric", "q": 0.5}) == Geometric(0.5)
+    spec = {"kind": "dirac", "d": 2}
+    delay(spec)
+    assert spec == {"kind": "dirac", "d": 2}  # the caller's spec is left as it was
 
 
 def test_unknown_tags_rejected():
     with pytest.raises(ValueError, match="unknown reward law"):
-        reward_law_from_spec({"kind": "gaussian", "mu": 0.0})
+        from_spec(REWARD_LAWS, {"kind": "gaussian", "mu": 0.0}, "reward law")
     with pytest.raises(ValueError, match="unknown delay law"):
-        delay_law_from_spec({"kind": "exponential", "rate": 1.0})
+        from_spec(DELAY_LAWS, {"kind": "exponential", "rate": 1.0}, "delay law")
+    with pytest.raises(ValueError, match="unknown delay law"):
+        from_spec(DELAY_LAWS, {"alpha": 1.0}, "delay law")  # no kind at all
+    # Parameters are passed on as they are: a misspelt one is not dropped.
+    with pytest.raises(TypeError):
+        from_spec(DELAY_LAWS, {"kind": "pareto_ceil", "alhpa": 1.0}, "delay law")
+    with pytest.raises(TypeError):
+        from_spec(DELAY_LAWS, {"kind": "geometric"}, "delay law")
 
 
 @pytest.mark.parametrize(
@@ -201,6 +215,14 @@ def test_unknown_tags_rejected():
         lambda: ParetoCeil(float("nan")),
         lambda: ParetoCeil(float("inf")),
         lambda: Geometric(1e-17),  # 1 - q rounds to 1: the sampler would divide by 0
+        # Integer delays are checked, not truncated.
+        lambda: Dirac(2.7),
+        lambda: Dirac(2.0),
+        lambda: Dirac(math.inf),
+        lambda: Dirac(True),
+        lambda: Dirac("2"),
+        lambda: TwoPointMass(p=0.5, d0=0, d1=math.inf),
+        lambda: TwoPointMass(p=0.5, d0=1.5, d1=3),
     ],
 )
 def test_invalid_parameters_rejected(build):
@@ -209,12 +231,6 @@ def test_invalid_parameters_rejected(build):
 
 
 def test_pareto_ceil_overflow_saturates_to_inf():
-    class NearOne:
-        def random(self, size=None):
-            u = 1e-10  # u ** -100 overflows a float
-            return 1.0 - u if size is None else np.full(size, 1.0 - u)
-
     law = ParetoCeil(0.01)
-    assert law.sample(NearOne()) == math.inf
-    with np.errstate(over="ignore"):
-        assert np.all(law.sample(NearOne(), size=3) == math.inf)  # same as the array path
+    assert law.from_uniform(1.0 - 1e-10) == math.inf  # (1e-10) ** -100 overflows a float
+    assert law.from_uniform(0.0) == 1

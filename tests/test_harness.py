@@ -13,7 +13,7 @@ from patientbandits.harness import (
     simulate,
     split_seed,
 )
-from patientbandits.policies import Policy, UniformRandom, make_policy
+from patientbandits.policies import AdaptPatientBandits, Policy, UniformRandom
 
 GAP_INSTANCE = BanditInstance(
     [(Bernoulli(0.7), Dirac(0)), (Bernoulli(0.5), Dirac(0))], horizon=1000
@@ -95,7 +95,7 @@ def test_monte_carlo_rows_match_individual_runs():
                       checkpoints=[100, 1000])
     for i in reversed(range(6)):  # order of execution is immaterial
         trace = run_episode(
-            GAP_INSTANCE, make_policy({"kind": "uniform"}), split_seed(9, i), [100, 1000]
+            GAP_INSTANCE, UniformRandom(), split_seed(9, i), [100, 1000]
         )
         assert np.array_equal(res.regrets[i], trace.regret)
 
@@ -155,7 +155,7 @@ def test_adapt_diagnostics_recorded():
     )
     trace = run_episode(
         inst,
-        make_policy({"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.4}),
+        AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=0.4),
         seed=2,
     )
     bars = trace.diagnostics["alpha_bar"]

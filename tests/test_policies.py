@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from conftest import FakeView
-from patientbandits.distributions import Bernoulli, Dirac, ParetoCeil
+from patientbandits.distributions import Bernoulli, Dirac, ParetoCeil, from_spec
 from patientbandits.environment import BanditInstance
 from patientbandits.harness import simulate
 from patientbandits.policies import (
@@ -15,9 +15,13 @@ from patientbandits.policies import (
     PatientBandits,
     UniformRandom,
     VanillaUcb,
+    POLICIES,
     ducb_index,
-    make_policy,
 )
+
+
+def make_policy(spec):
+    return from_spec(POLICIES, spec, "policy")
 
 
 def _ready(policy, K=2, T=1000):
@@ -213,3 +217,8 @@ def test_make_policy_tags():
     assert isinstance(make_policy({"kind": "uniform"}), UniformRandom)
     with pytest.raises(ValueError, match="unknown policy"):
         make_policy({"kind": "thompson"})
+    with pytest.raises(TypeError):
+        make_policy({"kind": "ucb", "dleta": 0.1})  # misspelt, not ignored
+    for m in (2.5, 50.0, math.inf, True, "50"):
+        with pytest.raises(ValueError, match="threshold m"):
+            make_policy({"kind": "ducb", "m": m, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}})
