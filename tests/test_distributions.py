@@ -61,17 +61,31 @@ def test_bernoulli_empirical_mean():
     assert abs(draws.mean() - 0.5) < 0.002
 
 
-def test_draw_consumes_two_uniforms_per_pull():
-    # Reward first, delay second: exactly one uniform each, whatever the laws.
+def _draw_against_stream(reward, delay, seed):
+    """One ``BanditInstance.draw`` and the uniforms a twin stream yields after it."""
+    instance = BanditInstance([(reward, delay)], horizon=1)
+    rng_a = np.random.default_rng(seed)
+    rng_b = np.random.default_rng(seed)
+    got = instance.draw(0, rng_a)
+    u1, u2 = rng_b.random(), rng_b.random()
+    assert rng_a.random() == rng_b.random()  # exactly two uniforms per pull
+    return got, u1, u2
+
+
+def test_reward_sample_consumes_one_draw():
+    # The reward is drawn first, from exactly the first uniform, whatever the delay law.
     for reward in REWARD_LAW_CASES:
         for delay in DELAY_LAW_CASES:
-            instance = BanditInstance([(reward, delay)], horizon=1)
-            rng_a = np.random.default_rng(9)
-            rng_b = np.random.default_rng(9)
-            got = instance.draw(0, rng_a)
-            u1, u2 = rng_b.random(), rng_b.random()
-            assert got == (reward.from_uniform(u1), delay.from_uniform(u2))
-            assert rng_a.random() == rng_b.random()
+            (r, _), u1, _ = _draw_against_stream(reward, delay, seed=5)
+            assert r == reward.from_uniform(u1)
+
+
+def test_delay_sample_consumes_one_draw():
+    # The delay is drawn second, from exactly the second uniform, whatever the reward law.
+    for reward in REWARD_LAW_CASES:
+        for delay in DELAY_LAW_CASES:
+            (_, d), _, u2 = _draw_against_stream(reward, delay, seed=9)
+            assert d == delay.from_uniform(u2)
 
 
 def test_dirac_sampling_and_cdf():
