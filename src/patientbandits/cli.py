@@ -36,8 +36,12 @@ Reward kinds: ``bernoulli(mu)``, ``point_mass(value)``. Delay kinds:
 Parameters go to the class unconverted (tables ``REWARD_LAWS``,
 ``DELAY_LAWS``, ``POLICIES``), so an unknown parameter or a count that is
 not an integer (``T``, ``runs``, ``master_seed``, ``d``, ``d0``, ``d1``,
-``m``) is a config error, as are bad checkpoints, a non-string ``name`` or
-``output``, and ``notes`` that are not a list of strings.
+``m``, each checkpoint) is a config error, as are checkpoints that do not
+rise strictly within ``[1, T]``, a real parameter that is a bool, a string
+or NaN, a non-string ``name`` or ``output``, and ``notes`` that are not a
+list of strings. A ``--scale`` that is not positive and finite, and a
+``lowerbound`` with ``--T`` below 2 or an ``--alpha`` that is not positive
+and finite, exit 1 too.
 
 Running a config writes a CSV with header
 ``policy,run_count,round,mean_regret,stderr`` plus a ``.meta.json`` sidecar
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -301,8 +306,8 @@ def preset(
     """
     if name not in PRESET_NAMES:
         raise ConfigError(f"unknown preset {name!r}; expected one of {list(PRESET_NAMES)}")
-    if scale <= 0:
-        raise ConfigError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"scale must be positive and finite, got {scale}")
     seed = _PRESET_SEEDS[name] if master_seed is None else master_seed
     T = 3000
     configs: list[ExperimentConfig] = []
@@ -434,7 +439,10 @@ def _build_parser() -> _Parser:
 
 
 def _lowerbound_report(T: int, alpha: float) -> str:
-    pair = make_lower_bound_pair(T, alpha)
+    try:
+        pair = make_lower_bound_pair(T, alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     residual = abs((0.5 + pair.q) * (1.0 - pair.p) - (0.5 - pair.q))
     margin = assumption1_margin(pair.problem_b.delay_law(1), alpha, m_max=T - 1)
     lines = [

@@ -37,6 +37,24 @@ def check_int(name: str, value, least: Optional[int] = None) -> int:
     return value
 
 
+def check_real(name: str, value, positive: bool = False):
+    """Return ``value`` if it is a real number other than NaN.
+
+    Bools and strings are refused, not converted: ``true`` is not 1. With
+    ``positive`` the value must also be above 0 and finite; any other range
+    is the caller's to check.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or math.isnan(value)
+        or (positive and not 0.0 < value < math.inf)
+    ):
+        what = "a positive finite number" if positive else "a real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Reward laws
 # ---------------------------------------------------------------------------
@@ -49,7 +67,7 @@ class Bernoulli:
     mu: float
 
     def __post_init__(self):
-        if not 0.0 <= self.mu <= 1.0:
+        if not 0.0 <= check_real("mu", self.mu) <= 1.0:
             raise ValueError(f"mu must be in [0, 1], got {self.mu}")
 
     def mean(self) -> float:
@@ -66,7 +84,7 @@ class PointMass:
     value: float
 
     def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0:
+        if not 0.0 <= check_real("value", self.value) <= 1.0:
             raise ValueError(f"value must be in [0, 1], got {self.value}")
 
     def mean(self) -> float:
@@ -113,8 +131,7 @@ class ParetoCeil:
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        check_real("alpha", self.alpha, positive=True)
 
     def tail(self, m):
         # m ** -alpha exactly (no 1 - (1 - x) cancellation) for m >= 1.
@@ -146,7 +163,7 @@ class TwoPointMass:
     d1: int
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
+        if not 0.0 <= check_real("p", self.p) <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         check_int("d0", self.d0, 0)
         check_int("d1", self.d1, 0)
@@ -176,7 +193,7 @@ class Geometric:
     q: float
 
     def __post_init__(self):
-        if not 0.0 < self.q <= 1.0:
+        if not 0.0 < check_real("q", self.q) <= 1.0:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
         if 1.0 - self.q == 1.0:
             raise ValueError(f"q={self.q} is too small: 1 - q rounds to 1")
@@ -210,8 +227,7 @@ def assumption1_margin(law: DelayLaw, alpha: float, m_max: int) -> float:
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    check_real("alpha", alpha, positive=True)
     m = np.arange(1, m_max + 1, dtype=np.float64)
     return float(np.min(m**-alpha - law.tail(m)))
 

@@ -8,8 +8,10 @@ round ``s + max(d, 1)``: observations only cover strictly past pulls, so
 even a zero-delay conversion is first seen one round later. Arrivals past
 the horizon are generated but censored.
 
-The view never lets a policy distinguish "reward was 0" from "reward has
-not arrived yet" — both contribute 0 to every sum it can ask for.
+A policy sees the round only through the view: its ``counts`` and ``sums``
+snapshots and its ``windowed`` query. None of them lets a policy
+distinguish "reward was 0" from "reward has not arrived yet" — both
+contribute 0 to every sum it can ask for.
 """
 from __future__ import annotations
 
@@ -50,13 +52,11 @@ class WindowedSum(NamedTuple):
 
     ``count`` pulls happened early enough for a wait of ``D`` rounds to
     have elapsed; ``total`` sums their rewards that arrived within the
-    wait. ``empty`` flags a window that extends past the known history
-    (wait of the full round count or more), where no pull can qualify.
+    wait. A wait of the full round count or more leaves ``(0, 0.0)``.
     """
 
     count: int
     total: float
-    empty: bool
 
 
 class BanditInstance:
@@ -99,53 +99,38 @@ class BanditInstance:
 
 
 class ObservationView:
-    """Read-only query handle over everything legally visible at round ``t``.
+    """Read-only snapshot of everything legally visible at round ``t``.
 
-    Counts and arrived sums are snapshotted at creation, so a stored view
-    keeps answering for its own round even after the episode moves on.
+    ``counts[i]`` is the number of pulls of arm ``i`` over rounds 1..t-1 and
+    ``sums[i]`` the sum of its rewards whose arrival round is <= t. Both are
+    tuples taken at creation, so a stored view keeps answering for its own
+    round after the episode moves on; :meth:`windowed` answers waited sums.
     """
 
-    __slots__ = ("_env", "t", "_counts", "_sums")
+    __slots__ = ("_env", "t", "counts", "sums")
 
     def __init__(self, env, t, counts, sums):
         self._env = env
         self.t = t
-        self._counts = counts
-        self._sums = sums
-
-    @property
-    def n_arms(self) -> int:
-        return len(self._counts)
-
-    def pull_count(self, arm: int) -> int:
-        """Number of pulls of ``arm`` over rounds 1..t-1."""
-        return self._counts[arm]
-
-    def arrived_sum(self, arm: int) -> float:
-        """Sum of ``arm``'s rewards whose arrival round is <= t."""
-        return self._sums[arm]
+        self.counts = counts
+        self.sums = sums
 
     def windowed(self, arm: int, wait: int) -> WindowedSum:
         """Count and reward sum for pulls old enough to have waited ``wait`` rounds.
 
-        Includes pulls at rounds s <= t - wait; each contributes its reward
-        iff its delay is <= wait. Every contributing reward arrived by
-        round s + wait <= t, so nothing unobserved leaks out.
+        Includes the pulls before round t at rounds s <= t - wait; each
+        contributes its reward iff its delay is <= wait. Every contributing
+        reward arrived by round s + wait <= t, so nothing unobserved leaks
+        out. A wait of t or more includes no pull and gives ``(0, 0.0)``.
         """
-        t = self.t
-        if wait >= t:
-            return WindowedSum(0, 0.0, True)
         if wait < 0:
             raise ValueError(f"wait must be nonnegative, got {wait}")
-        n = self._counts[arm]
-        rounds = self._env._arm_rounds[arm]
-        count = int(np.searchsorted(rounds[:n], t - wait, side="right"))
-        if count == 0:
-            return WindowedSum(0, 0.0, False)
-        delays = self._env._arm_delays[arm][:count]
-        rewards = self._env._arm_rewards[arm][:count]
-        total = float(rewards[delays <= wait].sum())
-        return WindowedSum(count, total, False)
+        env = self._env
+        rounds = env._arm_rounds[arm][: self.counts[arm]]
+        count = int(np.searchsorted(rounds, self.t - wait, side="right"))
+        delays = env._arm_delays[arm][:count]
+        rewards = env._arm_rewards[arm][:count]
+        return WindowedSum(count, float(rewards[delays <= wait].sum()))
 
 
 class DelayedBanditEnv:
@@ -195,7 +180,7 @@ class DelayedBanditEnv:
             self._delivered_through += 1
             for arm, reward in self._calendar[self._delivered_through]:
                 sums[arm] += reward
-        return ObservationView(self, t, list(self._counts), list(sums))
+        return ObservationView(self, t, tuple(self._counts), tuple(sums))
 
     def pull(self, arm: int, rng) -> None:
         """Pull ``arm`` at the current round and schedule its reward arrival."""

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .distributions import DelayLaw
+from .distributions import DelayLaw, check_real
 
 
 class UndefinedEstimatorError(ValueError):
@@ -44,11 +44,6 @@ def log_log_schedule(t: int) -> float:
     return max(math.log(log_t) if log_t > 0 else 0.0, 1e-6) / log_t
 
 
-def _check_positive_finite(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 @dataclass(frozen=True)
 class UcbParams:
     """Inputs of the delay-corrected confidence radius.
@@ -67,10 +62,10 @@ class UcbParams:
         if self.K < 1 or self.T < 1:
             raise ValueError(f"need K >= 1 and T >= 1, got K={self.K}, T={self.T}")
         if self.alpha is not None and not callable(self.alpha):
-            _check_positive_finite("alpha", self.alpha)
+            check_real("alpha", self.alpha, positive=True)
         if self.delta is None:
             object.__setattr__(self, "delta", 1.0 / (self.K * self.T**3))
-        if not 0.0 < self.delta < 1.0:
+        if not 0.0 < check_real("delta", self.delta) < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
     def alpha_at(self, round_: Optional[int] = None) -> Optional[float]:
@@ -97,10 +92,10 @@ class AdaptParams:
     T: int
 
     def __post_init__(self):
-        if not 0.0 < self.c <= 1.0:
+        if not 0.0 < check_real("c", self.c) <= 1.0:
             raise ValueError(f"c must be in (0, 1], got {self.c}")
-        _check_positive_finite("alpha_floor", self.alpha_floor)
-        _check_positive_finite("mu_floor", self.mu_floor)
+        check_real("alpha_floor", self.alpha_floor, positive=True)
+        check_real("mu_floor", self.mu_floor, positive=True)
         if self.K < 1 or self.T < 1:
             raise ValueError(f"need K >= 1 and T >= 1, got K={self.K}, T={self.T}")
 

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import from_spec
+from .distributions import check_int, from_spec
 from .environment import BanditInstance, DelayedBanditEnv
 from .policies import POLICIES, Policy
 
@@ -75,7 +75,7 @@ class MonteCarloResult:
 def _validated_checkpoints(checkpoints, horizon) -> Tuple[int, ...]:
     if checkpoints is None:
         return default_checkpoints(horizon)
-    cps = tuple(int(c) for c in checkpoints)
+    cps = tuple(int(check_int("checkpoint", c)) for c in checkpoints)
     if not cps:
         raise ValueError("checkpoints must be nonempty")
     if any(c < 1 or c > horizon for c in cps):

@@ -61,23 +61,18 @@ class OptimisticIndex(Policy):
         return self.alpha(view.t) if callable(self.alpha) else None
 
     def select(self, view: ObservationView, rng) -> int:
-        K = view.n_arms
-        sweep_arm, sweep_count = -1, self.init_pulls
-        for i in range(K):
-            n = view.pull_count(i)
-            if n < sweep_count:
-                sweep_arm, sweep_count = i, n
-        if sweep_arm >= 0:
-            return sweep_arm
+        counts = view.counts
+        fewest = min(counts)
+        if fewest < self.init_pulls:
+            return counts.index(fewest)
         alpha = self.bias_alpha(view)
         table = self._radius_table
         best, best_index = 0, -math.inf
-        for i in range(K):
-            n = view.pull_count(i)
+        for i, (n, arrived) in enumerate(zip(counts, view.sums)):
             radius = table[n - 1]
             if alpha is not None:
                 radius = radius + estimators.delay_bias(n, alpha)
-            index = mu_hat(view.arrived_sum(i), n) + radius
+            index = mu_hat(arrived, n) + radius
             if index > best_index:
                 best, best_index = i, index
         return best
@@ -144,12 +139,8 @@ class AdaptPatientBandits(OptimisticIndex):
 
     def current_alpha_bar(self, view: ObservationView) -> float:
         """Tail-index lower bound computable from this round's view."""
-        K = view.n_arms
-        leader, leader_pulls = 0, view.pull_count(0)
-        for i in range(1, K):
-            n = view.pull_count(i)
-            if n > leader_pulls:
-                leader, leader_pulls = i, n
+        leader_pulls = max(view.counts)
+        leader = view.counts.index(leader_pulls)  # the lowest index on ties
         long_wait, short_wait = estimators.window_pair(leader_pulls, self.tail_params)
         w_long = view.windowed(leader, long_wait)
         w_short = view.windowed(leader, short_wait)
@@ -197,7 +188,7 @@ class DUcb(Policy):
 
     def select(self, view: ObservationView, rng) -> int:
         t = view.t
-        K = view.n_arms
+        K = len(view.counts)
         if t < self.m + K:
             return t % K
         best, best_index = 0, -math.inf
@@ -227,7 +218,7 @@ class UniformRandom(Policy):
         pass
 
     def select(self, view: ObservationView, rng) -> int:
-        return int(rng.integers(view.n_arms))
+        return int(rng.integers(len(view.counts)))
 
 
 def _ducb_from_spec(m, cdf: Mapping) -> DUcb:

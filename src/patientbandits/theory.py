@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import Bernoulli, Dirac, TwoPointMass
+from .distributions import Bernoulli, Dirac, TwoPointMass, check_int, check_real
 from .environment import BanditInstance
 
 
@@ -33,10 +33,8 @@ def make_lower_bound_pair(T: int, alpha: float) -> LowerBoundPair:
     with a fraction ``p`` of delays pushed to ``T``. The identity
     ``(1/2 + q) * (1 - p) = 1/2 - q`` holds by construction.
     """
-    if T < 2:
-        raise ValueError(f"T must be >= 2, got {T}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    check_int("T", T, 2)
+    check_real("alpha", alpha, positive=True)
     p = float(T) ** -alpha
     q = p / (4.0 - 2.0 * p)
     arm1 = (Bernoulli(0.5), Dirac(0))

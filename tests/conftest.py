@@ -8,32 +8,19 @@ class FakeView:
     """Observation stub answering from fixed tables.
 
     ``windows`` maps (arm, wait) -> (count, total); unlisted queries return
-    an empty non-flagged window.
+    ``(0, 0.0)``.
     """
 
     def __init__(self, counts, sums, t, windows=None):
-        self.counts = list(counts)
-        self.sums = list(sums)
+        self.counts = tuple(counts)
+        self.sums = tuple(sums)
         self.t = t
         self.windows = dict(windows or {})
         self.queried_windows = []
 
-    @property
-    def n_arms(self):
-        return len(self.counts)
-
-    def pull_count(self, arm):
-        return self.counts[arm]
-
-    def arrived_sum(self, arm):
-        return self.sums[arm]
-
     def windowed(self, arm, wait):
         self.queried_windows.append((arm, wait))
-        if wait >= self.t:
-            return WindowedSum(0, 0.0, True)
-        count, total = self.windows.get((arm, wait), (0, 0.0))
-        return WindowedSum(count, total, False)
+        return WindowedSum(*self.windows.get((arm, wait), (0, 0.0)))
 
 
 class ScriptedInstance(BanditInstance):

@@ -189,6 +189,17 @@ NAN, INF = float("nan"), float("inf")
                      id="unknown-law-key"),
         pytest.param({**TWO_ARM, "policy": {"kind": "ucb", "dleta": 0.1}},
                      id="ucb-misspelt-delta"),
+        pytest.param({**TWO_ARM, "checkpoints": [2.5, 10]}, id="checkpoint-2.5"),
+        pytest.param({**TWO_ARM, "checkpoints": ["10"]}, id="checkpoint-numeric-string"),
+        pytest.param({**MINIMAL, "arms": [{"reward": {"kind": "bernoulli", "mu": True},
+                                           "delay": {"kind": "dirac", "d": 0}}]},
+                     id="bernoulli-mu-true"),
+        pytest.param({**TWO_ARM, "arms": _pareto_arms(1.0, True)}, id="pareto-alpha-true"),
+        pytest.param({**TWO_ARM, "policy": {"kind": "patient", "alpha": True}},
+                     id="patient-alpha-true"),
+        pytest.param({**TWO_ARM, "policy": {"kind": "adapt", "c": True, "alpha_floor": 0.2,
+                                            "mu_floor": 0.5}},
+                     id="adapt-c-true"),
     ],
 )
 def test_unrepresentable_parameters_exit_1(tmp_path, capsys, config):
@@ -232,6 +243,25 @@ def test_usage_errors_exit_1(capsys):
     assert main(["frobnicate"]) == 1
     assert main(["preset", "figure9"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lowerbound", "--T", "16", "--alpha", "0"],
+        ["lowerbound", "--T", "16", "--alpha", "nan"],
+        ["lowerbound", "--T", "16", "--alpha", "inf"],
+        ["lowerbound", "--T", "1", "--alpha", "0.5"],
+        ["preset", "figure2", "--scale", "nan"],
+        ["preset", "figure2", "--scale", "inf"],
+    ],
+    ids=["alpha-0", "alpha-nan", "alpha-inf", "T-1", "scale-nan", "scale-inf"],
+)
+def test_bad_cli_numbers_exit_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("PATIENTBANDITS_OUTDIR", str(tmp_path))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_runtime_failure_exits_2(tmp_path):

@@ -159,6 +159,12 @@ def test_assumption1_margin_pareto_tight_and_violated():
     assert margin < 0.0
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, True])
+def test_assumption1_margin_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        assumption1_margin(Dirac(0), alpha=alpha, m_max=10)
+
+
 def _dkw_sup(draws: np.ndarray, law) -> float:
     """Exact sup-distance between the empirical and the law CDF (step functions)."""
     values, counts = np.unique(draws, return_counts=True)
@@ -237,6 +243,14 @@ def test_unknown_tags_rejected():
         lambda: Dirac("2"),
         lambda: TwoPointMass(p=0.5, d0=0, d1=math.inf),
         lambda: TwoPointMass(p=0.5, d0=1.5, d1=3),
+        # Real parameters refuse bools, strings and NaN.
+        lambda: Bernoulli(True),
+        lambda: Bernoulli("0.5"),
+        lambda: Bernoulli(math.nan),
+        lambda: PointMass(False),
+        lambda: ParetoCeil(True),
+        lambda: TwoPointMass(p=math.nan, d0=0, d1=1),
+        lambda: Geometric(True),
     ],
 )
 def test_invalid_parameters_rejected(build):

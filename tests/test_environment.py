@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ScriptedInstance
 from patientbandits.distributions import (
@@ -40,9 +42,9 @@ def test_zero_delay_reward_visible_one_round_later():
     env = DelayedBanditEnv(inst)
     rng = np.random.default_rng(0)
     view1 = env.observe()
-    assert view1.arrived_sum(0) == 0.0
+    assert view1.sums[0] == 0.0
     env.pull(0, rng)
-    assert env.observe().arrived_sum(0) == 1.0  # round 2 sees the round-1 reward
+    assert env.observe().sums[0] == 1.0  # round 2 sees the round-1 reward
 
 
 def test_horizon_censoring():
@@ -51,7 +53,7 @@ def test_horizon_censoring():
     env = DelayedBanditEnv(inst)
     rng = np.random.default_rng(0)
     for _ in range(T):
-        assert env.observe().arrived_sum(0) == 0.0
+        assert env.observe().sums[0] == 0.0
         env.pull(0, rng)
     assert env.censored_count == T
     assert all(rec.censored for rec in env.pull_records())
@@ -66,7 +68,7 @@ def test_delay_past_horizon_is_clamped_and_censored():
         env.observe()
         env.pull(0, rng)
     assert env.censored_count == 1
-    assert env.observe().arrived_sum(0) == 2.0
+    assert env.observe().sums[0] == 2.0
     first = env.pull_records()[0]
     assert first.delay == 5 and first.censored  # reported as T + 1
 
@@ -96,11 +98,11 @@ def test_windowed_manual_trace():
         env.pull(arm, rng)
     view = env.observe()
     assert view.t == 4
-    assert view.windowed(0, 1) == (2, 1.0, False)  # only the delay-0 pull in-window
-    assert view.windowed(0, 0) == (2, 1.0, False)
-    assert view.windowed(1, 3) == (0, 0.0, False)  # no qualifying pulls, not empty
-    assert view.windowed(0, 4).empty  # wait as long as the history: flagged
-    assert view.windowed(0, 99).empty
+    assert view.windowed(0, 1) == (2, 1.0)  # only the delay-0 pull in-window
+    assert view.windowed(0, 0) == (2, 1.0)
+    assert view.windowed(1, 3) == (0, 0.0)  # no qualifying pulls
+    assert view.windowed(0, 4) == (0, 0.0)  # wait as long as the history
+    assert view.windowed(0, 99) == (0, 0.0)
 
 
 def test_windowed_rejects_negative_wait():
@@ -118,79 +120,88 @@ def test_view_snapshot_is_stable():
     env.observe()
     env.pull(0, rng)
     view = env.observe()
-    before = (view.pull_count(0), view.arrived_sum(0), view.windowed(0, 1))
+    before = (view.counts, view.sums, view.windowed(0, 1))
     env.pull(0, rng)
     env.pull(1, rng)
     env.observe()
-    assert (view.pull_count(0), view.arrived_sum(0), view.windowed(0, 1)) == before
+    assert (view.counts, view.sums, view.windowed(0, 1)) == before
+    with pytest.raises(TypeError):
+        view.counts[0] = 5  # a policy cannot edit its snapshot
+    with pytest.raises(TypeError):
+        view.sums[0] = 5.0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_arrived_sum_matches_brute_force(seed):
-    # Replay a uniform-policy episode and recompute every arrived sum from
-    # the raw pull log: sum of reward * 1{delay <= t - s} over pulls s < t.
-    T = 200
-    inst = BanditInstance(
-        [
-            (Bernoulli(0.5), ParetoCeil(0.4)),
-            (Bernoulli(0.8), Dirac(3)),
-            (Bernoulli(0.2), Geometric(0.1)),
-        ],
-        horizon=T,
+reward_laws = st.one_of(
+    st.builds(Bernoulli, st.floats(0.0, 1.0)), st.builds(PointMass, st.floats(0.0, 1.0))
+)
+
+
+def delay_laws(T):
+    return st.one_of(
+        st.builds(Dirac, st.integers(0, T + 2)),
+        st.builds(ParetoCeil, st.floats(0.01, 3.0)),  # small indices overflow to inf
+        st.builds(TwoPointMass, st.floats(0.0, 1.0), st.integers(0, T), st.integers(0, 2 * T)),
+        st.builds(Geometric, st.floats(0.01, 1.0)),
     )
-    env = DelayedBanditEnv(inst)
+
+
+@st.composite
+def instances(draw):
+    """K in 1..4, T <= 60, any reward law and any delay law on each arm."""
+    K = draw(st.integers(1, 4))
+    T = draw(st.integers(K, 60))
+    arms = draw(st.lists(st.tuples(reward_laws, delay_laws(T)), min_size=K, max_size=K))
+    return BanditInstance(arms, horizon=T)
+
+
+def _replay_uniform(instance, seed):
+    """Every round's view of a uniform-policy episode, and its pull log."""
+    env = DelayedBanditEnv(instance)
     policy = UniformRandom()
-    policy.reset(3, T)
+    policy.reset(instance.n_arms, instance.horizon)
     rng = np.random.default_rng(seed)
-    seen = []
-    for _ in range(T):
-        view = env.observe()
-        seen.append((view.t, [view.arrived_sum(i) for i in range(3)]))
-        env.pull(policy.select(view, rng), rng)
-    records = env.pull_records()
-    for t, sums in seen:
-        for arm in range(3):
-            brute = sum(
-                r.reward
-                for r in records
-                if r.arm == arm and r.round < t and r.delay <= t - r.round
-            )
-            assert sums[arm] == pytest.approx(brute, abs=1e-12)
-    assert env.done
-
-
-def test_windowed_matches_brute_force():
-    T = 150
-    inst = BanditInstance(
-        [(Bernoulli(0.6), ParetoCeil(0.5)), (Bernoulli(0.4), Geometric(0.3))],
-        horizon=T,
-    )
-    env = DelayedBanditEnv(inst)
-    policy = UniformRandom()
-    policy.reset(2, T)
-    rng = np.random.default_rng(42)
     views = []
-    for _ in range(T):
+    while not env.done:
         view = env.observe()
         views.append(view)
         env.pull(policy.select(view, rng), rng)
-    records = env.pull_records()
-    for view in views[::7]:
+    return views, env.pull_records()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@given(instance=instances())
+@settings(max_examples=20, deadline=None)
+def test_arrived_sum_matches_brute_force(seed, instance):
+    # Recompute every round's counts and arrived sums from the raw pull log:
+    # pulls s < t, each adding reward * 1{delay <= t - s}.
+    views, records = _replay_uniform(instance, seed)
+    arms = range(instance.n_arms)
+    for view in views:
         t = view.t
-        for arm in range(2):
-            for wait in (1, 2, 10, t - 1):
-                if wait < 1 or wait >= t:
-                    continue
-                got = view.windowed(arm, wait)
-                exp_count = sum(1 for r in records if r.arm == arm and r.round <= t - wait)
-                exp_total = sum(
-                    r.reward
-                    for r in records
-                    if r.arm == arm and r.round <= t - wait and r.delay <= wait
-                )
-                assert got.count == exp_count
-                assert got.total == pytest.approx(exp_total, abs=1e-12)
-                assert not got.empty
+        past = [r for r in records if r.round < t]
+        assert view.counts == tuple(sum(r.arm == arm for r in past) for arm in arms)
+        brute = [sum(r.reward for r in past if r.arm == arm and r.delay <= t - r.round)
+                 for arm in arms]
+        assert view.sums == pytest.approx(brute, abs=1e-12)
+
+
+@given(instance=instances(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_windowed_matches_brute_force(instance, seed):
+    # Every wait from 0 to t + 1, on every arm and round: pulls s < t with
+    # s <= t - wait, each adding reward * 1{delay <= wait}. Waits of t or
+    # more leave no pull.
+    views, records = _replay_uniform(instance, seed)
+    for view in views:
+        t = view.t
+        for arm in range(instance.n_arms):
+            past = [r for r in records if r.arm == arm and r.round < t]
+            for wait in range(t + 2):
+                early = [r for r in past if r.round <= t - wait]
+                count, total = view.windowed(arm, wait)
+                assert count == len(early)
+                brute = sum(r.reward for r in early if r.delay <= wait)
+                assert total == pytest.approx(brute, abs=1e-12)
 
 
 def test_determinism_bit_for_bit():

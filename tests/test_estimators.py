@@ -89,6 +89,10 @@ def test_default_delta_and_override():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             UcbParams(alpha=bad, K=3, T=100)
+    with pytest.raises(ValueError, match="alpha"):
+        UcbParams(alpha=True, K=3, T=100)
+    with pytest.raises(ValueError, match="delta"):
+        UcbParams(alpha=1.0, K=3, T=100, delta=True)
 
 
 def test_alpha_schedule():
@@ -229,6 +233,9 @@ def test_adapt_params_validation():
         _adapt_params(alpha_floor=math.nan)
     with pytest.raises(ValueError, match="finite"):
         _adapt_params(mu_floor=math.inf)
+    for field in ("c", "alpha_floor", "mu_floor"):
+        with pytest.raises(ValueError, match=field):
+            _adapt_params(**{field: True})
 
 
 def test_theorem_style_coverage_smoke():

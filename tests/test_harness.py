@@ -140,6 +140,8 @@ def test_checkpoint_validation():
         run_episode(GAP_INSTANCE, UniformRandom(), 0, checkpoints=[0, 10])
     with pytest.raises(ValueError, match="lie in"):
         run_episode(GAP_INSTANCE, UniformRandom(), 0, checkpoints=[10, 2000])
+    with pytest.raises(ValueError, match="integer"):
+        run_episode(GAP_INSTANCE, UniformRandom(), 0, checkpoints=[2.5, 10])
     with pytest.raises(ValueError, match="runs"):
         monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=0, master_seed=1)
 

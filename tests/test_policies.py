@@ -85,7 +85,7 @@ def test_patient_equals_vanilla_when_counts_are_level():
     for _ in range(400):
         view = env.observe()
         arm = patient.select(view, rng)
-        if view.pull_count(0) == view.pull_count(1) and view.pull_count(0) > 0:
+        if view.counts[0] == view.counts[1] > 0:
             assert vanilla.select(view, rng) == arm
             agreeing_rounds += 1
         env.pull(arm, rng)

@@ -1,6 +1,8 @@
 """Hard-instance pair: exact identities and coupled indistinguishability."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,5 +134,10 @@ def test_make_pair_validation():
         make_lower_bound_pair(T=1, alpha=0.5)
     with pytest.raises(ValueError):
         make_lower_bound_pair(T=10, alpha=0.0)
+    for alpha in (math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="alpha"):
+            make_lower_bound_pair(T=10, alpha=alpha)
+    with pytest.raises(ValueError, match="integer"):
+        make_lower_bound_pair(T=10.5, alpha=0.5)
     with pytest.raises(ValueError):
         observable_mean(make_lower_bound_pair(16, 0.5).problem_a, 1, window=0)
