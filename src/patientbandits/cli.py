@@ -185,6 +185,8 @@ class ExperimentConfig:
             return policy
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad policy spec: {exc}") from exc
+        except MemoryError as exc:  # an index policy's radius table holds T floats
+            raise ConfigError(f"T={self.T} is too large for memory") from exc
 
     @property
     def label(self) -> str:

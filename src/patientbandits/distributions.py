@@ -251,6 +251,8 @@ def from_spec(kinds: Mapping, spec: Mapping, what: str):
     The parameters are passed on as they are, so the class's own checks
     are the only ones; a missing or unknown parameter raises ``TypeError``.
     """
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"{what} spec must be an object, got {spec!r}")
     params = dict(spec)
     kind = params.pop("kind", None)
     if kind not in kinds:

@@ -80,9 +80,6 @@ class BanditInstance:
     def n_arms(self) -> int:
         return len(self.arms)
 
-    def reward_law(self, arm: int) -> RewardLaw:
-        return self.arms[arm][0]
-
     def delay_law(self, arm: int) -> DelayLaw:
         return self.arms[arm][1]
 

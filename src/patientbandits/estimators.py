@@ -9,10 +9,12 @@ The first term is the usual sampling deviation; the second compensates for
 conversions that have not arrived yet, assuming delay tails decay at least
 as fast as ``m ** -alpha``. The default confidence level is
 ``delta = 1 / (K * T**3)``, which folds the union bound over arms, rounds
-and sample sizes into the radius.
+and sample sizes into the radius. Both terms are scalar C-library math on
+Python numbers, so :func:`radius_table` holds the bits a round computes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -68,13 +70,6 @@ class UcbParams:
         if not 0.0 < check_real("delta", self.delta) < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
-    def alpha_at(self, round_: Optional[int] = None) -> Optional[float]:
-        if callable(self.alpha):
-            if round_ is None:
-                raise ValueError("alpha is a schedule; the current round is required")
-            return self.alpha(round_)
-        return self.alpha
-
 
 @dataclass(frozen=True)
 class AdaptParams:
@@ -111,30 +106,40 @@ def mu_hat(sum_arrived: float, pulls: int) -> float:
     return sum_arrived / pulls
 
 
-def deviation(pulls, delta: float):
-    """Sampling deviation ``sqrt(2 * log(2 / delta) / pulls)``; int or array ``pulls``."""
-    two_log = 2.0 * math.log(2.0 / delta)
-    if isinstance(pulls, np.ndarray):
-        return np.sqrt(two_log / pulls)
-    return math.sqrt(two_log / pulls)
+def deviation(pulls: int, delta: float) -> float:
+    """Sampling deviation ``sqrt(2 * log(2 / delta) / pulls)``."""
+    return math.sqrt(2.0 * math.log(2.0 / delta) / pulls)
 
 
-def delay_bias(pulls, alpha: float):
-    """Cover ``2 * pulls ** -(min(alpha, 0.5))`` for in-flight conversions; int or array.
-
-    numpy's array pow can differ from the C library's in the last bit, so a
-    caller that must stay bitwise stable keeps to the form it has.
-    """
-    return 2.0 * pulls ** -min(alpha, 0.5)
+def delay_bias(pulls: int, alpha: float) -> float:
+    """Cover ``2 * pulls ** -(min(alpha, 0.5))`` for in-flight conversions."""
+    return 2.0 * pulls ** -(0.5 if 0.5 < alpha else alpha)  # min(), without its call
 
 
 def confidence_radius(pulls: int, params: UcbParams, round_: Optional[int] = None) -> float:
     """Deviation plus delay-bias radius for an arm pulled ``pulls`` times."""
     if pulls < 1:
         raise UndefinedEstimatorError("confidence radius undefined with zero pulls")
-    alpha = params.alpha_at(round_)
+    alpha = params.alpha
+    if callable(alpha):
+        if round_ is None:
+            raise ValueError("alpha is a schedule; the current round is required")
+        alpha = alpha(round_)
     dev = deviation(pulls, params.delta)
     return dev if alpha is None else dev + delay_bias(pulls, alpha)
+
+
+@functools.lru_cache(maxsize=8)  # paper-sweep uses 4 keys a pass; T = 1e5 takes ~3 MB
+def radius_table(T: int, delta: float, alpha: Optional[float]) -> tuple[float, ...]:
+    """Entry ``n - 1`` is ``deviation(n, delta)``, plus ``delay_bias(n, alpha)``
+    unless ``alpha`` is None; a tuple, as every episode with the key shares it."""
+    if alpha is not None:  # the bias on top of the cached deviation-only table
+        deviations = radius_table(T, delta, None)
+        return tuple([dev + delay_bias(n, alpha) for n, dev in enumerate(deviations, 1)])
+    table = [0.0] * T  # an impossible T fails here, not after the loop
+    for n in range(1, T + 1):
+        table[n - 1] = deviation(n, delta)
+    return tuple(table)
 
 
 class BiasBound(NamedTuple):

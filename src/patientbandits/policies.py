@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional
 
-import numpy as np
-
 from . import estimators
-from .distributions import DELAY_LAWS, DelayLaw, check_int, from_spec
+from .distributions import DELAY_LAWS, DelayLaw, check_int, check_real, from_spec
 from .environment import ObservationView
 from .estimators import AdaptParams, AlphaInput, UcbParams, mu_hat
 
@@ -39,8 +37,8 @@ class OptimisticIndex(Policy):
     Every arm is first swept ``init_pulls`` times, fewest pulls first and
     the lowest index on ties; afterwards the argmax of the index is taken,
     again breaking ties toward the lowest index. ``alpha`` is the bias
-    exponent: ``None`` for no bias term, a float folded into the radius
-    table once per episode, or a schedule of the round. Subclasses whose
+    exponent: ``None`` for no bias term, a float folded into the shared
+    radius table, or a schedule of the round. Subclasses whose
     exponent depends on the round override :meth:`bias_alpha`.
     """
 
@@ -49,12 +47,9 @@ class OptimisticIndex(Policy):
 
     def reset(self, n_arms: int, horizon: int) -> None:
         self.params = UcbParams(alpha=self.alpha, K=n_arms, T=horizon, delta=self.delta)
-        n = np.arange(1, horizon + 1, dtype=np.float64)
-        radius = estimators.deviation(n, self.params.delta)
-        if self.alpha is not None and not callable(self.alpha):
-            radius = radius + estimators.delay_bias(n, self.alpha)
-        # Python floats: exact copies of the float64 entries, faster to add.
-        self._radius_table = radius.tolist()
+        self._radius_table = estimators.radius_table(
+            horizon, self.params.delta, None if callable(self.alpha) else self.alpha
+        )
 
     def bias_alpha(self, view: ObservationView) -> Optional[float]:
         """This round's bias exponent, or None when the table holds the whole radius."""
@@ -93,10 +88,8 @@ class PatientBandits(OptimisticIndex):
             alpha = estimators.log_log_schedule
         self.alpha = alpha
         self.delta = delta
-        if callable(alpha):
-            self.label = "patient(alpha=loglog)"
-        else:
-            self.label = f"patient(alpha={alpha:g})"
+        shown = "loglog" if callable(alpha) else f"{check_real('alpha', alpha, positive=True):g}"
+        self.label = f"patient(alpha={shown})"
 
 
 class AdaptPatientBandits(OptimisticIndex):
@@ -118,11 +111,11 @@ class AdaptPatientBandits(OptimisticIndex):
         mu_floor: float,
         delta: Optional[float] = None,
     ):
-        self.c = c
-        self.alpha_floor = alpha_floor
-        self.mu_floor = mu_floor
         self.delta = delta
-        # No commas: labels end up in CSV cells.
+        # Checked before the label formats them. No commas: labels end up in CSV cells.
+        self.c = check_real("c", c)
+        self.alpha_floor = check_real("alpha_floor", alpha_floor)
+        self.mu_floor = check_real("mu_floor", mu_floor)
         self.label = f"adapt(c={c:g};alpha_floor={alpha_floor:g};mu_floor={mu_floor:g})"
         self.alpha_bar_history: list[float] = []
 

@@ -8,6 +8,10 @@ simulator, not just its code.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,3 +113,17 @@ def test_regret_digest_is_pinned(name):
 def test_mixed_law_regret_digest_is_pinned(name):
     spec, expected = MIXED_PINNED[name]
     assert _digest(MIXED_INSTANCE, spec) == expected
+
+
+def test_digests_hold_under_a_second_simd_dispatch():
+    # numpy picks its SIMD kernels per CPU; the regret bits must not depend
+    # on which it picked. Names a CPU lacks are ignored.
+    here = Path(__file__).resolve()
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(here),
+         "-k", "digest_is_pinned"],
+        cwd=here.parents[1], env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert f"{len(PINNED) + len(MIXED_PINNED)} passed" in done.stdout

@@ -200,12 +200,59 @@ NAN, INF = float("nan"), float("inf")
         pytest.param({**TWO_ARM, "policy": {"kind": "adapt", "c": True, "alpha_floor": 0.2,
                                             "mu_floor": 0.5}},
                      id="adapt-c-true"),
+        pytest.param({**TWO_ARM, "policy": [["kind", "ucb"]]}, id="policy-pairs"),
+        pytest.param({**TWO_ARM, "policy": "ucb"}, id="policy-string"),
+        pytest.param({**MINIMAL, "arms": [{"reward": "bernoulli",
+                                           "delay": {"kind": "dirac", "d": 0}}]},
+                     id="reward-string"),
+        pytest.param({**TWO_ARM, "policy": {"kind": "ducb", "m": 5, "cdf": "dirac"}},
+                     id="ducb-cdf-string"),
     ],
 )
 def test_unrepresentable_parameters_exit_1(tmp_path, capsys, config):
     path = _write(tmp_path, config)
     assert main(["run", path, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _with_policy(policy):
+    return {**TWO_ARM, "policy": policy}
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        pytest.param(_with_policy({"kind": "patient", "alpha": "0.3"}), "alpha",
+                     id="patient-alpha-string"),
+        pytest.param(_with_policy({"kind": "patient", "alpha": None}), "alpha",
+                     id="patient-alpha-null"),
+        pytest.param(_with_policy({"kind": "patient", "alpha": [0.3]}), "alpha",
+                     id="patient-alpha-list"),
+        pytest.param(_with_policy({"kind": "adapt", "c": "1", "alpha_floor": 0.2,
+                                   "mu_floor": 0.5}), "c", id="adapt-c-string"),
+        pytest.param(_with_policy("ucb"), "policy spec", id="policy-string"),
+        pytest.param(_with_policy([["kind", "ucb"]]), "policy spec", id="policy-pairs"),
+        pytest.param({**MINIMAL, "arms": [{"reward": "bernoulli",
+                                           "delay": {"kind": "dirac", "d": 0}}]},
+                     "reward law spec", id="reward-string"),
+        pytest.param(_with_policy({"kind": "ducb", "m": 5, "cdf": "dirac"}), "delay law spec",
+                     id="ducb-cdf-string"),
+    ],
+)
+def test_bad_parameter_or_spec_is_named(tmp_path, capsys, config, named):
+    # Labels format the parameters, so they must be checked before a label is built.
+    path = _write(tmp_path, config)
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{named} must be" in err and "format" not in err
+
+
+def test_horizon_too_large_for_memory_exits_1(tmp_path, capsys):
+    # A table of 2**61 floats fails its size check before anything is allocated.
+    path = _write(tmp_path, {**TWO_ARM, "T": 2**61})
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    assert f"T={2**61} is too large for memory" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

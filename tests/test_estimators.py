@@ -61,15 +61,9 @@ def test_confidence_radius_monotonicity():
     assert at(0.5) == at(0.9) == at(10.0)
 
 
-def test_radius_terms_accept_ints_and_arrays():
-    n = np.arange(1, 500, dtype=np.float64)
-    scalar = [deviation(k, 1e-6) for k in range(1, 500)]
-    assert isinstance(scalar[0], float)
-    assert deviation(n, 1e-6).tolist() == scalar  # sqrt is correctly rounded
-    # numpy's pow may differ from the C library's in the last bit.
-    assert delay_bias(n, 0.3) == pytest.approx(
-        [delay_bias(k, 0.3) for k in range(1, 500)], rel=1e-15
-    )
+def test_radius_terms_are_scalar():
+    assert isinstance(deviation(7, 1e-6), float)
+    assert isinstance(delay_bias(7, 0.3), float)
     no_bias = UcbParams(alpha=None, K=2, T=100)
     assert confidence_radius(7, no_bias) == deviation(7, no_bias.delta)
 

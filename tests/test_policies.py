@@ -8,6 +8,7 @@ import pytest
 from conftest import FakeView
 from patientbandits.distributions import Bernoulli, Dirac, ParetoCeil, from_spec
 from patientbandits.environment import BanditInstance
+from patientbandits.estimators import delay_bias, deviation
 from patientbandits.harness import simulate
 from patientbandits.policies import (
     AdaptPatientBandits,
@@ -106,6 +107,28 @@ def test_patient_without_bias_term_tracks_vanilla_exactly():
     env_b, trace_b = simulate(inst, VanillaUcb(), np.random.default_rng(9))
     assert env_a.pull_records() == env_b.pull_records()
     assert np.array_equal(trace_a.regret, trace_b.regret)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.1, 0.3, 0.5, 0.7])
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("T", [400, 3000])
+def test_radius_table_is_the_scalar_radius(T, K, alpha):
+    # Bit for bit the radius the per-round path computes on Python ints; an
+    # array pow may round differently on some CPUs.
+    policy = _ready(VanillaUcb() if alpha is None else PatientBandits(alpha), K=K, T=T)
+    delta = policy.params.delta
+    expected = [
+        deviation(n, delta) if alpha is None else deviation(n, delta) + delay_bias(n, alpha)
+        for n in range(1, T + 1)
+    ]
+    assert list(policy._radius_table) == expected
+
+
+def test_resets_with_the_same_key_share_one_table():
+    a, b = _ready(PatientBandits(0.3), K=3, T=500), _ready(PatientBandits(0.3), K=3, T=500)
+    assert a._radius_table is b._radius_table
+    assert _ready(PatientBandits(0.4), K=3, T=500)._radius_table is not a._radius_table
+    assert _ready(PatientBandits(0.3), K=2, T=500)._radius_table is not a._radius_table
 
 
 def test_adapt_initialization_two_sweeps():
