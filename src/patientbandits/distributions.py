@@ -134,13 +134,16 @@ class ParetoCeil:
         check_real("alpha", self.alpha, positive=True)
 
     def tail(self, m):
-        # m ** -alpha exactly (no 1 - (1 - x) cancellation) for m >= 1.
+        # m ** -alpha exactly (no 1 - (1 - x) cancellation) for m >= 1. A
+        # scalar goes through libm's pow: numpy's pow, even on a 0-d array,
+        # may take a SIMD kernel whose last bit depends on the CPU.
+        if np.ndim(m) == 0:
+            return max(float(m), 1.0) ** -self.alpha
         m = np.asarray(m, dtype=np.float64)
-        return _scalar_or_array(np.where(m >= 1.0, m, 1.0) ** -self.alpha)
+        return np.where(m >= 1.0, m, 1.0) ** -self.alpha
 
     def cdf(self, m):
-        m = np.asarray(m, dtype=np.float64)
-        return _scalar_or_array(np.where(m >= 1.0, 1.0 - self.tail(m), 0.0))
+        return 1.0 - self.tail(m)  # the tail is 1 below m = 1
 
     def from_uniform(self, u: float):
         try:
@@ -199,14 +202,14 @@ class Geometric:
             raise ValueError(f"q={self.q} is too small: 1 - q rounds to 1")
 
     def tail(self, m):
+        # A scalar goes through libm's pow, as in ParetoCeil.tail.
+        if np.ndim(m) == 0:
+            return (1.0 - self.q) ** (math.floor(m) + 1) if m >= 0 else 1.0
         m = np.asarray(m, dtype=np.float64)
-        out = np.where(m >= 0.0, (1.0 - self.q) ** (np.floor(m) + 1.0), 1.0)
-        return _scalar_or_array(out)
+        return np.where(m >= 0.0, (1.0 - self.q) ** (np.floor(m) + 1.0), 1.0)
 
     def cdf(self, m):
-        m = np.asarray(m, dtype=np.float64)
-        out = np.where(m >= 0.0, 1.0 - (1.0 - self.q) ** (np.floor(m) + 1.0), 0.0)
-        return _scalar_or_array(out)
+        return 1.0 - self.tail(m)  # the tail is 1 below m = 0
 
     def from_uniform(self, u: float) -> int:
         if self.q >= 1.0:

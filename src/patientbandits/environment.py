@@ -15,10 +15,10 @@ contribute 0 to every sum it can ask for.
 """
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .distributions import DelayLaw, RewardLaw
 
@@ -123,11 +123,82 @@ class ObservationView:
         if wait < 0:
             raise ValueError(f"wait must be nonnegative, got {wait}")
         env = self._env
-        rounds = env._arm_rounds[arm][: self.counts[arm]]
-        count = int(np.searchsorted(rounds, self.t - wait, side="right"))
-        delays = env._arm_delays[arm][:count]
-        rewards = env._arm_rewards[arm][:count]
-        return WindowedSum(count, float(rewards[delays <= wait].sum()))
+        count = bisect_right(env._arm_rounds[arm], self.t - wait, 0, self.counts[arm])
+        if count == 0:
+            return WindowedSum(0, 0.0)
+        return WindowedSum(count, env._waited_total(arm, wait, count))
+
+
+# Waited-sum trees kept per arm. A policy asks for one or two waits per arm,
+# each only growing, so a new tree is built only when a wait drops.
+_TREES_PER_ARM = 4
+
+
+class _WaitedSums:
+    """Exact prefix sums of one arm's rewards that arrive within ``wait`` rounds.
+
+    A Fenwick tree over the arm's pull positions: position i holds pull i's
+    reward iff its delay is at most ``wait``. Covered pulls with a longer
+    delay wait in a heap keyed by delay, so ``wait`` can be raised but never
+    lowered. Nodes are ints in units of ``1 / scale``, ``scale`` being the
+    largest ``as_integer_ratio`` denominator added so far; a prefix is thus
+    the exact sum, rounded once by the final division, whatever the order of
+    the additions.
+    """
+
+    __slots__ = ("wait", "covered", "nodes", "scale", "pending")
+
+    def __init__(self, wait: int):
+        self.wait = wait
+        self.covered = 0  # pulls before this position are in the tree or the heap
+        self.nodes = [0, 0]  # 1-based; the capacity len - 1 is a power of two
+        self.scale = 1
+        self.pending = []  # (delay, position) of covered pulls with delay > wait
+
+    def _add(self, position: int, reward: float) -> None:
+        num, den = reward.as_integer_ratio()
+        nodes = self.nodes
+        if den > self.scale:  # denominators are powers of two: rescaling is exact
+            factor = den // self.scale
+            nodes[:] = [v * factor for v in nodes]
+            self.scale = den
+        num *= self.scale // den
+        i, size = position + 1, len(nodes)
+        while i < size:
+            nodes[i] += num
+            i += i & -i
+
+    def total(self, rewards: list, delays: list, wait: int, count: int) -> float:
+        """Sum of ``rewards[i]`` over ``i < count`` with ``delays[i] <= wait``.
+
+        ``wait`` is at least ``self.wait``, which it becomes.
+        """
+        self.wait = wait
+        pending = self.pending
+        while pending and pending[0][0] <= wait:
+            position = heapq.heappop(pending)[1]
+            self._add(position, rewards[position])
+        nodes = self.nodes
+        while len(nodes) <= count:
+            # Double the capacity. The new top node spans every position and
+            # the new ones are still empty, so it starts as the old top node.
+            capacity = len(nodes) - 1
+            nodes.extend([0] * capacity)
+            nodes[-1] = nodes[capacity]
+        for position in range(self.covered, count):
+            reward = rewards[position]
+            if not reward:
+                continue  # adds nothing at any wait
+            if delays[position] <= wait:
+                self._add(position, reward)
+            else:
+                heapq.heappush(pending, (delays[position], position))
+        self.covered = max(self.covered, count)
+        total, i = 0, count
+        while i:
+            total += nodes[i]
+            i &= i - 1
+        return total / self.scale
 
 
 class DelayedBanditEnv:
@@ -143,9 +214,10 @@ class DelayedBanditEnv:
         self._calendar = [[] for _ in range(T + 2)]
         self._censored = 0
         # Per-arm chronological logs: the one record of every pull.
-        self._arm_rounds = [np.empty(T, dtype=np.int64) for _ in range(K)]
-        self._arm_delays = [np.empty(T, dtype=np.int64) for _ in range(K)]
-        self._arm_rewards = [np.empty(T, dtype=np.float64) for _ in range(K)]
+        self._arm_rounds = [[] for _ in range(K)]
+        self._arm_delays = [[] for _ in range(K)]
+        self._arm_rewards = [[] for _ in range(K)]
+        self._arm_trees = [[] for _ in range(K)]
 
     @property
     def round(self) -> int:
@@ -194,12 +266,30 @@ class DelayedBanditEnv:
             self._calendar[arrival].append((arm, reward))
         else:
             self._censored += 1
-        n = self._counts[arm]
-        self._arm_rounds[arm][n] = s
-        self._arm_delays[arm][n] = delay
-        self._arm_rewards[arm][n] = reward
-        self._counts[arm] = n + 1
+        self._arm_rounds[arm].append(s)
+        self._arm_delays[arm].append(delay)
+        self._arm_rewards[arm].append(reward)
+        self._counts[arm] += 1
         self._round += 1
+
+    def _waited_total(self, arm: int, wait: int, count: int) -> float:
+        """Exact sum of the rewards among ``arm``'s first ``count`` pulls with delay <= ``wait``.
+
+        Advances the arm's tree with the largest wait not above ``wait``, or
+        builds one, retiring the oldest tree when the arm already has
+        ``_TREES_PER_ARM``.
+        """
+        trees = self._arm_trees[arm]
+        tree = None
+        for candidate in trees:
+            if candidate.wait <= wait and (tree is None or candidate.wait > tree.wait):
+                tree = candidate
+        if tree is None:
+            if len(trees) == _TREES_PER_ARM:
+                del trees[0]
+            tree = _WaitedSums(wait)
+            trees.append(tree)
+        return tree.total(self._arm_rewards[arm], self._arm_delays[arm], wait, count)
 
     def true_pseudo_regret(self) -> float:
         """Gap-weighted suboptimal pull count over the rounds played so far.
@@ -216,9 +306,9 @@ class DelayedBanditEnv:
         """
         T = self.instance.horizon
         records = []
-        logs = zip(self._arm_rounds, self._arm_rewards, self._arm_delays, self._counts)
-        for arm, (rounds, rewards, delays, n) in enumerate(logs):
-            for s, reward, delay in zip(*(log[:n].tolist() for log in (rounds, rewards, delays))):
+        logs = zip(self._arm_rounds, self._arm_rewards, self._arm_delays)
+        for arm, (rounds, rewards, delays) in enumerate(logs):
+            for s, reward, delay in zip(rounds, rewards, delays):
                 arrival = s + max(delay, 1)
                 records.append(PullRecord(arm, s, reward, delay, arrival if arrival <= T else None))
         return sorted(records, key=lambda r: r.round)

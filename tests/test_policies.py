@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from conftest import FakeView
-from patientbandits.distributions import Bernoulli, Dirac, ParetoCeil, from_spec
+from patientbandits.distributions import Bernoulli, Dirac, Geometric, ParetoCeil, from_spec
 from patientbandits.environment import BanditInstance
 from patientbandits.estimators import delay_bias, deviation
 from patientbandits.harness import simulate
@@ -197,6 +197,21 @@ def test_ducb_zero_cdf_at_threshold_rejected():
         DUcb(m=1, cdf=ParetoCeil(1.0))  # cdf(1) = 0 for the unit-scale tail
     with pytest.raises(ValueError):
         DUcb(m=0, cdf=Dirac(0))
+
+
+def test_ducb_tau_m_is_scalar_libm():
+    # numpy's pow, even on a 0-d array, can differ from libm's in the last
+    # bit on SIMD hosts; ducb's index scales by tau_m, so its regret would too.
+    for alpha in np.linspace(0.05, 1.5, 60).tolist():
+        law = ParetoCeil(alpha)
+        for m in range(1, 1001):
+            assert law.cdf(m) == 1.0 - float(m) ** -alpha
+            if m > 1:  # cdf(1) = 0 is refused
+                assert DUcb(m, law).tau_m == law.cdf(m)
+    for q in np.linspace(0.01, 0.99, 60).tolist():
+        law = Geometric(q)
+        for m in range(1, 1001):
+            assert DUcb(m, law).tau_m == 1.0 - (1.0 - q) ** (m + 1)
 
 
 def test_uniform_random_uses_one_draw():
