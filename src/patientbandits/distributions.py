@@ -8,6 +8,12 @@ audits, and tail-decay checks all reduce to how fast ``1 - tau(m)`` falls.
 Every law draws by inverse transform: ``from_uniform(u)`` maps one uniform
 ``u`` in [0, 1) to one value, with no randomness of its own. Which uniform
 feeds which law is pinned in one place, ``BanditInstance.draw``.
+
+A delay law's ``tail(m)`` and ``cdf(m)`` take one real ``m`` and return a
+Python float, computed with Python float arithmetic and the C library's
+``pow``. No array path exists: a vectorised ``pow`` may round the last bit
+differently on different CPUs, and D-UCB's index scales by ``cdf(m)``.
+Delays are integers, so both are step functions of ``floor(m)``.
 """
 from __future__ import annotations
 
@@ -15,13 +21,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
-
-import numpy as np
-
-
-def _scalar_or_array(x):
-    # np.where produces 0-d arrays for scalar queries; unwrap those.
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def check_int(name: str, value, least: Optional[int] = None) -> int:
@@ -108,11 +107,12 @@ class Dirac:
     def __post_init__(self):
         check_int("d", self.d, 0)
 
-    def tail(self, m):
-        return _scalar_or_array(np.where(np.asarray(m) >= self.d, 0.0, 1.0))
+    def tail(self, m: float) -> float:
+        """``P(D > m)``."""
+        return 0.0 if m >= self.d else 1.0
 
-    def cdf(self, m):
-        return _scalar_or_array(np.where(np.asarray(m) >= self.d, 1.0, 0.0))
+    def cdf(self, m: float) -> float:
+        return 1.0 if m >= self.d else 0.0
 
     def from_uniform(self, u: float) -> int:
         return self.d
@@ -133,17 +133,13 @@ class ParetoCeil:
     def __post_init__(self):
         check_real("alpha", self.alpha, positive=True)
 
-    def tail(self, m):
-        # m ** -alpha exactly (no 1 - (1 - x) cancellation) for m >= 1. A
-        # scalar goes through libm's pow: numpy's pow, even on a 0-d array,
-        # may take a SIMD kernel whose last bit depends on the CPU.
-        if np.ndim(m) == 0:
-            return max(float(m), 1.0) ** -self.alpha
-        m = np.asarray(m, dtype=np.float64)
-        return np.where(m >= 1.0, m, 1.0) ** -self.alpha
+    def tail(self, m: float) -> float:
+        """``P(D > m) = floor(m) ** -alpha``, and 1 below m = 1."""
+        # No 1 - (1 - x) cancellation: libm's pow of the integer part.
+        return float(math.floor(m)) ** -self.alpha if m >= 1 else 1.0
 
-    def cdf(self, m):
-        return 1.0 - self.tail(m)  # the tail is 1 below m = 1
+    def cdf(self, m: float) -> float:
+        return 1.0 - self.tail(m)
 
     def from_uniform(self, u: float):
         try:
@@ -171,19 +167,14 @@ class TwoPointMass:
         check_int("d0", self.d0, 0)
         check_int("d1", self.d1, 0)
 
-    def tail(self, m):
-        m = np.asarray(m)
-        out = np.where(m >= self.d0, 0.0, 1.0 - self.p) + np.where(
-            m >= self.d1, 0.0, self.p
-        )
-        return _scalar_or_array(out)
+    def tail(self, m: float) -> float:
+        """``P(D > m)``: the masses not yet arrived by ``m``."""
+        # Each of tail and cdf sums its own two terms: 1 - (1 - p) is not
+        # p bit for bit.
+        return (0.0 if m >= self.d0 else 1.0 - self.p) + (0.0 if m >= self.d1 else self.p)
 
-    def cdf(self, m):
-        m = np.asarray(m)
-        out = np.where(m >= self.d0, 1.0 - self.p, 0.0) + np.where(
-            m >= self.d1, self.p, 0.0
-        )
-        return _scalar_or_array(out)
+    def cdf(self, m: float) -> float:
+        return (1.0 - self.p if m >= self.d0 else 0.0) + (self.p if m >= self.d1 else 0.0)
 
     def from_uniform(self, u: float) -> int:
         return self.d1 if u < self.p else self.d0
@@ -201,15 +192,12 @@ class Geometric:
         if 1.0 - self.q == 1.0:
             raise ValueError(f"q={self.q} is too small: 1 - q rounds to 1")
 
-    def tail(self, m):
-        # A scalar goes through libm's pow, as in ParetoCeil.tail.
-        if np.ndim(m) == 0:
-            return (1.0 - self.q) ** (math.floor(m) + 1) if m >= 0 else 1.0
-        m = np.asarray(m, dtype=np.float64)
-        return np.where(m >= 0.0, (1.0 - self.q) ** (np.floor(m) + 1.0), 1.0)
+    def tail(self, m: float) -> float:
+        """``P(D > m) = (1 - q) ** (floor(m) + 1)``, and 1 below m = 0."""
+        return (1.0 - self.q) ** (math.floor(m) + 1) if m >= 0 else 1.0
 
-    def cdf(self, m):
-        return 1.0 - self.tail(m)  # the tail is 1 below m = 0
+    def cdf(self, m: float) -> float:
+        return 1.0 - self.tail(m)
 
     def from_uniform(self, u: float) -> int:
         if self.q >= 1.0:
@@ -228,11 +216,9 @@ def assumption1_margin(law: DelayLaw, alpha: float, m_max: int) -> float:
     tail is dominated by ``m**-alpha`` on that range. ParetoCeil at its own
     index gives exactly 0.
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    check_int("m_max", m_max, 1)
     check_real("alpha", alpha, positive=True)
-    m = np.arange(1, m_max + 1, dtype=np.float64)
-    return float(np.min(m**-alpha - law.tail(m)))
+    return min(float(m) ** -alpha - law.tail(m) for m in range(1, m_max + 1))
 
 
 # ---------------------------------------------------------------------------

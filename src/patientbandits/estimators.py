@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-import numpy as np
-
 from .distributions import DelayLaw, check_real
 
 
@@ -162,17 +160,18 @@ def bias_bound_oracle(
     returned so tests can assert the inequality directly. ``alpha``
     defaults to the law's own tail index when it has one.
     """
-    rounds = np.asarray(pull_rounds, dtype=np.int64)
-    if rounds.size == 0:
+    rounds = list(pull_rounds)
+    if not rounds:
         raise ValueError("pull_rounds must be nonempty")
-    if rounds.min() < 1 or rounds.max() > t:
+    if min(rounds) < 1 or max(rounds) > t:
         raise ValueError(f"pull rounds must lie in [1, {t}]")
     if alpha is None:
         alpha = getattr(law, "alpha", None)
         if alpha is None:
             raise ValueError("law has no tail index attribute; pass alpha explicitly")
-    exact = mu * float(np.mean(law.tail(t - rounds)))
-    bound = delay_bias(rounds.size, alpha)
+    n = len(rounds)
+    exact = mu * (math.fsum([law.tail(t - s) for s in rounds]) / n)
+    bound = delay_bias(n, alpha)
     return BiasBound(exact, bound)
 
 

@@ -169,7 +169,7 @@ class DUcb(Policy):
     def __init__(self, m: int, cdf: DelayLaw):
         self.m = check_int("threshold m", m, 1)
         self.cdf = cdf
-        self.tau_m = float(cdf.cdf(self.m))
+        self.tau_m = cdf.cdf(self.m)
         if self.tau_m <= 0.0:
             raise ValueError(
                 f"assumed delay CDF is 0 at the threshold m={m}; the index is undefined"

@@ -52,7 +52,7 @@ def observable_mean(problem: BanditInstance, arm: int, window: int) -> float:
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    return float(problem.delay_law(arm).cdf(window)) * problem.means[arm]
+    return problem.delay_law(arm).cdf(window) * problem.means[arm]
 
 
 class _CoupledInstance(BanditInstance):

@@ -7,6 +7,7 @@ simulator, not just its code.
 """
 from __future__ import annotations
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -127,3 +128,21 @@ def test_digests_hold_under_a_second_simd_dispatch():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert f"{len(PINNED) + len(MIXED_PINNED)} passed" in done.stdout
+
+
+def test_model_layer_does_not_import_numpy():
+    # The regret bits come from the model layer; keeping numpy out of it keeps
+    # them off numpy's per-CPU SIMD kernels.
+    package = Path(__file__).resolve().parents[1] / "src" / "patientbandits"
+    for module in ("distributions", "estimators", "environment", "policies"):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "numpy" or n.startswith("numpy.") for n in names), (
+                f"{module}.py imports numpy (line {node.lineno})"
+            )

@@ -106,14 +106,19 @@ def test_pareto_ceil_tail_is_exact():
     law = ParetoCeil(alpha=1.0)
     assert law.cdf(2) == pytest.approx(0.5, abs=1e-15)
     assert law.cdf(0) == 0.0
-    m = np.arange(1, 500)
     for alpha in (0.3, 0.7, 1.5):
-        np.testing.assert_array_equal(
-            ParetoCeil(alpha).tail(m), m.astype(np.float64) ** -float(alpha)
-        )
-        np.testing.assert_allclose(
-            1.0 - ParetoCeil(alpha).cdf(m), m ** (-float(alpha)), rtol=1e-12
-        )
+        law = ParetoCeil(alpha)
+        for m in range(1, 500):
+            assert law.tail(m) == float(m) ** -alpha
+            assert law.cdf(m) == 1.0 - float(m) ** -alpha
+
+
+@pytest.mark.parametrize("law", DELAY_LAW_CASES, ids=str)
+def test_tail_and_cdf_step_at_integers(law):
+    # Delays are integers, so P(D <= m + 1/2) = P(D <= m).
+    for m in range(51):
+        assert law.cdf(m + 0.5) == law.cdf(m)
+        assert law.tail(m + 0.5) == law.tail(m)
 
 
 def test_pareto_ceil_sampled_tail_fraction():
@@ -154,15 +159,32 @@ def test_assumption1_margin_pareto_tight_and_violated():
     # The ceil construction makes the tail bound hold with equality.
     assert assumption1_margin(ParetoCeil(0.3), alpha=0.3, m_max=100) == 0.0
     margin = assumption1_margin(ParetoCeil(0.3), alpha=0.5, m_max=100)
-    brute = min(m**-0.5 - m**-0.3 for m in range(1, 101))
-    assert margin == pytest.approx(brute, abs=1e-12)
+    brute = min(float(m) ** -0.5 - float(m) ** -0.3 for m in range(1, 101))
+    assert margin == brute
     assert margin < 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 1.0])
+def test_assumption1_margin_pareto_grid_is_scalar_exact(alpha):
+    # The audit is the scalar brute-force minimum bit for bit; a vectorised
+    # pow may differ from it in the last bit.
+    for law_alpha in np.linspace(0.05, 1.5, 30).tolist():
+        brute = min(
+            float(m) ** -alpha - float(m) ** -law_alpha for m in range(1, 1001)
+        )
+        assert assumption1_margin(ParetoCeil(law_alpha), alpha, m_max=1000) == brute
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, True])
 def test_assumption1_margin_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):
         assumption1_margin(Dirac(0), alpha=alpha, m_max=10)
+
+
+@pytest.mark.parametrize("m_max", [0, 2.5, True, "10"])
+def test_assumption1_margin_rejects_bad_m_max(m_max):
+    with pytest.raises(ValueError, match="m_max"):
+        assumption1_margin(Dirac(0), alpha=1.0, m_max=m_max)
 
 
 def _dkw_sup(draws: np.ndarray, law) -> float:
