@@ -25,7 +25,6 @@ from .environment import (
     EpisodeComplete,
     ObservationView,
     PullRecord,
-    WindowedSum,
 )
 from .estimators import (
     AdaptParams,
@@ -70,7 +69,7 @@ __all__ = [
     "Bernoulli", "PointMass", "Dirac", "ParetoCeil", "TwoPointMass", "Geometric",
     "assumption1_margin", "from_spec", "REWARD_LAWS", "DELAY_LAWS",
     "BanditInstance", "DelayedBanditEnv", "EpisodeComplete", "ObservationView",
-    "PullRecord", "WindowedSum",
+    "PullRecord",
     "UcbParams", "AdaptParams", "mu_hat", "confidence_radius", "bias_bound_oracle",
     "alpha_hat", "alpha_bar", "window_pair", "log_log_schedule",
     "UndefinedEstimatorError", "InsufficientDataError",

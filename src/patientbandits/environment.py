@@ -18,9 +18,9 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .distributions import DelayLaw, RewardLaw
+from .distributions import DelayLaw, RewardLaw, check_int
 
 
 class EpisodeComplete(RuntimeError):
@@ -47,18 +47,6 @@ class PullRecord:
         return self.arrival_round is None
 
 
-class WindowedSum(NamedTuple):
-    """Raw ingredients of a waited sample mean over one arm.
-
-    ``count`` pulls happened early enough for a wait of ``D`` rounds to
-    have elapsed; ``total`` sums their rewards that arrived within the
-    wait. A wait of the full round count or more leaves ``(0, 0.0)``.
-    """
-
-    count: int
-    total: float
-
-
 class BanditInstance:
     """A bandit problem: per-arm (reward law, delay law) pairs and a horizon."""
 
@@ -66,12 +54,8 @@ class BanditInstance:
         arms = tuple((r, d) for r, d in arms)
         if len(arms) < 1:
             raise ValueError("instance needs at least one arm")
-        if horizon < len(arms):
-            raise ValueError(
-                f"horizon {horizon} is smaller than the number of arms {len(arms)}"
-            )
         self.arms = arms
-        self.horizon = int(horizon)
+        self.horizon = int(check_int("horizon", horizon, len(arms)))
         self.means = tuple(r.mean() for r, _ in arms)
         self.best_mean = max(self.means)
         self.gaps = tuple(self.best_mean - mu for mu in self.means)
@@ -112,21 +96,36 @@ class ObservationView:
         self.counts = counts
         self.sums = sums
 
-    def windowed(self, arm: int, wait: int) -> WindowedSum:
-        """Count and reward sum for pulls old enough to have waited ``wait`` rounds.
+    def windowed(self, arm: int, wait: int) -> Tuple[int, float]:
+        """``(count, total)`` for the pulls old enough to have waited ``wait`` rounds.
 
-        Includes the pulls before round t at rounds s <= t - wait; each
-        contributes its reward iff its delay is <= wait. Every contributing
-        reward arrived by round s + wait <= t, so nothing unobserved leaks
-        out. A wait of t or more includes no pull and gives ``(0, 0.0)``.
+        ``count`` is the number of pulls before round t at rounds
+        s <= t - wait; ``total`` sums those of their rewards whose delay is
+        <= wait. Every contributing reward arrived by round s + wait <= t, so
+        nothing unobserved leaks out. A wait of t or more includes no pull
+        and gives ``(0, 0.0)``.
+
+        The total comes from the arm's tree with the largest wait not above
+        ``wait``; without one a tree is built, retiring the arm's oldest
+        when it already has ``_TREES_PER_ARM``.
         """
         if wait < 0:
             raise ValueError(f"wait must be nonnegative, got {wait}")
         env = self._env
         count = bisect_right(env._arm_rounds[arm], self.t - wait, 0, self.counts[arm])
         if count == 0:
-            return WindowedSum(0, 0.0)
-        return WindowedSum(count, env._waited_total(arm, wait, count))
+            return 0, 0.0
+        trees = env._arm_trees[arm]
+        tree = None
+        for candidate in trees:
+            if candidate.wait <= wait and (tree is None or candidate.wait > tree.wait):
+                tree = candidate
+        if tree is None:
+            if len(trees) == _TREES_PER_ARM:
+                del trees[0]
+            tree = _WaitedSums(env._arm_rewards[arm], env._arm_delays[arm], wait)
+            trees.append(tree)
+        return count, tree.total(wait, count)
 
 
 # Waited-sum trees kept per arm. A policy asks for one or two waits per arm,
@@ -137,7 +136,8 @@ _TREES_PER_ARM = 4
 class _WaitedSums:
     """Exact prefix sums of one arm's rewards that arrive within ``wait`` rounds.
 
-    A Fenwick tree over the arm's pull positions: position i holds pull i's
+    Holds the arm's ``rewards`` and ``delays`` logs, which only grow. A
+    Fenwick tree over the arm's pull positions: position i holds pull i's
     reward iff its delay is at most ``wait``. Covered pulls with a longer
     delay wait in a heap keyed by delay, so ``wait`` can be raised but never
     lowered. Nodes are ints in units of ``1 / scale``, ``scale`` being the
@@ -146,9 +146,11 @@ class _WaitedSums:
     the additions.
     """
 
-    __slots__ = ("wait", "covered", "nodes", "scale", "pending")
+    __slots__ = ("rewards", "delays", "wait", "covered", "nodes", "scale", "pending")
 
-    def __init__(self, wait: int):
+    def __init__(self, rewards: list, delays: list, wait: int):
+        self.rewards = rewards
+        self.delays = delays
         self.wait = wait
         self.covered = 0  # pulls before this position are in the tree or the heap
         self.nodes = [0, 0]  # 1-based; the capacity len - 1 is a power of two
@@ -168,12 +170,13 @@ class _WaitedSums:
             nodes[i] += num
             i += i & -i
 
-    def total(self, rewards: list, delays: list, wait: int, count: int) -> float:
+    def total(self, wait: int, count: int) -> float:
         """Sum of ``rewards[i]`` over ``i < count`` with ``delays[i] <= wait``.
 
         ``wait`` is at least ``self.wait``, which it becomes.
         """
         self.wait = wait
+        rewards, delays = self.rewards, self.delays
         pending = self.pending
         while pending and pending[0][0] <= wait:
             position = heapq.heappop(pending)[1]
@@ -271,25 +274,6 @@ class DelayedBanditEnv:
         self._arm_rewards[arm].append(reward)
         self._counts[arm] += 1
         self._round += 1
-
-    def _waited_total(self, arm: int, wait: int, count: int) -> float:
-        """Exact sum of the rewards among ``arm``'s first ``count`` pulls with delay <= ``wait``.
-
-        Advances the arm's tree with the largest wait not above ``wait``, or
-        builds one, retiring the oldest tree when the arm already has
-        ``_TREES_PER_ARM``.
-        """
-        trees = self._arm_trees[arm]
-        tree = None
-        for candidate in trees:
-            if candidate.wait <= wait and (tree is None or candidate.wait > tree.wait):
-                tree = candidate
-        if tree is None:
-            if len(trees) == _TREES_PER_ARM:
-                del trees[0]
-            tree = _WaitedSums(wait)
-            trees.append(tree)
-        return tree.total(self._arm_rewards[arm], self._arm_delays[arm], wait, count)
 
     def true_pseudo_regret(self) -> float:
         """Gap-weighted suboptimal pull count over the rounds played so far.

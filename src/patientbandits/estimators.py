@@ -89,6 +89,10 @@ class AdaptParams:
             raise ValueError(f"c must be in (0, 1], got {self.c}")
         check_real("alpha_floor", self.alpha_floor, positive=True)
         check_real("mu_floor", self.mu_floor, positive=True)
+        if self.c * self.mu_floor == 0.0:  # alpha_bar divides by it
+            raise ValueError(
+                f"c * mu_floor underflows to 0 (c={self.c}, mu_floor={self.mu_floor})"
+            )
         if self.K < 1 or self.T < 1:
             raise ValueError(f"need K >= 1 and T >= 1, got K={self.K}, T={self.T}")
 

@@ -157,10 +157,9 @@ def monte_carlo(
     run, which keeps replications independent across worker processes).
     ``n_jobs`` is the number of worker processes; 0 or -1 means one per CPU.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if n_jobs < -1:
-        raise ValueError(f"n_jobs must be -1, 0 or a positive count, got {n_jobs}")
+    check_int("runs", runs, 1)
+    check_int("master_seed", master_seed)
+    check_int("n_jobs", n_jobs, -1)
     cps = _validated_checkpoints(checkpoints, instance.horizon)
     payloads = [
         (instance, policy_spec, split_seed(master_seed, i), cps) for i in range(runs)

@@ -135,10 +135,10 @@ class AdaptPatientBandits(OptimisticIndex):
         leader_pulls = max(view.counts)
         leader = view.counts.index(leader_pulls)  # the lowest index on ties
         long_wait, short_wait = estimators.window_pair(leader_pulls, self.tail_params)
-        w_long = view.windowed(leader, long_wait)
-        w_short = view.windowed(leader, short_wait)
-        if w_long.count > 0 and w_short.count > 0:
-            diff = w_long.total / w_long.count - w_short.total / w_short.count
+        n_long, total_long = view.windowed(leader, long_wait)
+        n_short, total_short = view.windowed(leader, short_wait)
+        if n_long > 0 and n_short > 0:
+            diff = total_long / n_long - total_short / n_short
         else:
             diff = 0.0  # no usable window yet; same discounting as a null signal
         ahat = estimators.alpha_hat(diff, leader_pulls)
@@ -186,8 +186,8 @@ class DUcb(Policy):
             return t % K
         best, best_index = 0, -math.inf
         for i in range(K):
-            w = view.windowed(i, self.m)
-            index = math.inf if w.count == 0 else ducb_index(w.total, w.count, self.tau_m, t)
+            count, total = view.windowed(i, self.m)
+            index = math.inf if count == 0 else ducb_index(total, count, self.tau_m, t)
             if index > best_index:
                 best, best_index = i, index
         return best

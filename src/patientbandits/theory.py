@@ -50,8 +50,7 @@ def observable_mean(problem: BanditInstance, arm: int, window: int) -> float:
 
     Censoring rescales the mean multiplicatively: ``cdf(window) * mean``.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    check_int("window", window, 1)
     return problem.delay_law(arm).cdf(window) * problem.means[arm]
 
 

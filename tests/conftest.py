@@ -1,7 +1,7 @@
 """Shared test helpers: canned observation views and scripted instances."""
 from __future__ import annotations
 
-from patientbandits.environment import BanditInstance, WindowedSum
+from patientbandits.environment import BanditInstance
 
 
 class FakeView:
@@ -20,7 +20,7 @@ class FakeView:
 
     def windowed(self, arm, wait):
         self.queried_windows.append((arm, wait))
-        return WindowedSum(*self.windows.get((arm, wait), (0, 0.0)))
+        return self.windows.get((arm, wait), (0, 0.0))
 
 
 class ScriptedInstance(BanditInstance):

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import patientbandits
 from patientbandits.distributions import (
     Bernoulli,
     Dirac,
@@ -146,3 +147,10 @@ def test_model_layer_does_not_import_numpy():
             assert not any(n == "numpy" or n.startswith("numpy.") for n in names), (
                 f"{module}.py imports numpy (line {node.lineno})"
             )
+
+
+def test_public_names_resolve():
+    # A stale export would make ``import *`` fail for every user of the package.
+    missing = [n for n in patientbandits.__all__ if not hasattr(patientbandits, n)]
+    assert not missing, f"__all__ names without an attribute: {missing}"
+    exec("from patientbandits import *", {})

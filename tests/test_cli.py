@@ -207,6 +207,10 @@ NAN, INF = float("nan"), float("inf")
                      id="reward-string"),
         pytest.param({**TWO_ARM, "policy": {"kind": "ducb", "m": 5, "cdf": "dirac"}},
                      id="ducb-cdf-string"),
+        pytest.param({**TWO_ARM, "T": 20, "checkpoints": [1, 10, 20],
+                      "policy": {"kind": "adapt", "c": 1e-200, "alpha_floor": 0.2,
+                                 "mu_floor": 1e-200}},
+                     id="adapt-c-times-mu-floor-underflows"),
     ],
 )
 def test_unrepresentable_parameters_exit_1(tmp_path, capsys, config):

@@ -37,6 +37,12 @@ def test_instance_validation():
     assert min(inst.gaps) == 0.0
 
 
+@pytest.mark.parametrize("horizon", [10.7, True, "10", math.inf])
+def test_instance_horizon_must_be_an_integer(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        BanditInstance([_arm()], horizon=horizon)
+
+
 def test_zero_delay_reward_visible_one_round_later():
     inst = ScriptedInstance([_arm()], horizon=5, script={0: [(1.0, 0)] * 5})
     env = DelayedBanditEnv(inst)

@@ -230,6 +230,8 @@ def test_adapt_params_validation():
     for field in ("c", "alpha_floor", "mu_floor"):
         with pytest.raises(ValueError, match=field):
             _adapt_params(**{field: True})
+    with pytest.raises(ValueError, match="c \\* mu_floor"):  # alpha_bar divides by it
+        _adapt_params(c=1e-200, mu_floor=1e-200)
 
 
 def test_theorem_style_coverage_smoke():

@@ -151,6 +151,17 @@ def test_worker_count_below_minus_one_rejected():
         monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=2, master_seed=1, n_jobs=-3)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("runs", True), ("runs", 2.0), ("runs", "2"), ("master_seed", 1.5),
+     ("master_seed", True), ("n_jobs", 1.0), ("n_jobs", True)],
+)
+def test_monte_carlo_counts_must_be_integers(name, value):
+    kwargs = {"runs": 2, "master_seed": 1, "n_jobs": 1, name: value}
+    with pytest.raises(ValueError, match=name):
+        monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, **kwargs)
+
+
 def test_adapt_diagnostics_recorded():
     inst = BanditInstance(
         [(Bernoulli(0.5), ParetoCeil(0.5)), (Bernoulli(0.7), ParetoCeil(0.5))], 300

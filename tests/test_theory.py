@@ -139,5 +139,9 @@ def test_make_pair_validation():
             make_lower_bound_pair(T=10, alpha=alpha)
     with pytest.raises(ValueError, match="integer"):
         make_lower_bound_pair(T=10.5, alpha=0.5)
-    with pytest.raises(ValueError):
-        observable_mean(make_lower_bound_pair(16, 0.5).problem_a, 1, window=0)
+
+
+@pytest.mark.parametrize("window", [0, 2.5, True, math.inf, "3"])
+def test_observable_mean_rejects_non_integer_window(window):
+    with pytest.raises(ValueError, match="window"):
+        observable_mean(make_lower_bound_pair(16, 0.5).problem_b, 1, window)
