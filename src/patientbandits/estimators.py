@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .distributions import DelayLaw, check_real
+from .distributions import DelayLaw, check_int, check_real
 
 
 class UndefinedEstimatorError(ValueError):
@@ -59,8 +59,8 @@ class UcbParams:
     delta: Optional[float] = None
 
     def __post_init__(self):
-        if self.K < 1 or self.T < 1:
-            raise ValueError(f"need K >= 1 and T >= 1, got K={self.K}, T={self.T}")
+        check_int("K", self.K, 1)
+        check_int("T", self.T, 1)
         if self.alpha is not None and not callable(self.alpha):
             check_real("alpha", self.alpha, positive=True)
         if self.delta is None:
@@ -93,8 +93,8 @@ class AdaptParams:
             raise ValueError(
                 f"c * mu_floor underflows to 0 (c={self.c}, mu_floor={self.mu_floor})"
             )
-        if self.K < 1 or self.T < 1:
-            raise ValueError(f"need K >= 1 and T >= 1, got K={self.K}, T={self.T}")
+        check_int("K", self.K, 1)
+        check_int("T", self.T, 1)
 
 
 def mu_hat(sum_arrived: float, pulls: int) -> float:

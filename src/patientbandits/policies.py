@@ -20,9 +20,15 @@ from .estimators import AdaptParams, AlphaInput, UcbParams, mu_hat
 
 
 class Policy:
-    """Contract: ``reset(n_arms, horizon)`` once, then ``select`` each round."""
+    """Contract: ``reset(n_arms, horizon)`` once, then ``select`` each round.
+
+    ``reads_rng`` says whether ``select`` may draw from its ``rng``. A policy
+    that sets it false is handed ``rng=None``, and the episode's reward and
+    delay uniforms are drawn ahead in one block (see :mod:`.harness`).
+    """
 
     label = "policy"
+    reads_rng = True
 
     def reset(self, n_arms: int, horizon: int) -> None:
         raise NotImplementedError
@@ -44,6 +50,7 @@ class OptimisticIndex(Policy):
 
     init_pulls = 1
     alpha: Optional[AlphaInput] = None
+    reads_rng = False
 
     def reset(self, n_arms: int, horizon: int) -> None:
         self.params = UcbParams(alpha=self.alpha, K=n_arms, T=horizon, delta=self.delta)
@@ -165,6 +172,8 @@ class DUcb(Policy):
     ground truth: handing it a wrong one is exactly the failure mode worth
     studying.
     """
+
+    reads_rng = False
 
     def __init__(self, m: int, cdf: DelayLaw):
         self.m = check_int("threshold m", m, 1)

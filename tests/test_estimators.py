@@ -89,6 +89,26 @@ def test_default_delta_and_override():
         UcbParams(alpha=1.0, K=3, T=100, delta=True)
 
 
+
+@pytest.mark.parametrize(
+    "name, value", [("K", True), ("K", 2.5), ("K", "2"), ("K", 0), ("T", 2.5), ("T", True),
+                    ("T", "100"), ("T", 0)],
+)
+def test_params_counts_must_be_positive_integers(name, value):
+    ucb = {"K": 2, "T": 100, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        UcbParams(alpha=0.5, **ucb)
+    adapt = {"K": 2, "T": 100, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        _adapt_params(**adapt)
+
+
+def test_params_refuse_bool_and_fractional_counts_together():
+    with pytest.raises(ValueError, match="K must be an integer"):
+        UcbParams(alpha=0.5, K=True, T=2.5)
+    with pytest.raises(ValueError, match="K must be an integer"):
+        _adapt_params(K=2.5, T=True)
+
 def test_alpha_schedule():
     # log(log t) / log t, clamped positive for small t.
     assert log_log_schedule(2) > 0.0

@@ -3,9 +3,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patientbandits.distributions import Bernoulli, Dirac, Geometric, ParetoCeil
-from patientbandits.environment import BanditInstance
+from conftest import ScriptedInstance
+from patientbandits.distributions import (
+    Bernoulli,
+    Dirac,
+    Geometric,
+    ParetoCeil,
+    PointMass,
+    TwoPointMass,
+    from_spec,
+)
+from patientbandits.environment import BanditInstance, DelayedBanditEnv
 from patientbandits.harness import (
     default_checkpoints,
     monte_carlo,
@@ -13,7 +24,14 @@ from patientbandits.harness import (
     simulate,
     split_seed,
 )
-from patientbandits.policies import AdaptPatientBandits, Policy, UniformRandom
+from patientbandits.policies import (
+    POLICIES,
+    AdaptPatientBandits,
+    Policy,
+    UniformRandom,
+    VanillaUcb,
+)
+from patientbandits.theory import make_coupled_pair
 
 GAP_INSTANCE = BanditInstance(
     [(Bernoulli(0.7), Dirac(0)), (Bernoulli(0.5), Dirac(0))], horizon=1000
@@ -174,3 +192,136 @@ def test_adapt_diagnostics_recorded():
     bars = trace.diagnostics["alpha_bar"]
     assert bars.shape == (300 - 4,)
     assert np.all((bars >= 0.0) & (bars <= 0.5))
+
+
+# One or more specs per config tag; every tag must appear.
+SPECS = {
+    "patient": [{"kind": "patient", "alpha": 0.3}, {"kind": "patient", "alpha": "loglog"}],
+    "adapt": [
+        {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5},
+        {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 8.0, "delta": 0.5},
+    ],
+    "ducb": [{"kind": "ducb", "m": 3, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}}],
+    "ucb": [{"kind": "ucb"}],
+    "uniform": [{"kind": "uniform"}],
+}
+ALL_SPECS = [spec for specs in SPECS.values() for spec in specs]
+
+
+def _interleaved(instance, policy, rng, checkpoints):
+    """The reference loop: the generator itself goes to ``select`` and ``pull`` each round."""
+    policy.reset(instance.n_arms, instance.horizon)
+    env = DelayedBanditEnv(instance)
+    regret = []
+    for t in range(1, instance.horizon + 1):
+        env.pull(policy.select(env.observe(), rng), rng)
+        if t in checkpoints:
+            regret.append(env.true_pseudo_regret())
+    return env, regret
+
+
+def _assert_matches_interleaved(make_instance, make_policy, seed, checkpoints=None):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    env, trace = simulate(make_instance(), make_policy(), rng, checkpoints)
+    reference_env, regret = _interleaved(
+        make_instance(), make_policy(), reference_rng, trace.checkpoints
+    )
+    assert trace.regret.tolist() == regret
+    assert env.pull_records() == reference_env.pull_records()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_specs_cover_every_policy_tag():
+    assert set(SPECS) == set(POLICIES)
+
+
+_REWARDS = st.one_of(
+    st.floats(0.0, 1.0).map(Bernoulli), st.sampled_from([0.0, 0.25, 1.0]).map(PointMass)
+)
+_DELAYS = st.one_of(
+    st.integers(0, 5).map(Dirac),
+    st.sampled_from([0.2, 0.5, 1.0]).map(ParetoCeil),
+    st.sampled_from([0.1, 0.5]).map(Geometric),
+    st.builds(TwoPointMass, p=st.floats(0.0, 1.0), d0=st.integers(0, 3), d1=st.integers(4, 90)),
+)
+
+
+@st.composite
+def _episodes(draw):
+    arms = draw(st.lists(st.tuples(_REWARDS, _DELAYS), min_size=1, max_size=3))
+    T = draw(st.integers(max(2, len(arms)), 60))  # K = T = 1 gives delta = 1, refused
+    marks = draw(st.one_of(st.none(), st.sets(st.integers(1, T), min_size=1)))
+    return BanditInstance(arms, T), None if marks is None else sorted(marks)
+
+
+@given(
+    episode=_episodes(),
+    spec=st.sampled_from(ALL_SPECS),
+    seed=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_simulate_matches_the_interleaved_loop(episode, spec, seed):
+    instance, checkpoints = episode
+    _assert_matches_interleaved(
+        lambda: instance, lambda: from_spec(POLICIES, spec, "policy"), seed, checkpoints
+    )
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec["kind"])
+def test_coupled_and_scripted_instances_match_the_interleaved_loop(spec):
+    make_policy = lambda: from_spec(POLICIES, spec, "policy")  # noqa: E731
+    for instance in make_coupled_pair(60, alpha=0.5):
+        for k in range(3):
+            _assert_matches_interleaved(lambda: instance, make_policy, split_seed(7, k))
+    script = {0: [(1.0, 2), (0.0, 0)] * 30, 1: [(0.0, 1), (1.0, 70)] * 30}
+    _assert_matches_interleaved(  # each episode consumes its own copy of the script
+        lambda: ScriptedInstance([(Bernoulli(0.5), Dirac(0))] * 2, 60, script), make_policy, 5
+    )
+
+
+class _Coin(Policy):
+    """Draws its arm from the generator and declares nothing."""
+
+    label = "coin"
+
+    def reset(self, n_arms, horizon):
+        self.n_arms = n_arms
+
+    def select(self, view, rng):
+        return int(rng.random() * self.n_arms)
+
+
+def test_undeclared_policy_keeps_the_interleaved_order():
+    instance = BanditInstance(
+        [(Bernoulli(0.5), ParetoCeil(0.5)), (Bernoulli(0.6), Geometric(0.3))], 200
+    )
+    for seed in range(5):
+        _assert_matches_interleaved(lambda: instance, _Coin, seed)
+
+
+def test_block_policy_is_handed_no_generator():
+    class SecretlyRandom(VanillaUcb):
+        def select(self, view, rng):
+            return int(rng.random() * len(view.counts))
+
+    with pytest.raises(AttributeError):
+        run_episode(GAP_INSTANCE, SecretlyRandom(), seed=0)
+
+
+class _Greedy(BanditInstance):
+    def draw(self, arm, rng):
+        rng.random()
+        return super().draw(arm, rng)
+
+
+class _Frugal(BanditInstance):
+    def draw(self, arm, rng):
+        return 1.0, int(rng.random() * 3)
+
+
+@pytest.mark.parametrize("kind", [_Greedy, _Frugal])
+def test_block_refuses_a_draw_that_reads_other_than_two_uniforms(kind):
+    instance = kind([(Bernoulli(0.5), Dirac(1)), (Bernoulli(0.6), Dirac(1))], 100)
+    with pytest.raises(RuntimeError, match="exactly two uniforms"):
+        run_episode(instance, VanillaUcb(), seed=1)
+    run_episode(instance, UniformRandom(), seed=1)  # the generator itself is not policed
