@@ -50,7 +50,8 @@ class UcbParams:
 
     ``alpha`` may be a positive float, a per-round schedule ``t -> alpha_t``
     (e.g. :func:`log_log_schedule`), or ``None`` for a radius without the
-    bias term. ``delta`` defaults to ``1 / (K * T**3)``.
+    bias term. ``delta`` defaults to ``1 / (K * T**3)``, which needs
+    ``K * T > 1`` to lie below 1.
     """
 
     alpha: Optional[AlphaInput]
@@ -64,6 +65,11 @@ class UcbParams:
         if self.alpha is not None and not callable(self.alpha):
             check_real("alpha", self.alpha, positive=True)
         if self.delta is None:
+            if self.K == self.T == 1:  # the default below would be exactly 1
+                raise ValueError(
+                    "horizon too short: the default delta = 1/(K*T**3) is 1 at K=1, T=1; "
+                    "a one-arm config needs T >= 2"
+                )
             object.__setattr__(self, "delta", 1.0 / (self.K * self.T**3))
         if not 0.0 < check_real("delta", self.delta) < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")

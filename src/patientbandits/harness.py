@@ -14,11 +14,29 @@ holds the same values in the same order as ``2 T`` scalar calls and leaves
 the generator in the same state, so no regret bit changes; it costs about
 64 B per round while the episode runs (6.4 MB at T = 1e5). ``uniform``
 draws its arm between pulls and keeps the interleaved scalar calls.
+
+Worker pools live as long as the process. ``monte_carlo`` starts a pool of
+``n`` workers the first time it is asked for ``n`` (0 and -1 resolve to
+``os.cpu_count()``), and every later call with that count reuses it, so a
+loop over many small configs pays the start-up once. Importing the package
+starts nothing. The workers are forked (the default start method on Linux)
+when the pool is first used, and keep the parent's module state as it was
+at that moment: a module attribute patched afterwards is not seen by them.
+The pools are shut down, and their workers joined, when the interpreter
+exits normally; ``os._exit`` skips that. A pool that breaks, for example
+because a worker was killed, raises ``BrokenProcessPool`` once and is
+dropped, so the next call starts a fresh one. A forked child forgets the
+pools it inherited (their manager threads do not exist in it) and starts
+its own on first use. A batch of one run, or a count of one worker, runs in
+the calling process.
 """
 from __future__ import annotations
 
+import atexit
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -175,6 +193,32 @@ def _replicate(args) -> np.ndarray:
     return trace.regret
 
 
+# Worker pools by worker count; see the module docstring for their lifetime.
+_pools: dict[int, ProcessPoolExecutor] = {}
+
+
+def _shutdown_pools() -> None:
+    while _pools:
+        _pools.popitem()[1].shutdown()
+
+
+atexit.register(_shutdown_pools)
+os.register_at_fork(after_in_child=_pools.clear)
+
+
+def _pooled_rows(workers: int, payloads: list) -> list:
+    """``_replicate`` over ``payloads`` in the process's pool of ``workers``, in order."""
+    pool = _pools.get(workers)
+    if pool is None:
+        pool = _pools.setdefault(workers, ProcessPoolExecutor(max_workers=workers))
+    chunk = max(1, len(payloads) // (8 * workers))
+    try:
+        return list(pool.map(_replicate, payloads, chunksize=chunk))
+    except BrokenProcessPool:
+        _pools.pop(workers, None)
+        raise
+
+
 def monte_carlo(
     instance: BanditInstance,
     policy_spec: Mapping,
@@ -188,6 +232,7 @@ def monte_carlo(
     ``policy_spec`` is a config-style mapping (a fresh policy is built per
     run, which keeps replications independent across worker processes).
     ``n_jobs`` is the number of worker processes; 0 or -1 means one per CPU.
+    The pool is kept for later calls (see the module docstring).
     """
     check_int("runs", runs, 1)
     check_int("master_seed", master_seed)
@@ -196,13 +241,11 @@ def monte_carlo(
     payloads = [
         (instance, policy_spec, split_seed(master_seed, i), cps) for i in range(runs)
     ]
-    if n_jobs == 1:
+    workers = n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
+    if workers == 1 or runs == 1:
         rows = [_replicate(p) for p in payloads]
     else:
-        workers = None if n_jobs in (0, -1) else n_jobs
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, runs // (8 * (workers or 8)))
-            rows = list(pool.map(_replicate, payloads, chunksize=chunk))
+        rows = _pooled_rows(workers, payloads)
     regrets = np.vstack(rows)
     mean = regrets.mean(axis=0)
     if runs > 1:

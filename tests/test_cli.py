@@ -130,6 +130,21 @@ def test_horizon_below_arm_count_exits_1(tmp_path):
     assert main(["run", path, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("policy", [
+    {"kind": "ucb"},
+    {"kind": "patient", "alpha": 0.3},
+    {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5},
+], ids=lambda spec: spec["kind"])
+def test_one_arm_one_round_names_the_horizon(tmp_path, capsys, policy):
+    # The default delta = 1/(K T^3) is exactly 1 here; the config never set it.
+    path = _write(tmp_path, {**MINIMAL, "T": 1, "policy": policy})
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "horizon too short" in err and "K=1, T=1" in err and "T >= 2" in err
+    assert main(["run", _write(tmp_path, {**MINIMAL, "T": 2, "policy": policy}),
+                 "--out", str(tmp_path)]) == 0
+
+
 def _pareto_arms(*alphas):
     return [
         {"reward": {"kind": "bernoulli", "mu": 0.5 + 0.1 * i},

@@ -1,12 +1,23 @@
 """Harness: seeding, checkpoints, aggregation, determinism, parallel equality."""
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedInstance
+from patientbandits import harness
 from patientbandits.distributions import (
     Bernoulli,
     Dirac,
@@ -126,6 +137,115 @@ def test_parallel_matches_serial_bitwise():
     assert np.array_equal(serial.regrets, parallel.regrets)
     assert serial.mean.tobytes() == parallel.mean.tobytes()
     assert serial.stderr.tobytes() == parallel.stderr.tobytes()
+
+
+# Configs run one after another in one process, as a preset does.
+POOLED_CONFIGS = [
+    (GAP_INSTANCE, {"kind": "uniform"}),  # draws its arms from the generator
+    (BanditInstance([(Bernoulli(0.4), ParetoCeil(0.5)), (Bernoulli(0.6), Geometric(0.3)),
+                     (Bernoulli(0.5), Dirac(2))], 300),
+     {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.4}),
+    (BanditInstance([(Bernoulli(0.3 + 0.1 * i), TwoPointMass(0.5, 1, 40)) for i in range(4)], 300),
+     {"kind": "ducb", "m": 3, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}}),
+]
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Shut the process's pools down, then list the worker count of each pool started."""
+    harness._shutdown_pools()
+    starts = []
+
+    class Counted(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            starts.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+    return starts
+
+
+def test_one_pool_serves_a_sequence_of_configs(pool_starts):
+    for n_jobs in (2, 0):
+        for instance, spec in POOLED_CONFIGS:
+            serial = monte_carlo(instance, spec, runs=5, master_seed=3)
+            pooled = monte_carlo(instance, spec, runs=5, master_seed=3, n_jobs=n_jobs)
+            assert pooled.regrets.tobytes() == serial.regrets.tobytes()
+    # n_jobs=0 means one worker per CPU: the 2-worker pool again on a 2-CPU host.
+    assert pool_starts == sorted({2, os.cpu_count() or 1} - {1})
+
+
+def test_a_single_run_starts_no_pool(pool_starts):
+    res = monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=1, master_seed=4, n_jobs=2)
+    assert res.regrets.shape[0] == 1
+    assert pool_starts == [] and harness._pools == {}
+
+
+def test_a_broken_pool_is_replaced(pool_starts):
+    instance, spec = POOLED_CONFIGS[1]
+    serial = monte_carlo(instance, spec, runs=6, master_seed=8)
+    monte_carlo(instance, spec, runs=6, master_seed=8, n_jobs=2)
+    pool = harness._pools[2]
+    pid, worker = next(iter(pool._processes.items()))
+    os.kill(pid, signal.SIGKILL)
+    assert wait([worker.sentinel], timeout=30)
+    with pytest.raises(BrokenProcessPool):
+        monte_carlo(instance, spec, runs=6, master_seed=8, n_jobs=2)
+    assert 2 not in harness._pools
+    again = monte_carlo(instance, spec, runs=6, master_seed=8, n_jobs=2)
+    assert harness._pools[2] is not pool
+    assert again.regrets.tobytes() == serial.regrets.tobytes()
+    assert pool_starts == [2, 2]
+
+
+def test_a_forked_child_starts_its_own_pool():
+    instance, spec = POOLED_CONFIGS[2]
+    serial = monte_carlo(instance, spec, runs=6, master_seed=5)
+    monte_carlo(instance, spec, runs=6, master_seed=5, n_jobs=2)  # the parent's pool exists
+    pid = os.fork()
+    if pid == 0:  # the child: never return into the test runner
+        try:
+            child = monte_carlo(instance, spec, runs=6, master_seed=5, n_jobs=2)
+            harness._shutdown_pools()
+            os._exit(0 if child.regrets.tobytes() == serial.regrets.tobytes() else 2)
+        finally:
+            os._exit(1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("monte_carlo hung in a child forked after the pool started")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+_LEAVES_NOTHING_RUNNING = """
+import multiprocessing, threading
+import patientbandits
+from patientbandits import harness
+assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
+assert not multiprocessing.active_children() and not harness._pools
+instance = patientbandits.BanditInstance(
+    [(patientbandits.Bernoulli(0.7), patientbandits.Dirac(0)),
+     (patientbandits.Bernoulli(0.5), patientbandits.Dirac(0))], 100)
+harness.monte_carlo(instance, {"kind": "ucb"}, runs=4, master_seed=1, n_jobs=2)
+print(*harness._pools[2]._processes)
+"""
+
+
+def test_import_is_lazy_and_exit_leaves_no_worker_running():
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _LEAVES_NOTHING_RUNNING], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    pids = [int(p) for p in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_stderr_shrinks_with_doubled_runs():
