@@ -39,9 +39,11 @@ not an integer (``T``, ``runs``, ``master_seed``, ``d``, ``d0``, ``d1``,
 ``m``, each checkpoint) is a config error, as are checkpoints that do not
 rise strictly within ``[1, T]``, a real parameter that is a bool, a string
 or NaN, a non-string ``name`` or ``output``, and ``notes`` that are not a
-list of strings. A ``--scale`` that is not positive and finite, and a
-``lowerbound`` with ``--T`` below 2 or an ``--alpha`` that is not positive
-and finite, exit 1 too.
+list of strings. So is a ``T`` whose episode cannot be allocated (its
+arrival calendar takes ``T + 2`` slots), whatever the policy. A
+``--scale`` that is not positive and finite, and a ``lowerbound`` with
+``--T`` below 2 or an ``--alpha`` that is not positive and finite, exit 1
+too.
 
 Running a config writes a CSV with header
 ``policy,run_count,round,mean_regret,stderr`` plus a ``.meta.json`` sidecar
@@ -62,7 +64,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import DELAY_LAWS, REWARD_LAWS, assumption1_margin, check_int, from_spec
-from .environment import BanditInstance
+from .environment import BanditInstance, DelayedBanditEnv
 from .harness import MonteCarloResult, _validated_checkpoints, monte_carlo
 from .policies import POLICIES
 from .theory import make_lower_bound_pair, observable_mean
@@ -143,8 +145,14 @@ class ExperimentConfig:
             output=output,
             notes=tuple(notes),
         )
-        cfg.build_instance()  # surface law/shape errors at parse time
-        cfg.build_policy()
+        try:
+            # Law, shape and parameter errors surface at parse time, and so
+            # does a horizon whose episode cannot be allocated, whatever the
+            # policy.
+            DelayedBanditEnv(cfg.build_instance())
+            cfg.build_policy()
+        except MemoryError:
+            raise ConfigError(f"T={T} is too large for memory") from None
         return cfg
 
     def to_dict(self) -> dict:
@@ -185,12 +193,12 @@ class ExperimentConfig:
             return policy
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad policy spec: {exc}") from exc
-        except MemoryError as exc:  # an index policy's radius table holds T floats
-            raise ConfigError(f"T={self.T} is too large for memory") from exc
 
     @property
     def label(self) -> str:
-        return self.name if self.name is not None else self.build_policy().label
+        if self.name is not None:
+            return self.name
+        return from_spec(POLICIES, self.policy, "policy").label
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -311,23 +319,17 @@ def preset(
     if not 0.0 < scale < math.inf:
         raise ConfigError(f"scale must be positive and finite, got {scale}")
     seed = _PRESET_SEEDS[name] if master_seed is None else master_seed
-    T = 3000
-    configs: list[ExperimentConfig] = []
+    specs: list[dict] = []
+
+    def add(arms, policy, runs, label, **extra):
+        specs.append({"arms": arms, "T": 3000, "policy": policy, "runs": _scaled(runs, scale),
+                      "master_seed": seed, "name": label, **extra})
 
     if name == "figure2":
-        arms = (_pareto_arm(0.5, 1.0), _pareto_arm(0.55, 0.3))
+        arms = [_pareto_arm(0.5, 1.0), _pareto_arm(0.55, 0.3)]
         for abar in np.linspace(0.02, 0.5, 25):
             abar = round(float(abar), 6)
-            configs.append(
-                ExperimentConfig(
-                    arms=arms,
-                    T=T,
-                    policy={"kind": "patient", "alpha": abar},
-                    runs=_scaled(400, scale),
-                    master_seed=seed,
-                    name=f"patient(alpha={abar:g})",
-                )
-            )
+            add(arms, {"kind": "patient", "alpha": abar}, 400, f"patient(alpha={abar:g})")
     elif name == "figure3":
         note = (
             "arm means are (0.4, 0.4 + gap); an alternative description of this "
@@ -336,48 +338,21 @@ def preset(
         for alpha2 in (0.2, 0.3, 0.4, 0.5, 0.8):
             for gap in np.linspace(0.02, 0.6, 30):
                 gap = round(float(gap), 6)
-                arms = (_pareto_arm(0.4, 1.0), _pareto_arm(0.4 + gap, alpha2))
-                configs.append(
-                    ExperimentConfig(
-                        arms=arms,
-                        T=T,
-                        policy={"kind": "patient", "alpha": alpha2},
-                        runs=_scaled(300, scale),
-                        master_seed=seed,
-                        name=f"alpha2={alpha2:g} gap={gap:g}",
-                        notes=(note,),
-                    )
-                )
+                arms = [_pareto_arm(0.4, 1.0), _pareto_arm(0.4 + gap, alpha2)]
+                add(arms, {"kind": "patient", "alpha": alpha2}, 300,
+                    f"alpha2={alpha2:g} gap={gap:g}", notes=[note])
     else:
         if name == "figure4":
-            arms = (_pareto_arm(0.6, 0.7), _pareto_arm(0.8, 0.7))
+            arms = [_pareto_arm(0.6, 0.7), _pareto_arm(0.8, 0.7)]
             assumed_cdf = {"kind": "pareto_ceil", "alpha": 0.7}  # the true CDF
         else:
-            arms = (_pareto_arm(0.6, 1.0), _pareto_arm(0.8, 0.3))
+            arms = [_pareto_arm(0.6, 1.0), _pareto_arm(0.8, 0.3)]
             assumed_cdf = {"kind": "pareto_ceil", "alpha": 0.7}  # wrong for both arms
         for abar in (0.1, 0.5):
-            configs.append(
-                ExperimentConfig(
-                    arms=arms,
-                    T=T,
-                    policy={"kind": "patient", "alpha": abar},
-                    runs=_scaled(400, scale),
-                    master_seed=seed,
-                    name=f"patient(alpha={abar:g})",
-                )
-            )
+            add(arms, {"kind": "patient", "alpha": abar}, 400, f"patient(alpha={abar:g})")
         for m in (10, 50, 100, 200):
-            configs.append(
-                ExperimentConfig(
-                    arms=arms,
-                    T=T,
-                    policy={"kind": "ducb", "m": m, "cdf": assumed_cdf},
-                    runs=_scaled(400, scale),
-                    master_seed=seed,
-                    name=f"ducb(m={m})",
-                )
-            )
-    return configs
+            add(arms, {"kind": "ducb", "m": m, "cdf": assumed_cdf}, 400, f"ducb(m={m})")
+    return [ExperimentConfig.from_dict(spec) for spec in specs]
 
 
 def run_preset(

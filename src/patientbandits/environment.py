@@ -15,7 +15,6 @@ contribute 0 to every sum it can ask for.
 """
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -103,12 +102,15 @@ class ObservationView:
         s <= t - wait; ``total`` sums those of their rewards whose delay is
         <= wait. Every contributing reward arrived by round s + wait <= t, so
         nothing unobserved leaks out. A wait of t or more includes no pull
-        and gives ``(0, 0.0)``.
+        and gives ``(0, 0.0)``. ``wait`` must be an integer.
 
-        The total comes from the arm's tree with the largest wait not above
-        ``wait``; without one a tree is built, retiring the arm's oldest
-        when it already has ``_TREES_PER_ARM``.
+        The total comes from the arm's tree that covers the most pulls
+        without covering more than ``count``; any tree answers every wait.
+        Without one a tree is built, retiring the arm's oldest when it
+        already has ``_TREES_PER_ARM``.
         """
+        if type(wait) is not int:
+            wait = int(check_int("wait", wait))
         if wait < 0:
             raise ValueError(f"wait must be nonnegative, got {wait}")
         env = self._env
@@ -118,86 +120,69 @@ class ObservationView:
         trees = env._arm_trees[arm]
         tree = None
         for candidate in trees:
-            if candidate.wait <= wait and (tree is None or candidate.wait > tree.wait):
+            if candidate.covered <= count and (tree is None or candidate.covered > tree.covered):
                 tree = candidate
         if tree is None:
             if len(trees) == _TREES_PER_ARM:
                 del trees[0]
-            tree = _WaitedSums(env._arm_rewards[arm], env._arm_delays[arm], wait)
+            tree = _WaitedSums(env._arm_rewards[arm], env._arm_delays[arm], env.instance.horizon)
             trees.append(tree)
-        return count, tree.total(wait, count)
+        return count, tree.total(count, wait)
 
 
-# Waited-sum trees kept per arm. A policy asks for one or two waits per arm,
-# each only growing, so a new tree is built only when a wait drops.
+# Waited-sum trees kept per arm. A tree covers a prefix of the arm's pulls
+# that only grows, so one serves every query whose count does not drop below
+# it: a ducb episode builds one per arm, an adapt episode two for the leader.
 _TREES_PER_ARM = 4
 
 
 class _WaitedSums:
-    """Exact prefix sums of one arm's rewards that arrive within ``wait`` rounds.
+    """Exact sums of one arm's rewards by delay, over its first ``covered`` pulls.
 
     Holds the arm's ``rewards`` and ``delays`` logs, which only grow. A
-    Fenwick tree over the arm's pull positions: position i holds pull i's
-    reward iff its delay is at most ``wait``. Covered pulls with a longer
-    delay wait in a heap keyed by delay, so ``wait`` can be raised but never
-    lowered. Nodes are ints in units of ``1 / scale``, ``scale`` being the
-    largest ``as_integer_ratio`` denominator added so far; a prefix is thus
-    the exact sum, rounded once by the final division, whatever the order of
-    the additions.
+    Fenwick tree over the delays 0..T+1 (a longer delay is logged as T + 1
+    and a negative one counts as 0), so a prefix up to ``wait`` is the total
+    of the covered rewards that arrive within ``wait`` rounds, for any wait.
+    It holds T + 3 nodes from the start. Nodes are ints in units of
+    ``1 / scale``, ``scale`` being the largest ``as_integer_ratio``
+    denominator added so far; a prefix is thus the exact sum, rounded once by
+    the final division, whatever the order of the additions.
     """
 
-    __slots__ = ("rewards", "delays", "wait", "covered", "nodes", "scale", "pending")
+    __slots__ = ("rewards", "delays", "covered", "nodes", "scale")
 
-    def __init__(self, rewards: list, delays: list, wait: int):
+    def __init__(self, rewards: list, delays: list, horizon: int):
         self.rewards = rewards
         self.delays = delays
-        self.wait = wait
-        self.covered = 0  # pulls before this position are in the tree or the heap
-        self.nodes = [0, 0]  # 1-based; the capacity len - 1 is a power of two
+        self.covered = 0
+        self.nodes = [0] * (horizon + 3)  # 1-based: node d + 1 is delay d
         self.scale = 1
-        self.pending = []  # (delay, position) of covered pulls with delay > wait
 
-    def _add(self, position: int, reward: float) -> None:
-        num, den = reward.as_integer_ratio()
-        nodes = self.nodes
-        if den > self.scale:  # denominators are powers of two: rescaling is exact
-            factor = den // self.scale
-            nodes[:] = [v * factor for v in nodes]
-            self.scale = den
-        num *= self.scale // den
-        i, size = position + 1, len(nodes)
-        while i < size:
-            nodes[i] += num
-            i += i & -i
-
-    def total(self, wait: int, count: int) -> float:
+    def total(self, count: int, wait: int) -> float:
         """Sum of ``rewards[i]`` over ``i < count`` with ``delays[i] <= wait``.
 
-        ``wait`` is at least ``self.wait``, which it becomes.
+        ``count`` is at least ``covered``, which it becomes.
         """
-        self.wait = wait
-        rewards, delays = self.rewards, self.delays
-        pending = self.pending
-        while pending and pending[0][0] <= wait:
-            position = heapq.heappop(pending)[1]
-            self._add(position, rewards[position])
         nodes = self.nodes
-        while len(nodes) <= count:
-            # Double the capacity. The new top node spans every position and
-            # the new ones are still empty, so it starts as the old top node.
-            capacity = len(nodes) - 1
-            nodes.extend([0] * capacity)
-            nodes[-1] = nodes[capacity]
+        size = len(nodes)
+        rewards, delays = self.rewards, self.delays
         for position in range(self.covered, count):
             reward = rewards[position]
             if not reward:
                 continue  # adds nothing at any wait
-            if delays[position] <= wait:
-                self._add(position, reward)
-            else:
-                heapq.heappush(pending, (delays[position], position))
-        self.covered = max(self.covered, count)
-        total, i = 0, count
+            num, den = reward.as_integer_ratio()
+            if den > self.scale:  # denominators are powers of two: rescaling is exact
+                factor = den // self.scale
+                nodes[:] = [v * factor for v in nodes]
+                self.scale = den
+            num *= self.scale // den
+            delay = delays[position]
+            i = delay + 1 if delay > 0 else 1
+            while i < size:
+                nodes[i] += num
+                i += i & -i
+        self.covered = count
+        total, i = 0, min(wait + 1, size - 1)
         while i:
             total += nodes[i]
             i &= i - 1
@@ -214,7 +199,9 @@ class DelayedBanditEnv:
         self._delivered_through = 0
         self._counts = [0] * K
         self._sums = [0.0] * K
-        self._calendar = [[] for _ in range(T + 2)]
+        # Arrivals by round, a list made on the first one. One allocation of
+        # T + 2 slots, so an impossible horizon fails here at once.
+        self._calendar = [None] * (T + 2)
         self._censored = 0
         # Per-arm chronological logs: the one record of every pull.
         self._arm_rounds = [[] for _ in range(K)]
@@ -250,7 +237,7 @@ class DelayedBanditEnv:
         sums = self._sums
         while self._delivered_through < t:
             self._delivered_through += 1
-            for arm, reward in self._calendar[self._delivered_through]:
+            for arm, reward in self._calendar[self._delivered_through] or ():
                 sums[arm] += reward
         return ObservationView(self, t, tuple(self._counts), tuple(sums))
 
@@ -266,7 +253,11 @@ class DelayedBanditEnv:
         delay = int(delay) if delay <= T else T + 1
         arrival = s + (delay if delay >= 1 else 1)
         if arrival <= T:
-            self._calendar[arrival].append((arm, reward))
+            arrivals = self._calendar[arrival]
+            if arrivals is None:
+                self._calendar[arrival] = [(arm, reward)]
+            else:
+                arrivals.append((arm, reward))
         else:
             self._censored += 1
         self._arm_rounds[arm].append(s)

@@ -4,10 +4,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from patientbandits import cli
 from patientbandits.cli import (
     ConfigError,
     ExperimentConfig,
@@ -268,10 +271,49 @@ def test_bad_parameter_or_spec_is_named(tmp_path, capsys, config, named):
 
 
 def test_horizon_too_large_for_memory_exits_1(tmp_path, capsys):
-    # A table of 2**61 floats fails its size check before anything is allocated.
+    # A calendar of 2**61 slots fails its size check before anything is allocated.
     path = _write(tmp_path, {**TWO_ARM, "T": 2**61})
     assert main(["run", path, "--out", str(tmp_path)]) == 1
     assert f"T={2**61} is too large for memory" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+_UNDER_A_MEMORY_LIMIT = """
+import json, resource, sys
+limit = 1536 << 20
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (limit if hard < 0 else min(limit, hard), hard))
+from patientbandits.cli import main
+codes = [main(["run", path, "--out", sys.argv[1]]) for path in sys.argv[2:]]
+print(json.dumps([codes, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss << 10]))
+"""
+
+HUGE_T_POLICIES = [
+    {"kind": "patient", "alpha": 0.5},
+    {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5},
+    {"kind": "ducb", "m": 10, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}},
+    {"kind": "ucb"},
+    {"kind": "uniform"},
+]
+
+
+@pytest.mark.parametrize("T", [2**61, 10**12])
+def test_horizon_too_large_for_memory_exits_1_for_every_policy(tmp_path, T):
+    # Under an address-space limit, so that a regression fails here instead
+    # of exhausting the host. The check must fail at once, not after
+    # filling memory up to the limit.
+    paths = [_write(tmp_path, {**TWO_ARM, "T": T, "policy": policy}, f"{i}.json")
+             for i, policy in enumerate(HUGE_T_POLICIES)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _UNDER_A_MEMORY_LIMIT, str(tmp_path), *paths],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, peak_rss = json.loads(done.stdout)
+    assert codes == [1] * len(HUGE_T_POLICIES)
+    assert peak_rss < 512 << 20
+    assert done.stderr.count(f"error: T={T} is too large for memory") == len(HUGE_T_POLICIES)
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -389,7 +431,7 @@ def test_preset_figure4_and_5_structure():
 
 @pytest.mark.parametrize("name", ["figure2", "figure3", "figure4", "figure5"])
 def test_preset_configs_round_trip(name):
-    # Presets are built directly, so they must pass the validator they bypass.
+    # Presets are built through the validator; their dicts must rebuild them.
     for cfg in preset(name, scale=0.01):
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 

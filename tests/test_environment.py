@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedInstance
+from patientbandits import environment
 from patientbandits.distributions import (
     Bernoulli,
     Dirac,
@@ -16,9 +17,10 @@ from patientbandits.distributions import (
     ParetoCeil,
     PointMass,
     TwoPointMass,
+    from_spec,
 )
 from patientbandits.environment import BanditInstance, DelayedBanditEnv, EpisodeComplete
-from patientbandits.policies import UniformRandom
+from patientbandits.policies import POLICIES, UniformRandom
 from patientbandits.harness import simulate
 
 
@@ -117,6 +119,23 @@ def test_windowed_rejects_negative_wait():
     env.pull(0, np.random.default_rng(0))
     with pytest.raises(ValueError, match="nonnegative"):
         env.observe().windowed(0, -1)
+
+
+@pytest.mark.parametrize("wait", [2.5, True, "3", math.inf], ids=repr)
+def test_windowed_rejects_a_wait_that_is_not_an_integer(wait):
+    env = DelayedBanditEnv(BanditInstance([_arm()], horizon=5))
+    env.pull(0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="wait must be an integer"):
+        env.observe().windowed(0, wait)
+
+
+def test_windowed_accepts_a_numpy_integer_wait():
+    env = DelayedBanditEnv(BanditInstance([_arm()], horizon=6))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        env.pull(0, rng)
+    view = env.observe()
+    assert view.windowed(0, np.int64(3)) == view.windowed(0, 3) == (3, 3.0)
 
 
 def test_view_snapshot_is_stable():
@@ -249,6 +268,47 @@ def test_windowed_constant_reward_is_the_sum_rounded_once():
             for wait in range(view.t):
                 count, total = view.windowed(arm, wait)
                 assert total == count * 0.45
+
+
+def test_a_negative_delay_counts_as_zero():
+    # A custom draw may return a negative delay. Like a zero delay, its
+    # reward arrives a round later and counts within every wait.
+    script = [(1.0, -1)] * 5 + [(0.5, -3), (0.25, 2), (0.75, -2), (1.0, 0), (0.5, 1)]
+    inst = ScriptedInstance([_arm()], horizon=10, script={0: script})
+    views, records = _replay_uniform(inst, seed=0)
+    assert views[5].windowed(0, 0) == (5, 5.0)
+    for view in views:
+        for wait in range(view.t + 2):
+            assert view.windowed(0, wait) == _brute_window(records, 0, view.t, wait)
+
+
+@pytest.mark.parametrize("spec, most", [
+    pytest.param({"kind": "ducb", "m": 50, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}}, 1,
+                 id="ducb"),
+    pytest.param({"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5}, 2,
+                 id="adapt"),
+])
+def test_an_episode_builds_a_tree_per_query_stream_and_retires_none(monkeypatch, spec, most):
+    # ducb asks one wait per arm and adapt two on the leader, each stream
+    # covering a count that never drops; a tree built on every query would
+    # still pass the brute-force tests.
+    built = []
+
+    class Counted(environment._WaitedSums):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(environment, "_WaitedSums", Counted)
+    figure5 = BanditInstance(
+        [(Bernoulli(0.6), ParetoCeil(1.0)), (Bernoulli(0.8), ParetoCeil(0.3))], horizon=3000
+    )
+    env, _ = simulate(figure5, from_spec(POLICIES, spec, "policy"), np.random.default_rng(7))
+    kept = [tree for trees in env._arm_trees for tree in trees]
+    assert built and sorted(map(id, built)) == sorted(map(id, kept))
+    assert max(len(trees) for trees in env._arm_trees) <= most
 
 
 def test_determinism_bit_for_bit():
