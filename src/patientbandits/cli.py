@@ -227,14 +227,18 @@ def dump_config(config: ExperimentConfig) -> str:
 
 
 def execute(config: ExperimentConfig, n_jobs: int = 1) -> MonteCarloResult:
-    return monte_carlo(
-        config.build_instance(),
-        config.policy,
-        runs=config.runs,
-        master_seed=config.master_seed,
-        checkpoints=config.checkpoints,
-        n_jobs=n_jobs,
-    )
+    # Parsing allocates only the calendar; the episode itself may not fit.
+    try:
+        return monte_carlo(
+            config.build_instance(),
+            config.policy,
+            runs=config.runs,
+            master_seed=config.master_seed,
+            checkpoints=config.checkpoints,
+            n_jobs=n_jobs,
+        )
+    except MemoryError:
+        raise ConfigError(f"T={config.T} is too large for memory") from None
 
 
 def write_results(

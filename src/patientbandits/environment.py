@@ -66,16 +66,14 @@ class BanditInstance:
     def delay_law(self, arm: int) -> DelayLaw:
         return self.arms[arm][1]
 
-    def draw(self, arm: int, rng) -> Tuple[float, int]:
-        """Draw one independent (reward, delay) pair for ``arm``.
+    def draw(self, arm: int, u: float, v: float) -> Tuple[float, int]:
+        """The (reward, delay) pair of ``arm`` at the uniforms ``u`` and ``v``.
 
-        This is the stream contract, and the only place that reads the
-        stream: one uniform per law, reward first, so every pull consumes
-        exactly two values whatever the laws. Reproducibility of whole
-        episodes, and coupled runs, hang on this.
+        ``u`` sets the reward and ``v`` the delay; :meth:`DelayedBanditEnv.pull`
+        supplies them from the stream.
         """
         reward_law, delay_law = self.arms[arm]
-        return reward_law.from_uniform(rng.random()), delay_law.from_uniform(rng.random())
+        return reward_law.from_uniform(u), delay_law.from_uniform(v)
 
 
 class ObservationView:
@@ -196,7 +194,6 @@ class DelayedBanditEnv:
         self.instance = instance
         K, T = instance.n_arms, instance.horizon
         self._round = 1
-        self._delivered_through = 0
         self._counts = [0] * K
         self._sums = [0.0] * K
         # Arrivals by round, a list made on the first one. One allocation of
@@ -230,24 +227,26 @@ class DelayedBanditEnv:
         return self._censored
 
     def observe(self) -> ObservationView:
-        """Deliver arrivals due by the current round and expose the view."""
+        """The view of the current round, whose arrivals were delivered as it began."""
         t = self._round
         if t > self.instance.horizon:
             raise EpisodeComplete(f"episode over: round {t} > horizon")
-        sums = self._sums
-        while self._delivered_through < t:
-            self._delivered_through += 1
-            for arm, reward in self._calendar[self._delivered_through] or ():
-                sums[arm] += reward
-        return ObservationView(self, t, tuple(self._counts), tuple(sums))
+        return ObservationView(self, t, tuple(self._counts), tuple(self._sums))
 
-    def pull(self, arm: int, rng) -> None:
-        """Pull ``arm`` at the current round and schedule its reward arrival."""
+    def pull(self, arm: int, uniform) -> None:
+        """Pull ``arm`` at the current round, schedule its reward, and start the next round.
+
+        ``uniform`` is the stream: a callable returning the next uniform in
+        [0, 1). This is the stream contract, and the only place that reads
+        the stream: two uniforms per pull, the reward's first (arguments are
+        evaluated left to right), whatever the laws. Reproducibility of whole
+        episodes, and coupled runs, hang on this.
+        """
         s = self._round
         T = self.instance.horizon
         if s > T:
             raise EpisodeComplete(f"episode over: cannot pull at round {s} > horizon {T}")
-        reward, delay = self.instance.draw(arm, rng)
+        reward, delay = self.instance.draw(arm, uniform(), uniform())
         # Clamp: any delay past the horizon (even an infinite one) behaves
         # identically within the episode.
         delay = int(delay) if delay <= T else T + 1
@@ -264,7 +263,10 @@ class DelayedBanditEnv:
         self._arm_delays[arm].append(delay)
         self._arm_rewards[arm].append(reward)
         self._counts[arm] += 1
-        self._round += 1
+        self._round = s + 1
+        sums = self._sums
+        for due_arm, due_reward in self._calendar[s + 1] or ():
+            sums[due_arm] += due_reward
 
     def true_pseudo_regret(self) -> float:
         """Gap-weighted suboptimal pull count over the rounds played so far.

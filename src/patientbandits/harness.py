@@ -9,11 +9,12 @@ bitwise identical to a serial pass.
 
 A policy whose ``select`` never draws (``Policy.reads_rng`` false: every
 index policy) leaves the pulls as the stream's only reader, so the episode's
-``2 T`` uniforms are drawn as one block, ``rng.random(2 * T)``. The block
-holds the same values in the same order as ``2 T`` scalar calls and leaves
-the generator in the same state, so no regret bit changes; it costs about
-64 B per round while the episode runs (6.4 MB at T = 1e5). ``uniform``
-draws its arm between pulls and keeps the interleaved scalar calls.
+``2 T`` uniforms are drawn as one block, ``rng.random(2 * T)``, and each
+pull reads its two from the block's iterator. The block holds the same
+values in the same order as ``2 T`` scalar calls and leaves the generator in
+the same state, so no regret bit changes; it costs about 64 B per round
+while the episode runs (6.4 MB at T = 1e5). ``uniform`` draws its arm
+between pulls, so its pulls read ``rng.random`` itself.
 
 Worker pools live as long as the process. ``monte_carlo`` starts a pool of
 ``n`` workers the first time it is asked for ``n`` (0 and -1 resolve to
@@ -33,7 +34,6 @@ the calling process.
 from __future__ import annotations
 
 import atexit
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -112,19 +112,6 @@ def _validated_checkpoints(checkpoints, horizon) -> Tuple[int, ...]:
     return cps
 
 
-_BLOCK_MISUSE = "{}.draw must read exactly two uniforms per pull"
-
-
-class _UniformBlock:
-    """The episode's pre-drawn uniforms, read in order by ``random()``."""
-
-    __slots__ = ("values", "random")
-
-    def __init__(self, values: list):
-        self.values = iter(values)
-        self.random = self.values.__next__
-
-
 def simulate(
     instance: BanditInstance,
     policy: Policy,
@@ -137,31 +124,24 @@ def simulate(
     policy.reset(K, T)
     env = DelayedBanditEnv(instance)
     if policy.reads_rng:
-        stream, select_rng = rng, rng
+        uniform, select_rng = rng.random, rng
     else:
-        stream, select_rng = _UniformBlock(rng.random(2 * T).tolist()), None
+        uniform, select_rng = iter(rng.random(2 * T).tolist()).__next__, None
     marks = iter(cps)
     mark = next(marks)
     regret = []
-    try:
-        for t in range(1, T + 1):
-            view = env.observe()
-            arm = policy.select(view, select_rng)
-            if not 0 <= arm < K:
-                raise RuntimeError(
-                    f"policy {policy.label!r} selected arm {arm} out of range "
-                    f"[0, {K}) at round {t}"
-                )
-            env.pull(arm, stream)
-            if t == mark:
-                regret.append(env.true_pseudo_regret())
-                mark = next(marks, 0)
-    except StopIteration:
-        if stream is rng:
-            raise
-        raise RuntimeError(_BLOCK_MISUSE.format(type(instance).__name__)) from None
-    if stream is not rng and operator.length_hint(stream.values):
-        raise RuntimeError(_BLOCK_MISUSE.format(type(instance).__name__))
+    for t in range(1, T + 1):
+        view = env.observe()
+        arm = policy.select(view, select_rng)
+        if not 0 <= arm < K:
+            raise RuntimeError(
+                f"policy {policy.label!r} selected arm {arm} out of range "
+                f"[0, {K}) at round {t}"
+            )
+        env.pull(arm, uniform)
+        if t == mark:
+            regret.append(env.true_pseudo_regret())
+            mark = next(marks, 0)
     diagnostics = {}
     history = getattr(policy, "alpha_bar_history", None)
     if history:

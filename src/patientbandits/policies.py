@@ -22,9 +22,10 @@ from .estimators import AdaptParams, AlphaInput, UcbParams, mu_hat
 class Policy:
     """Contract: ``reset(n_arms, horizon)`` once, then ``select`` each round.
 
-    ``reads_rng`` says whether ``select`` may draw from its ``rng``. A policy
-    that sets it false is handed ``rng=None``, and the episode's reward and
-    delay uniforms are drawn ahead in one block (see :mod:`.harness`).
+    ``reads_rng`` says whether ``select`` may draw from its ``rng``. If so,
+    its draws interleave with the pulls' on the one generator. A policy that
+    sets it false is handed ``rng=None``, and the pulls read the episode's
+    reward and delay uniforms from one block drawn ahead (see :mod:`.harness`).
     """
 
     label = "policy"

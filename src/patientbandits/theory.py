@@ -7,7 +7,9 @@ conversions delayed past the horizon (problem B). Within the horizon the
 second arm's observable conversions are Bernoulli of the same effective
 mean in both problems, so no learner can tell them apart, yet the optimal
 arm differs. The gap ``q = p / (4 - 2p)`` is tuned to make the effective
-means match exactly.
+means match exactly. ``make_coupled_pair`` goes further: it maps each pull's
+two uniforms so that, under one seed, both problems show a policy the same
+observations.
 """
 from __future__ import annotations
 
@@ -59,7 +61,7 @@ class _CoupledInstance(BanditInstance):
 
     Problem A's arm 2 converts on the event ``u1 < 1/2 - q`` of its first
     uniform; here the same event is arm 2's within-horizon observable
-    conversion. Each pull still consumes exactly two uniforms, and arm 1
+    conversion. The pull's two uniforms map to the pair here, and arm 1
     draws as in :meth:`BanditInstance.draw`. Marginals are exact; only the
     joint across the two problems is constructed.
     """
@@ -69,11 +71,9 @@ class _CoupledInstance(BanditInstance):
         self._p = p
         self._q = q
 
-    def draw(self, arm, rng):
+    def draw(self, arm, u1, u2):
         if arm == 0:
-            return super().draw(arm, rng)
-        u1 = rng.random()
-        u2 = rng.random()
+            return super().draw(arm, u1, u2)
         q, p, T = self._q, self._p, self.horizon
         if u1 < 0.5 - q:
             return (1.0, 0)

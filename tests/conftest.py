@@ -30,7 +30,5 @@ class ScriptedInstance(BanditInstance):
         super().__init__(arms, horizon)
         self._script = {arm: list(draws) for arm, draws in script.items()}
 
-    def draw(self, arm, rng):
-        rng.random()
-        rng.random()
+    def draw(self, arm, u, v):
         return self._script[arm].pop(0)

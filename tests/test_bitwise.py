@@ -149,6 +149,19 @@ def test_model_layer_does_not_import_numpy():
             )
 
 
+def test_model_layer_leaves_the_stream_to_pull():
+    # DelayedBanditEnv.pull is the one reader of the stream: a law, estimator
+    # or instance that drew for itself would shift every later uniform.
+    package = Path(__file__).resolve().parents[1] / "src" / "patientbandits"
+    for module in ("distributions", "estimators", "environment", "theory"):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr not in ("random", "integers"), (
+                    f"{module}.py draws from a generator (line {node.lineno})"
+                )
+
+
 def test_public_names_resolve():
     # A stale export would make ``import *`` fail for every user of the package.
     missing = [n for n in patientbandits.__all__ if not hasattr(patientbandits, n)]

@@ -280,11 +280,11 @@ def test_horizon_too_large_for_memory_exits_1(tmp_path, capsys):
 
 _UNDER_A_MEMORY_LIMIT = """
 import json, resource, sys
-limit = 1536 << 20
+limit = int(sys.argv[1]) << 20
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 resource.setrlimit(resource.RLIMIT_AS, (limit if hard < 0 else min(limit, hard), hard))
 from patientbandits.cli import main
-codes = [main(["run", path, "--out", sys.argv[1]]) for path in sys.argv[2:]]
+codes = [main(["run", path, "--out", sys.argv[2]]) for path in sys.argv[3:]]
 print(json.dumps([codes, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss << 10]))
 """
 
@@ -297,18 +297,28 @@ HUGE_T_POLICIES = [
 ]
 
 
-@pytest.mark.parametrize("T", [2**61, 10**12])
-def test_horizon_too_large_for_memory_exits_1_for_every_policy(tmp_path, T):
+@pytest.mark.parametrize("T, limit_mib", [
+    # The calendar's own allocation fails at parse time, at once, far below
+    # the limit.
+    pytest.param(2**61, 1536, id=str(2**61)),
+    pytest.param(10**12, 1536, id=str(10**12)),
+    # The calendar fits, but the episode does not: the uniform block, or the
+    # logs of an interleaved run, exhaust the limit after parsing.
+    pytest.param(2 * 10**6, 320, id=str(2 * 10**6)),
+])
+def test_horizon_too_large_for_memory_exits_1_for_every_policy(tmp_path, T, limit_mib):
     # Under an address-space limit, so that a regression fails here instead
-    # of exhausting the host. The check must fail at once, not after
-    # filling memory up to the limit.
+    # of exhausting the host. One BLAS thread keeps numpy's own reservations
+    # small whatever the core count.
     paths = [_write(tmp_path, {**TWO_ARM, "T": T, "policy": policy}, f"{i}.json")
              for i, policy in enumerate(HUGE_T_POLICIES)]
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", _UNDER_A_MEMORY_LIMIT, str(tmp_path), *paths],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run(
+        [sys.executable, "-c", _UNDER_A_MEMORY_LIMIT, str(limit_mib), str(tmp_path), *paths],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
     assert done.returncode == 0, done.stderr
     codes, peak_rss = json.loads(done.stdout)
     assert codes == [1] * len(HUGE_T_POLICIES)
@@ -324,8 +334,8 @@ def test_pareto_overflow_runs_and_censors(tmp_path):
     assert main(["run", _write(tmp_path, config), "--out", str(tmp_path)]) == 0
 
     class RawDelays(BanditInstance):
-        def draw(self, arm, rng):
-            reward, delay = super().draw(arm, rng)
+        def draw(self, arm, u, v):
+            reward, delay = super().draw(arm, u, v)
             self.raw.append(delay)
             return reward, delay
 

@@ -20,7 +20,7 @@ from patientbandits.distributions import (
     assumption1_margin,
     from_spec,
 )
-from patientbandits.environment import BanditInstance
+from patientbandits.environment import BanditInstance, DelayedBanditEnv
 
 REWARD_LAW_CASES = [Bernoulli(0.3), PointMass(0.7)]
 DELAY_LAW_CASES = [
@@ -62,14 +62,11 @@ def test_bernoulli_empirical_mean():
 
 
 def _draw_against_stream(reward, delay, seed):
-    """One ``BanditInstance.draw`` and the uniforms a twin stream yields after it."""
+    """One ``BanditInstance.draw`` at a stream's first two uniforms, and those uniforms."""
     instance = BanditInstance([(reward, delay)], horizon=1)
-    rng_a = np.random.default_rng(seed)
-    rng_b = np.random.default_rng(seed)
-    got = instance.draw(0, rng_a)
-    u1, u2 = rng_b.random(), rng_b.random()
-    assert rng_a.random() == rng_b.random()  # exactly two uniforms per pull
-    return got, u1, u2
+    rng = np.random.default_rng(seed)
+    u1, u2 = rng.random(), rng.random()
+    return instance.draw(0, u1, u2), u1, u2
 
 
 def test_reward_sample_consumes_one_draw():
@@ -86,6 +83,29 @@ def test_delay_sample_consumes_one_draw():
         for delay in DELAY_LAW_CASES:
             (_, d), _, u2 = _draw_against_stream(reward, delay, seed=9)
             assert d == delay.from_uniform(u2)
+
+
+def test_pull_reads_two_uniforms_and_draws_at_them():
+    # The stream contract: each pull calls its uniform source exactly twice
+    # and records draw(arm, first, second), the delay clamped past T.
+    T = 40
+    for reward in REWARD_LAW_CASES:
+        for delay in DELAY_LAW_CASES:
+            env = DelayedBanditEnv(BanditInstance([(reward, delay)], horizon=T))
+            rng = np.random.default_rng(13)
+            read = []
+
+            def uniform():
+                read.append(rng.random())
+                return read[-1]
+
+            for _ in range(T):
+                read.clear()
+                env.pull(0, uniform)
+                assert len(read) == 2
+                r, d = env.instance.draw(0, *read)
+                record = env.pull_records()[-1]
+                assert (record.reward, record.delay) == (r, d if d <= T else T + 1)
 
 
 def test_dirac_sampling_and_cdf():

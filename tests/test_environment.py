@@ -51,7 +51,7 @@ def test_zero_delay_reward_visible_one_round_later():
     rng = np.random.default_rng(0)
     view1 = env.observe()
     assert view1.sums[0] == 0.0
-    env.pull(0, rng)
+    env.pull(0, rng.random)
     assert env.observe().sums[0] == 1.0  # round 2 sees the round-1 reward
 
 
@@ -62,7 +62,7 @@ def test_horizon_censoring():
     rng = np.random.default_rng(0)
     for _ in range(T):
         assert env.observe().sums[0] == 0.0
-        env.pull(0, rng)
+        env.pull(0, rng.random)
     assert env.censored_count == T
     assert all(rec.censored for rec in env.pull_records())
 
@@ -74,7 +74,7 @@ def test_delay_past_horizon_is_clamped_and_censored():
     rng = np.random.default_rng(0)
     for _ in range(3):
         env.observe()
-        env.pull(0, rng)
+        env.pull(0, rng.random)
     assert env.censored_count == 1
     assert env.observe().sums[0] == 2.0
     first = env.pull_records()[0]
@@ -87,7 +87,7 @@ def test_pull_count_identity_round_robin():
     rng = np.random.default_rng(0)
     for t in range(9):
         env.observe()
-        env.pull(t % 3, rng)
+        env.pull(t % 3, rng.random)
         assert sum(env.pull_counts) == t + 1
     assert env.pull_counts == (3, 3, 3)
 
@@ -103,7 +103,7 @@ def test_windowed_manual_trace():
     rng = np.random.default_rng(0)
     for arm in (0, 0, 1):
         env.observe()
-        env.pull(arm, rng)
+        env.pull(arm, rng.random)
     view = env.observe()
     assert view.t == 4
     assert view.windowed(0, 1) == (2, 1.0)  # only the delay-0 pull in-window
@@ -116,7 +116,7 @@ def test_windowed_manual_trace():
 def test_windowed_rejects_negative_wait():
     inst = BanditInstance([_arm()], horizon=3)
     env = DelayedBanditEnv(inst)
-    env.pull(0, np.random.default_rng(0))
+    env.pull(0, np.random.default_rng(0).random)
     with pytest.raises(ValueError, match="nonnegative"):
         env.observe().windowed(0, -1)
 
@@ -124,7 +124,7 @@ def test_windowed_rejects_negative_wait():
 @pytest.mark.parametrize("wait", [2.5, True, "3", math.inf], ids=repr)
 def test_windowed_rejects_a_wait_that_is_not_an_integer(wait):
     env = DelayedBanditEnv(BanditInstance([_arm()], horizon=5))
-    env.pull(0, np.random.default_rng(0))
+    env.pull(0, np.random.default_rng(0).random)
     with pytest.raises(ValueError, match="wait must be an integer"):
         env.observe().windowed(0, wait)
 
@@ -133,7 +133,7 @@ def test_windowed_accepts_a_numpy_integer_wait():
     env = DelayedBanditEnv(BanditInstance([_arm()], horizon=6))
     rng = np.random.default_rng(0)
     for _ in range(5):
-        env.pull(0, rng)
+        env.pull(0, rng.random)
     view = env.observe()
     assert view.windowed(0, np.int64(3)) == view.windowed(0, 3) == (3, 3.0)
 
@@ -143,11 +143,11 @@ def test_view_snapshot_is_stable():
     env = DelayedBanditEnv(inst)
     rng = np.random.default_rng(0)
     env.observe()
-    env.pull(0, rng)
+    env.pull(0, rng.random)
     view = env.observe()
     before = (view.counts, view.sums, view.windowed(0, 1))
-    env.pull(0, rng)
-    env.pull(1, rng)
+    env.pull(0, rng.random)
+    env.pull(1, rng.random)
     env.observe()
     assert (view.counts, view.sums, view.windowed(0, 1)) == before
     with pytest.raises(TypeError):
@@ -200,7 +200,7 @@ def _replay_uniform(instance, seed):
     while not env.done:
         view = env.observe()
         views.append(view)
-        env.pull(policy.select(view, rng), rng)
+        env.pull(policy.select(view, rng), rng.random)
     return views, env.pull_records()
 
 
@@ -332,7 +332,7 @@ def test_reward_delay_independence_audit():
     rng = np.random.default_rng(77)
     for _ in range(n):
         env.observe()
-        env.pull(0, rng)
+        env.pull(0, rng.random)
     records = env.pull_records()
     rewards = np.array([r.reward for r in records])
     delays = np.array([r.delay for r in records], dtype=np.float64)
@@ -345,10 +345,10 @@ def test_pull_past_horizon_raises():
     inst = BanditInstance([_arm()], horizon=2)
     env = DelayedBanditEnv(inst)
     rng = np.random.default_rng(0)
-    env.pull(0, rng)
-    env.pull(0, rng)
+    env.pull(0, rng.random)
+    env.pull(0, rng.random)
     with pytest.raises(EpisodeComplete):
-        env.pull(0, rng)
+        env.pull(0, rng.random)
     with pytest.raises(EpisodeComplete):
         env.observe()
 
@@ -358,14 +358,14 @@ def test_true_pseudo_regret():
     env = DelayedBanditEnv(inst)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        env.pull(0, rng)  # optimal arm only
+        env.pull(0, rng.random)  # optimal arm only
     assert env.true_pseudo_regret() == 0.0
     for _ in range(10):
-        env.pull(1, rng)
+        env.pull(1, rng.random)
     assert env.true_pseudo_regret() == pytest.approx(2.0, abs=1e-12)  # 0.2 * 10
     single = DelayedBanditEnv(BanditInstance([_arm()], horizon=5))
     for _ in range(5):
-        single.pull(0, rng)
+        single.pull(0, rng.random)
     assert single.true_pseudo_regret() == 0.0
 
 
@@ -374,7 +374,7 @@ def test_pull_records_shape():
     env = DelayedBanditEnv(inst)
     rng = np.random.default_rng(0)
     for _ in range(3):
-        env.pull(0, rng)
+        env.pull(0, rng.random)
     recs = env.pull_records()
     assert [r.round for r in recs] == [1, 2, 3]
     assert recs[0].arrival_round == 2  # delay 0 still lands next round

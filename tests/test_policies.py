@@ -89,7 +89,7 @@ def test_patient_equals_vanilla_when_counts_are_level():
         if view.counts[0] == view.counts[1] > 0:
             assert vanilla.select(view, rng) == arm
             agreeing_rounds += 1
-        env.pull(arm, rng)
+        env.pull(arm, rng.random)
     assert agreeing_rounds > 0
 
 

@@ -72,14 +72,6 @@ def test_observable_means():
     assert observable_mean(pair.problem_a, 0, 3) == 0.5
 
 
-class _FixedUniforms:
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self):
-        return self._values.pop(0)
-
-
 def test_coupled_draws_pointwise_equivalence():
     # On every uniform pair: problem A's conversion event equals problem B's
     # "converted and visible within the horizon" event.
@@ -89,14 +81,14 @@ def test_coupled_draws_pointwise_equivalence():
     grid = np.linspace(0.001, 0.999, 41)
     for u1 in grid:
         for u2 in grid:
-            ca, da = coupled_a.draw(1, _FixedUniforms([u1, u2]))
-            cb, db = coupled_b.draw(1, _FixedUniforms([u1, u2]))
+            ca, da = coupled_a.draw(1, u1, u2)
+            cb, db = coupled_b.draw(1, u1, u2)
             assert (ca == 1.0) == (u1 < 0.5 - q)
             assert (cb == 1.0 and db == 0) == (u1 < 0.5 - q)
             assert da == 0
             # Arm 1 is identical on both sides.
-            ra, _ = coupled_a.draw(0, _FixedUniforms([u1, u2]))
-            rb, _ = coupled_b.draw(0, _FixedUniforms([u1, u2]))
+            ra, _ = coupled_a.draw(0, u1, u2)
+            rb, _ = coupled_b.draw(0, u1, u2)
             assert ra == rb
 
 
