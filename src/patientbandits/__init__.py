@@ -32,6 +32,7 @@ from .estimators import (
     UcbParams,
     UndefinedEstimatorError,
     alpha_bar,
+    alpha_bar_activation,
     alpha_hat,
     bias_bound_oracle,
     confidence_radius,
@@ -71,7 +72,7 @@ __all__ = [
     "BanditInstance", "DelayedBanditEnv", "EpisodeComplete", "ObservationView",
     "PullRecord",
     "UcbParams", "AdaptParams", "mu_hat", "confidence_radius", "bias_bound_oracle",
-    "alpha_hat", "alpha_bar", "window_pair", "log_log_schedule",
+    "alpha_hat", "alpha_bar", "alpha_bar_activation", "window_pair", "log_log_schedule",
     "UndefinedEstimatorError", "InsufficientDataError",
     "Policy", "PatientBandits", "AdaptPatientBandits", "DUcb", "VanillaUcb",
     "UniformRandom", "POLICIES",

@@ -102,10 +102,10 @@ class ObservationView:
         nothing unobserved leaks out. A wait of t or more includes no pull
         and gives ``(0, 0.0)``. ``wait`` must be an integer.
 
-        The total comes from the arm's tree that covers the most pulls
-        without covering more than ``count``; any tree answers every wait.
-        Without one a tree is built, retiring the arm's oldest when it
-        already has ``_TREES_PER_ARM``.
+        The total comes from the arm's cursor with the largest
+        ``(wait, covered)`` that neither waits longer nor covers more pulls
+        than the query. Without one a cursor is built, retiring the arm's
+        oldest when it already has ``_CURSORS_PER_ARM``.
         """
         if type(wait) is not int:
             wait = int(check_int("wait", wait))
@@ -115,54 +115,66 @@ class ObservationView:
         count = bisect_right(env._arm_rounds[arm], self.t - wait, 0, self.counts[arm])
         if count == 0:
             return 0, 0.0
-        trees = env._arm_trees[arm]
-        tree = None
-        for candidate in trees:
-            if candidate.covered <= count and (tree is None or candidate.covered > tree.covered):
-                tree = candidate
-        if tree is None:
-            if len(trees) == _TREES_PER_ARM:
-                del trees[0]
-            tree = _WaitedSums(env._arm_rewards[arm], env._arm_delays[arm], env.instance.horizon)
-            trees.append(tree)
-        return count, tree.total(count, wait)
+        cursors = env._arm_cursors[arm]
+        cursor = None
+        for candidate in cursors:
+            if candidate.wait <= wait and candidate.covered <= count and (
+                cursor is None
+                or (candidate.wait, candidate.covered) > (cursor.wait, cursor.covered)
+            ):
+                cursor = candidate
+        if cursor is None:
+            if len(cursors) == _CURSORS_PER_ARM:
+                del cursors[0]
+            cursor = _WaitedCursor(
+                env._arm_rewards[arm], env._arm_delays[arm], wait, env.instance.horizon
+            )
+            cursors.append(cursor)
+        return count, cursor.total(count, wait)
 
 
-# Waited-sum trees kept per arm. A tree covers a prefix of the arm's pulls
-# that only grows, so one serves every query whose count does not drop below
-# it: a ducb episode builds one per arm, an adapt episode two for the leader.
-_TREES_PER_ARM = 4
+# Waited-sum cursors kept per arm. A cursor only moves forward, in wait and in
+# pulls covered, so a stream of queries whose wait and count never drop costs
+# O(1) amortised on one cursor: a ducb episode builds one per arm, an adapt
+# episode one for each of the leader's two waits. Any other query builds a
+# cursor, at O(count + T).
+_CURSORS_PER_ARM = 4
 
 
-class _WaitedSums:
-    """Exact sums of one arm's rewards by delay, over its first ``covered`` pulls.
+class _WaitedCursor:
+    """Exact sum of one arm's rewards of delay <= ``wait`` over its first ``covered`` pulls.
 
-    Holds the arm's ``rewards`` and ``delays`` logs, which only grow. A
-    Fenwick tree over the delays 0..T+1 (a longer delay is logged as T + 1
-    and a negative one counts as 0), so a prefix up to ``wait`` is the total
-    of the covered rewards that arrive within ``wait`` rounds, for any wait.
-    It holds T + 3 nodes from the start. Nodes are ints in units of
-    ``1 / scale``, ``scale`` being the largest ``as_integer_ratio``
-    denominator added so far; a prefix is thus the exact sum, rounded once by
-    the final division, whatever the order of the additions.
+    Holds the arm's ``rewards`` and ``delays`` logs, which only grow.
+    ``inside`` is the sum of the covered rewards that count at ``wait``;
+    ``late[d]`` holds the covered rewards of delay ``d > wait`` (a delay is
+    at most T + 1, and a negative one counts as 0), so raising the wait adds
+    the buckets it passes. Sums are ints in units of ``1 / scale``, ``scale``
+    being the largest ``as_integer_ratio`` denominator added so far; a total
+    is thus the exact sum, rounded once by the final division.
     """
 
-    __slots__ = ("rewards", "delays", "covered", "nodes", "scale")
+    __slots__ = ("rewards", "delays", "covered", "wait", "inside", "late", "scale")
 
-    def __init__(self, rewards: list, delays: list, horizon: int):
+    def __init__(self, rewards: list, delays: list, wait: int, horizon: int):
         self.rewards = rewards
         self.delays = delays
         self.covered = 0
-        self.nodes = [0] * (horizon + 3)  # 1-based: node d + 1 is delay d
+        self.wait = wait
+        self.inside = 0
+        self.late = [0] * (horizon + 2)
         self.scale = 1
 
     def total(self, count: int, wait: int) -> float:
         """Sum of ``rewards[i]`` over ``i < count`` with ``delays[i] <= wait``.
 
-        ``count`` is at least ``covered``, which it becomes.
+        ``count`` is at least ``covered`` and ``wait`` at least ``self.wait``;
+        both become the cursor's.
         """
-        nodes = self.nodes
-        size = len(nodes)
+        late = self.late
+        inside = self.inside
+        if wait > self.wait:
+            inside += sum(late[self.wait + 1 : wait + 1])
+            self.wait = wait
         rewards, delays = self.rewards, self.delays
         for position in range(self.covered, count):
             reward = rewards[position]
@@ -171,20 +183,18 @@ class _WaitedSums:
             num, den = reward.as_integer_ratio()
             if den > self.scale:  # denominators are powers of two: rescaling is exact
                 factor = den // self.scale
-                nodes[:] = [v * factor for v in nodes]
+                late[:] = [v * factor for v in late]
+                inside *= factor
                 self.scale = den
             num *= self.scale // den
             delay = delays[position]
-            i = delay + 1 if delay > 0 else 1
-            while i < size:
-                nodes[i] += num
-                i += i & -i
+            if delay <= wait:
+                inside += num
+            else:
+                late[delay] += num
         self.covered = count
-        total, i = 0, min(wait + 1, size - 1)
-        while i:
-            total += nodes[i]
-            i &= i - 1
-        return total / self.scale
+        self.inside = inside
+        return inside / self.scale
 
 
 class DelayedBanditEnv:
@@ -204,7 +214,7 @@ class DelayedBanditEnv:
         self._arm_rounds = [[] for _ in range(K)]
         self._arm_delays = [[] for _ in range(K)]
         self._arm_rewards = [[] for _ in range(K)]
-        self._arm_trees = [[] for _ in range(K)]
+        self._arm_cursors = [[] for _ in range(K)]
 
     @property
     def round(self) -> int:

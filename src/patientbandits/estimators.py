@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .distributions import DelayLaw, check_int, check_real
@@ -89,6 +89,9 @@ class AdaptParams:
     mu_floor: float
     K: int
     T: int
+    # (c / 2) ** (1 / alpha_floor), the short wait's share of the long one;
+    # computed once here, as window_pair needs it every round.
+    window_factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < check_real("c", self.c) <= 1.0:
@@ -101,6 +104,7 @@ class AdaptParams:
             )
         check_int("K", self.K, 1)
         check_int("T", self.T, 1)
+        object.__setattr__(self, "window_factor", (self.c / 2.0) ** (1.0 / self.alpha_floor))
 
 
 def mu_hat(sum_arrived: float, pulls: int) -> float:
@@ -204,24 +208,61 @@ def alpha_hat(diff: float, pulls_of_leader: int) -> float:
     return min(-math.log(diff) / math.log(pulls_of_leader), 0.5)
 
 
+def alpha_bar_offset(params: AdaptParams, delta: float) -> float:
+    """Numerator of :func:`alpha_bar`'s correction, constant over an episode:
+    ``log(2**3.5 * b / (c * mu_floor))`` with ``b = deviation(1, delta)``."""
+    return math.log(2.0**3.5 * deviation(1, delta) / (params.c * params.mu_floor))
+
+
 def alpha_bar(
-    ahat: float, pulls_of_leader: int, params: AdaptParams, delta: float
+    ahat: float,
+    pulls_of_leader: int,
+    params: AdaptParams,
+    delta: float,
+    offset: Optional[float] = None,
 ) -> float:
     """High-probability lower confidence bound on the tail index.
 
-    Shifts the point estimate down by the estimation-noise allowance and
-    clips at zero; feeding the radius a too-small index is safe (more
-    patience), a too-large one is not.
+    Shifts the point estimate down by the estimation-noise allowance
+    ``offset / log(pulls_of_leader)`` and clips at zero; feeding the radius
+    a too-small index is safe (more patience), a too-large one is not.
+    ``offset`` is ``alpha_bar_offset(params, delta)``, computed here unless
+    a caller that asks every round passes it.
     """
     if pulls_of_leader < 2:
         raise InsufficientDataError(
             f"need at least 2 pulls of the leader, got {pulls_of_leader}"
         )
-    b = deviation(1, delta)
-    correction = math.log(2.0**3.5 * b / (params.c * params.mu_floor)) / math.log(
-        pulls_of_leader
-    )
-    return max(ahat - correction, 0.0)
+    if offset is None:
+        offset = alpha_bar_offset(params, delta)
+    return max(ahat - offset / math.log(pulls_of_leader), 0.0)
+
+
+def alpha_bar_activation(K: int, T: int, params: AdaptParams) -> Union[int, float]:
+    """Smallest leader pull count ``n`` with ``alpha_bar(0.5, n, ...) > 0``.
+
+    As ``alpha_hat`` is at most 0.5, below this count the adaptive policy's
+    bound is 0 on every round, and it runs as UCB plus a constant bias. That
+    needs ``n > exp(2 * offset)`` (see :func:`alpha_bar_offset`); the float
+    rounding at the threshold is settled by ``alpha_bar`` itself. ``delta``
+    is the policies' default ``1 / (K * T**3)``. ``math.inf`` when the
+    threshold is beyond the float range.
+    """
+    delta = UcbParams(alpha=None, K=K, T=T).delta
+    offset = alpha_bar_offset(params, delta)
+
+    def active(n: int) -> bool:
+        return alpha_bar(0.5, n, params, delta, offset) > 0.0
+
+    try:
+        n = max(2, math.floor(math.exp(2.0 * offset)) + 1)
+    except OverflowError:
+        return math.inf
+    while n > 2 and active(n - 1):
+        n -= 1
+    while not active(n):
+        n += 1
+    return n
 
 
 def window_pair(pulls_of_leader: int, params: AdaptParams) -> tuple[int, int]:
@@ -238,6 +279,5 @@ def window_pair(pulls_of_leader: int, params: AdaptParams) -> tuple[int, int]:
             f"need at least 2 pulls of the leader, got {pulls_of_leader}"
         )
     long_wait = pulls_of_leader // 2
-    factor = (params.c / 2.0) ** (1.0 / params.alpha_floor)
-    short_wait = max(1, math.floor(factor * long_wait))
+    short_wait = max(1, math.floor(params.window_factor * long_wait))
     return long_wait, short_wait

@@ -136,6 +136,7 @@ class AdaptPatientBandits(OptimisticIndex):
             K=n_arms,
             T=horizon,
         )
+        self._alpha_bar_offset = estimators.alpha_bar_offset(self.tail_params, self.params.delta)
         self.alpha_bar_history = []
 
     def current_alpha_bar(self, view: ObservationView) -> float:
@@ -150,7 +151,9 @@ class AdaptPatientBandits(OptimisticIndex):
         else:
             diff = 0.0  # no usable window yet; same discounting as a null signal
         ahat = estimators.alpha_hat(diff, leader_pulls)
-        return estimators.alpha_bar(ahat, leader_pulls, self.tail_params, self.params.delta)
+        return estimators.alpha_bar(
+            ahat, leader_pulls, self.tail_params, self.params.delta, self._alpha_bar_offset
+        )
 
     def bias_alpha(self, view: ObservationView) -> float:
         abar = self.current_alpha_bar(view)

@@ -282,33 +282,113 @@ def test_a_negative_delay_counts_as_zero():
             assert view.windowed(0, wait) == _brute_window(records, 0, view.t, wait)
 
 
-@pytest.mark.parametrize("spec, most", [
+class _CountedCursor(environment._WaitedCursor):
+    """A cursor that records the buckets it sweeps and the pulls it files."""
+
+    __slots__ = ("swept", "filed")
+    built: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.swept = self.filed = 0
+        self.built.append(self)
+
+    def total(self, count, wait):
+        wait_before, covered_before = self.wait, self.covered
+        result = super().total(count, wait)
+        assert self.wait >= wait_before and self.covered >= covered_before
+        self.swept += self.wait - wait_before
+        self.filed += self.covered - covered_before
+        return result
+
+
+@pytest.fixture
+def counted_cursors(monkeypatch):
+    """Every cursor built while the test runs, in order."""
+    monkeypatch.setattr(environment, "_WaitedCursor", _CountedCursor)
+    monkeypatch.setattr(_CountedCursor, "built", [])
+    return _CountedCursor.built
+
+
+_STREAM_POLICIES = [
     pytest.param({"kind": "ducb", "m": 50, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}}, 1,
                  id="ducb"),
     pytest.param({"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5}, 2,
                  id="adapt"),
-])
-def test_an_episode_builds_a_tree_per_query_stream_and_retires_none(monkeypatch, spec, most):
-    # ducb asks one wait per arm and adapt two on the leader, each stream
-    # covering a count that never drops; a tree built on every query would
-    # still pass the brute-force tests.
-    built = []
+]
 
-    class Counted(environment._WaitedSums):
-        __slots__ = ()
 
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(environment, "_WaitedSums", Counted)
+def _figure5_episode(spec, T=3000):
     figure5 = BanditInstance(
-        [(Bernoulli(0.6), ParetoCeil(1.0)), (Bernoulli(0.8), ParetoCeil(0.3))], horizon=3000
+        [(Bernoulli(0.6), ParetoCeil(1.0)), (Bernoulli(0.8), ParetoCeil(0.3))], horizon=T
     )
     env, _ = simulate(figure5, from_spec(POLICIES, spec, "policy"), np.random.default_rng(7))
-    kept = [tree for trees in env._arm_trees for tree in trees]
-    assert built and sorted(map(id, built)) == sorted(map(id, kept))
-    assert max(len(trees) for trees in env._arm_trees) <= most
+    return env
+
+
+@pytest.mark.parametrize("spec, most", _STREAM_POLICIES)
+def test_an_episode_builds_a_cursor_per_query_stream_and_retires_none(counted_cursors, spec, most):
+    # ducb asks one wait per arm and adapt two on the leader, each stream
+    # with a wait and a count that never drop; a cursor built on every query
+    # would still pass the brute-force tests.
+    env = _figure5_episode(spec)
+    kept = [cursor for cursors in env._arm_cursors for cursor in cursors]
+    assert counted_cursors and sorted(map(id, counted_cursors)) == sorted(map(id, kept))
+    assert max(len(cursors) for cursors in env._arm_cursors) <= most
+
+
+@pytest.mark.parametrize("spec, most", _STREAM_POLICIES)
+def test_an_episode_files_each_pull_once_per_stream(counted_cursors, spec, most):
+    # O(1) amortised per query: over the episode a cursor sweeps each delay
+    # bucket at most once and files each of its arm's pulls at most once, so
+    # the streams together file at most `most` times T pulls. Rebuilding on
+    # every query would file O(T**2).
+    T = 3000
+    env = _figure5_episode(spec, T)
+    for cursors, rounds in zip(env._arm_cursors, env._arm_rounds):
+        for cursor in cursors:
+            assert cursor.swept <= T + 2
+            assert cursor.filed == cursor.covered <= len(rounds)
+    assert sum(cursor.filed for cursor in counted_cursors) <= most * T
+
+
+@st.composite
+def monotone_streams(draw, T):
+    """A long and a short wait per round 1..T: neither drops nor rises by more
+    than one a round, so neither window's count drops, and the short wait
+    stays below the long wait of the round before."""
+    steps = st.lists(st.tuples(st.booleans(), st.booleans()), min_size=T - 1, max_size=T - 1)
+    long_wait = draw(st.integers(1, 4))
+    short_wait = draw(st.integers(0, long_wait - 1))
+    waits = [(long_wait, short_wait)]
+    for rise_long, rise_short in draw(steps):
+        short_wait = min(short_wait + rise_short, long_wait - 1)
+        long_wait += rise_long
+        waits.append((long_wait, short_wait))
+    return waits
+
+
+@given(instance=instances(), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_two_monotone_streams_keep_one_cursor_each(instance, seed, data):
+    # adapt's shape: each round a long wait, then a short one, on one arm.
+    # The long query must not take the short stream's cursor (nor the other
+    # way round), or a stream rebuilds.
+    views, records = _replay_uniform(instance, seed)
+    arm = data.draw(st.integers(0, instance.n_arms - 1))
+    waits = data.draw(monotone_streams(instance.horizon))
+    env = views[0]._env
+    started = False
+    for view, (long_wait, short_wait) in zip(views, waits):
+        long_window = _brute_window(records, arm, view.t, long_wait)
+        started = started or long_window[0] > 0  # the long stream builds first
+        if started:
+            assert view.windowed(arm, long_wait) == long_window
+            assert view.windowed(arm, short_wait) == _brute_window(
+                records, arm, view.t, short_wait
+            )
+    # Nothing is retired below _CURSORS_PER_ARM, so these are all that were built.
+    assert len(env._arm_cursors[arm]) == (2 if started else 0)
 
 
 def test_determinism_bit_for_bit():

@@ -15,6 +15,7 @@ from patientbandits.estimators import (
     UcbParams,
     UndefinedEstimatorError,
     alpha_bar,
+    alpha_bar_activation,
     alpha_hat,
     bias_bound_oracle,
     confidence_radius,
@@ -210,6 +211,60 @@ def test_alpha_bar_range_and_limit():
     assert 0.5 - alpha_bar(0.5, 10**300, params, delta) < 0.01
     with pytest.raises(InsufficientDataError):
         alpha_bar(0.5, 1, params, delta)
+
+
+@given(
+    ahat=st.floats(0.0, 0.5),
+    pulls=st.integers(2, 10**7),
+    c=st.floats(1e-3, 1.0),
+    alpha_floor=st.floats(0.05, 3.0),
+    mu_floor=st.floats(1e-3, 10.0),
+    T=st.integers(2, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_hoisted_constants_keep_the_per_round_bits(ahat, pulls, c, alpha_floor, mu_floor, T):
+    # The per-round formulas as written before their constants were hoisted.
+    params = _adapt_params(c=c, alpha_floor=alpha_floor, mu_floor=mu_floor, T=T)
+    delta = UcbParams(alpha=None, K=2, T=T).delta
+    correction = math.log(2.0**3.5 * deviation(1, delta) / (c * mu_floor)) / math.log(pulls)
+    assert alpha_bar(ahat, pulls, params, delta) == max(ahat - correction, 0.0)
+    factor = (c / 2.0) ** (1.0 / alpha_floor)
+    assert window_pair(pulls, params)[1] == max(1, math.floor(factor * (pulls // 2)))
+
+
+@pytest.mark.parametrize("T, thousands", [(3000, 26.0), (10**4, 29.7), (3 * 10**4, 33.1),
+                                          (10**5, 36.8)])
+def test_alpha_bar_activation_matches_the_horizon_table(T, thousands):
+    # K = 2, c = 1, mu_floor = 0.5, the default delta: adapt is UCB plus a
+    # constant until its leader has this many pulls.
+    params = _adapt_params(c=1.0, alpha_floor=0.2, mu_floor=0.5, T=T)
+    n = alpha_bar_activation(2, T, params)
+    assert round(n / 1000, 1) == thousands
+    delta = 1.0 / (2 * T**3)
+    assert alpha_bar(0.5, n - 1, params, delta) == 0.0 < alpha_bar(0.5, n, params, delta)
+
+
+@given(
+    c=st.floats(1e-3, 1.0),
+    mu_floor=st.floats(1e-3, 10.0),
+    K=st.integers(1, 8),
+    T=st.integers(2, 10**6),
+)
+@settings(max_examples=100, deadline=None)
+def test_alpha_bar_activation_is_the_first_positive_count(c, mu_floor, K, T):
+    params = _adapt_params(c=c, mu_floor=mu_floor, K=K, T=T)
+    delta = UcbParams(alpha=None, K=K, T=T).delta
+    n = alpha_bar_activation(K, T, params)
+    assert alpha_bar(0.5, n, params, delta) > 0.0
+    if n > 2:
+        assert alpha_bar(0.5, n - 1, params, delta) == 0.0
+
+
+def test_alpha_bar_activation_at_its_extremes():
+    # A large mean floor makes the correction negative: active from 2 pulls.
+    assert alpha_bar_activation(2, 1000, _adapt_params(mu_floor=1e6)) == 2
+    # A threshold beyond the float range: never active at any horizon.
+    assert alpha_bar_activation(2, 1000, _adapt_params(c=1e-150, mu_floor=1e-150)) == math.inf
 
 
 def test_window_pair_values():
