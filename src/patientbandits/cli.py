@@ -38,12 +38,13 @@ Parameters go to the class unconverted (tables ``REWARD_LAWS``,
 not an integer (``T``, ``runs``, ``master_seed``, ``d``, ``d0``, ``d1``,
 ``m``, each checkpoint) is a config error, as are checkpoints that do not
 rise strictly within ``[1, T]``, a real parameter that is a bool, a string
-or NaN, a non-string ``name`` or ``output``, and ``notes`` that are not a
-list of strings. So is a ``T`` whose episode cannot be allocated (its
-arrival calendar takes ``T + 2`` slots), whatever the policy. A
-``--scale`` that is not positive and finite, and a ``lowerbound`` with
-``--T`` below 2 or an ``--alpha`` that is not positive and finite, exit 1
-too.
+or NaN, a ``delta`` below about 1.1e-308, an arm key other than ``reward``
+and ``delay``, a non-string ``name`` or ``output``, a CSV file name
+(``output``, or ``name`` + ``.csv``) that is not a bare file name, and
+``notes`` that are not a list of strings. So is a ``T`` whose episode
+cannot be allocated, whatever the policy. A ``--scale`` that is not
+positive and finite, and a ``lowerbound`` with ``--T`` below 2 or an
+``--alpha`` that is not positive and finite, exit 1 too.
 
 Running a config writes a CSV with header
 ``policy,run_count,round,mean_regret,stderr`` plus a ``.meta.json`` sidecar
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import DELAY_LAWS, REWARD_LAWS, assumption1_margin, check_int, from_spec
-from .environment import BanditInstance, DelayedBanditEnv
+from .environment import BanditInstance
 from .harness import MonteCarloResult, _validated_checkpoints, monte_carlo
 from .policies import POLICIES
 from .theory import make_lower_bound_pair, observable_mean
@@ -118,6 +119,16 @@ class ExperimentConfig:
                 raise ConfigError(f"field {key!r} must be a string, got {value!r}")
         if name is not None and ("," in name or "\n" in name):
             raise ConfigError("field 'name' must not contain commas or newlines")
+        # The CSV goes into the output directory, and nowhere else.
+        csv_name = output if output is not None else (name + ".csv" if name else None)
+        if csv_name is not None and (
+            csv_name in ("", ".", "..") or os.path.basename(csv_name) != csv_name
+            or "\0" in csv_name
+        ):
+            raise ConfigError(
+                f"CSV file name {csv_name!r} (from 'output', or 'name' + '.csv') must be "
+                "a bare file name: no directory part, and not '', '.' or '..'"
+            )
         if not isinstance(notes, (list, tuple)) or not all(isinstance(n, str) for n in notes):
             raise ConfigError(f"field 'notes' must be a list of strings, got {notes!r}")
         arms = data["arms"]
@@ -127,6 +138,9 @@ class ExperimentConfig:
             for part in ("reward", "delay"):
                 if not isinstance(arm, Mapping) or part not in arm:
                     raise ConfigError(f"arms[{i}] is missing its {part!r} law")
+            unknown = set(arm) - {"reward", "delay"}
+            if unknown:
+                raise ConfigError(f"arms[{i}] has unknown keys: {sorted(unknown)}")
         T = _int_field("T")
         checkpoints = data.get("checkpoints")
         if checkpoints is not None:
@@ -145,11 +159,10 @@ class ExperimentConfig:
             output=output,
             notes=tuple(notes),
         )
+        cfg.build_instance()  # law and shape errors surface at parse time
         try:
-            # Law, shape and parameter errors surface at parse time, and so
-            # does a horizon whose episode cannot be allocated, whatever the
-            # policy.
-            DelayedBanditEnv(cfg.build_instance())
+            # So do parameter errors, and a horizon too large for the table
+            # policies' radius table. No episode is allocated here.
             cfg.build_policy()
         except MemoryError:
             raise ConfigError(f"T={T} is too large for memory") from None
@@ -227,7 +240,8 @@ def dump_config(config: ExperimentConfig) -> str:
 
 
 def execute(config: ExperimentConfig, n_jobs: int = 1) -> MonteCarloResult:
-    # Parsing allocates only the calendar; the episode itself may not fit.
+    # Parsing allocates no episode: a horizon too large for its calendar, or
+    # for the rest of the episode, fails here.
     try:
         return monte_carlo(
             config.build_instance(),

@@ -100,7 +100,8 @@ class ObservationView:
         s <= t - wait; ``total`` sums those of their rewards whose delay is
         <= wait. Every contributing reward arrived by round s + wait <= t, so
         nothing unobserved leaks out. A wait of t or more includes no pull
-        and gives ``(0, 0.0)``. ``wait`` must be an integer.
+        and gives ``(0, 0.0)``. ``arm`` must lie in [0, K) and ``wait`` must
+        be an integer; anything else raises ``ValueError``.
 
         The total comes from the arm's cursor with the largest
         ``(wait, covered)`` that neither waits longer nor covers more pulls
@@ -111,6 +112,8 @@ class ObservationView:
             wait = int(check_int("wait", wait))
         if wait < 0:
             raise ValueError(f"wait must be nonnegative, got {wait}")
+        if not 0 <= arm < len(self.counts):
+            raise ValueError(f"arm {arm} out of range [0, {len(self.counts)})")
         env = self._env
         count = bisect_right(env._arm_rounds[arm], self.t - wait, 0, self.counts[arm])
         if count == 0:
@@ -250,12 +253,16 @@ class DelayedBanditEnv:
         [0, 1). This is the stream contract, and the only place that reads
         the stream: two uniforms per pull, the reward's first (arguments are
         evaluated left to right), whatever the laws. Reproducibility of whole
-        episodes, and coupled runs, hang on this.
+        episodes, and coupled runs, hang on this. An ``arm`` outside [0, K)
+        raises ``RuntimeError`` before the stream is read, leaving the
+        episode as it was.
         """
         s = self._round
         T = self.instance.horizon
         if s > T:
             raise EpisodeComplete(f"episode over: cannot pull at round {s} > horizon {T}")
+        if not 0 <= arm < len(self._counts):
+            raise RuntimeError(f"arm {arm} out of range [0, {len(self._counts)}) at round {s}")
         reward, delay = self.instance.draw(arm, uniform(), uniform())
         # Clamp: any delay past the horizon (even an infinite one) behaves
         # identically within the episode.

@@ -51,7 +51,8 @@ class UcbParams:
     ``alpha`` may be a positive float, a per-round schedule ``t -> alpha_t``
     (e.g. :func:`log_log_schedule`), or ``None`` for a radius without the
     bias term. ``delta`` defaults to ``1 / (K * T**3)``, which needs
-    ``K * T > 1`` to lie below 1.
+    ``K * T > 1`` to lie below 1. It must also be large enough, about
+    1.1e-308 and up, that ``log(2 / delta)`` is finite.
     """
 
     alpha: Optional[AlphaInput]
@@ -73,6 +74,11 @@ class UcbParams:
             object.__setattr__(self, "delta", 1.0 / (self.K * self.T**3))
         if not 0.0 < check_real("delta", self.delta) < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if 2.0 / self.delta == math.inf:  # every radius would be +inf
+            raise ValueError(
+                f"delta must be at least about 1.1e-308, got {self.delta}: "
+                "log(2/delta) overflows"
+            )
 
 
 @dataclass(frozen=True)
@@ -214,27 +220,18 @@ def alpha_bar_offset(params: AdaptParams, delta: float) -> float:
     return math.log(2.0**3.5 * deviation(1, delta) / (params.c * params.mu_floor))
 
 
-def alpha_bar(
-    ahat: float,
-    pulls_of_leader: int,
-    params: AdaptParams,
-    delta: float,
-    offset: Optional[float] = None,
-) -> float:
+def alpha_bar(ahat: float, pulls_of_leader: int, offset: float) -> float:
     """High-probability lower confidence bound on the tail index.
 
     Shifts the point estimate down by the estimation-noise allowance
     ``offset / log(pulls_of_leader)`` and clips at zero; feeding the radius
     a too-small index is safe (more patience), a too-large one is not.
-    ``offset`` is ``alpha_bar_offset(params, delta)``, computed here unless
-    a caller that asks every round passes it.
+    ``offset`` is ``alpha_bar_offset(params, delta)``, constant over an episode.
     """
     if pulls_of_leader < 2:
         raise InsufficientDataError(
             f"need at least 2 pulls of the leader, got {pulls_of_leader}"
         )
-    if offset is None:
-        offset = alpha_bar_offset(params, delta)
     return max(ahat - offset / math.log(pulls_of_leader), 0.0)
 
 
@@ -248,11 +245,10 @@ def alpha_bar_activation(K: int, T: int, params: AdaptParams) -> Union[int, floa
     is the policies' default ``1 / (K * T**3)``. ``math.inf`` when the
     threshold is beyond the float range.
     """
-    delta = UcbParams(alpha=None, K=K, T=T).delta
-    offset = alpha_bar_offset(params, delta)
+    offset = alpha_bar_offset(params, UcbParams(alpha=None, K=K, T=T).delta)
 
     def active(n: int) -> bool:
-        return alpha_bar(0.5, n, params, delta, offset) > 0.0
+        return alpha_bar(0.5, n, offset) > 0.0
 
     try:
         n = max(2, math.floor(math.exp(2.0 * offset)) + 1)

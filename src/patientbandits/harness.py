@@ -131,14 +131,7 @@ def simulate(
     mark = next(marks)
     regret = []
     for t in range(1, T + 1):
-        view = env.observe()
-        arm = policy.select(view, select_rng)
-        if not 0 <= arm < K:
-            raise RuntimeError(
-                f"policy {policy.label!r} selected arm {arm} out of range "
-                f"[0, {K}) at round {t}"
-            )
-        env.pull(arm, uniform)
+        env.pull(policy.select(env.observe(), select_rng), uniform)
         if t == mark:
             regret.append(env.true_pseudo_regret())
             mark = next(marks, 0)

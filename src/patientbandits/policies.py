@@ -139,8 +139,8 @@ class AdaptPatientBandits(OptimisticIndex):
         self._alpha_bar_offset = estimators.alpha_bar_offset(self.tail_params, self.params.delta)
         self.alpha_bar_history = []
 
-    def current_alpha_bar(self, view: ObservationView) -> float:
-        """Tail-index lower bound computable from this round's view."""
+    def bias_alpha(self, view: ObservationView) -> float:
+        """The tail-index lower bound computable from this round's view, recorded."""
         leader_pulls = max(view.counts)
         leader = view.counts.index(leader_pulls)  # the lowest index on ties
         long_wait, short_wait = estimators.window_pair(leader_pulls, self.tail_params)
@@ -151,12 +151,7 @@ class AdaptPatientBandits(OptimisticIndex):
         else:
             diff = 0.0  # no usable window yet; same discounting as a null signal
         ahat = estimators.alpha_hat(diff, leader_pulls)
-        return estimators.alpha_bar(
-            ahat, leader_pulls, self.tail_params, self.params.delta, self._alpha_bar_offset
-        )
-
-    def bias_alpha(self, view: ObservationView) -> float:
-        abar = self.current_alpha_bar(view)
+        abar = estimators.alpha_bar(ahat, leader_pulls, self._alpha_bar_offset)
         self.alpha_bar_history.append(abar)
         return abar
 

@@ -270,8 +270,63 @@ def test_bad_parameter_or_spec_is_named(tmp_path, capsys, config, named):
     assert err.startswith("error:") and f"{named} must be" in err and "format" not in err
 
 
+@pytest.mark.parametrize("policy", [
+    {"kind": "patient", "alpha": 0.3, "delta": 5e-324},
+    {"kind": "ucb", "delta": 1e-320},
+    {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5, "delta": 1e-309},
+], ids=lambda spec: spec["kind"])
+def test_delta_whose_log_overflows_exits_1(tmp_path, capsys, policy):
+    # log(2 / delta) is +inf: every index would be +inf, and arm 0 played forever.
+    path = _write(tmp_path, {**TWO_ARM, "T": 200, "checkpoints": [200], "policy": policy})
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "delta must be at least" in err
+    assert repr(policy["delta"]) in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_unknown_arm_key_exits_1(tmp_path, capsys):
+    arms = [TWO_ARM["arms"][0], {**TWO_ARM["arms"][1], "weight": 3}]
+    path = _write(tmp_path, {**TWO_ARM, "arms": arms})
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "arms[1]" in err and "'weight'" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("fields", [
+    {"output": ""},
+    {"output": "."},
+    {"output": ".."},
+    {"output": "missing/x.csv"},
+    {"output": "ABSOLUTE"},
+    {"output": "x\0.csv"},
+    {"name": "x/y"},
+], ids=repr)
+def test_csv_name_that_is_not_a_bare_file_name_exits_1(tmp_path, capsys, fields):
+    # Checked at parse time: the config never runs, and nothing is written.
+    elsewhere = tmp_path / "elsewhere.csv"
+    if fields.get("output") == "ABSOLUTE":
+        fields = {"output": str(elsewhere)}
+    out = tmp_path / "out"
+    path = _write(tmp_path, {**MINIMAL, **fields})
+    assert main(["run", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bare file name" in err
+    assert not out.exists() or not list(out.iterdir())
+    assert not elsewhere.exists()
+
+
+def test_parsing_allocates_no_episode():
+    # ducb has no radius table, so nothing at parse time scales with T; the
+    # run fails instead (test_horizon_too_large_for_memory_exits_1_for_every_policy).
+    policy = {"kind": "ducb", "m": 10, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}}
+    config = ExperimentConfig.from_dict({**MINIMAL, "T": 2**61, "policy": policy})
+    assert config.T == 2**61
+
+
 def test_horizon_too_large_for_memory_exits_1(tmp_path, capsys):
-    # A calendar of 2**61 slots fails its size check before anything is allocated.
+    # A radius table of 2**61 slots fails its size check before anything is allocated.
     path = _write(tmp_path, {**TWO_ARM, "T": 2**61})
     assert main(["run", path, "--out", str(tmp_path)]) == 1
     assert f"T={2**61} is too large for memory" in capsys.readouterr().err
@@ -298,8 +353,9 @@ HUGE_T_POLICIES = [
 
 
 @pytest.mark.parametrize("T, limit_mib", [
-    # The calendar's own allocation fails at parse time, at once, far below
-    # the limit.
+    # Far below the limit and at once: the radius table of patient, adapt
+    # and ucb fails at parse time, the calendar of ducb and uniform when the
+    # run allocates it.
     pytest.param(2**61, 1536, id=str(2**61)),
     pytest.param(10**12, 1536, id=str(10**12)),
     # The calendar fits, but the episode does not: the uniform block, or the

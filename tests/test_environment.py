@@ -433,6 +433,34 @@ def test_pull_past_horizon_raises():
         env.observe()
 
 
+@pytest.mark.parametrize("arm", [-1, 2])
+def test_pull_rejects_an_arm_out_of_range_before_reading_the_stream(arm):
+    env = DelayedBanditEnv(BanditInstance([_arm(), _arm()], horizon=5))
+    rng = np.random.default_rng(0)
+    env.pull(1, rng.random)
+    read = []
+
+    def uniform():
+        read.append(None)
+        return rng.random()
+
+    before = (env.round, env.pull_counts, env.pull_records(), env.censored_count)
+    with pytest.raises(RuntimeError, match=rf"arm {arm} out of range \[0, 2\) at round 2"):
+        env.pull(arm, uniform)
+    assert not read
+    assert (env.round, env.pull_counts, env.pull_records(), env.censored_count) == before
+
+
+@pytest.mark.parametrize("arm", [-1, 2])
+def test_windowed_rejects_an_arm_out_of_range(arm):
+    env = DelayedBanditEnv(BanditInstance([_arm(), _arm()], horizon=5))
+    rng = np.random.default_rng(0)
+    env.pull(0, rng.random)
+    env.pull(1, rng.random)
+    with pytest.raises(ValueError, match=rf"arm {arm} out of range \[0, 2\)"):
+        env.observe().windowed(arm, 1)
+
+
 def test_true_pseudo_regret():
     inst = BanditInstance([(Bernoulli(0.7), Dirac(0)), (Bernoulli(0.5), Dirac(0))], 20)
     env = DelayedBanditEnv(inst)

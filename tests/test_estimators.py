@@ -16,6 +16,7 @@ from patientbandits.estimators import (
     UndefinedEstimatorError,
     alpha_bar,
     alpha_bar_activation,
+    alpha_bar_offset,
     alpha_hat,
     bias_bound_oracle,
     confidence_radius,
@@ -192,25 +193,25 @@ def test_alpha_bar_hand_value():
     # ahat = 0.5, c = mu_floor = 1, K = 2, T = 1000, leader pulls = 1e6:
     # 0.5 - ln(16 * sqrt(ln(4e9))) / ln(1e6) = 0.18726
     params = _adapt_params()
-    delta = 1.0 / (2 * 1000**3)
-    assert alpha_bar(0.5, 10**6, params, delta) == pytest.approx(0.1872, abs=5e-4)
-    assert alpha_bar(0.0, 10**6, params, delta) == 0.0
+    offset = alpha_bar_offset(params, 1.0 / (2 * 1000**3))
+    assert alpha_bar(0.5, 10**6, offset) == pytest.approx(0.1872, abs=5e-4)
+    assert alpha_bar(0.0, 10**6, offset) == 0.0
 
 
 def test_alpha_bar_range_and_limit():
     params = _adapt_params()
-    delta = 1.0 / (2 * 1000**3)
+    offset = alpha_bar_offset(params, 1.0 / (2 * 1000**3))
     for pulls in (2, 10, 1000, 10**6):
         for ahat in (0.0, 0.2, 0.5):
-            value = alpha_bar(ahat, pulls, params, delta)
+            value = alpha_bar(ahat, pulls, offset)
             assert 0.0 <= value <= 0.5
             assert value <= ahat
     # The correction decays like 1 / log(pulls): the bound approaches ahat.
-    gaps = [0.5 - alpha_bar(0.5, p, params, delta) for p in (10**3, 10**6, 10**12)]
+    gaps = [0.5 - alpha_bar(0.5, p, offset) for p in (10**3, 10**6, 10**12)]
     assert gaps[0] > gaps[1] > gaps[2]
-    assert 0.5 - alpha_bar(0.5, 10**300, params, delta) < 0.01
+    assert 0.5 - alpha_bar(0.5, 10**300, offset) < 0.01
     with pytest.raises(InsufficientDataError):
-        alpha_bar(0.5, 1, params, delta)
+        alpha_bar(0.5, 1, offset)
 
 
 @given(
@@ -227,7 +228,7 @@ def test_hoisted_constants_keep_the_per_round_bits(ahat, pulls, c, alpha_floor, 
     params = _adapt_params(c=c, alpha_floor=alpha_floor, mu_floor=mu_floor, T=T)
     delta = UcbParams(alpha=None, K=2, T=T).delta
     correction = math.log(2.0**3.5 * deviation(1, delta) / (c * mu_floor)) / math.log(pulls)
-    assert alpha_bar(ahat, pulls, params, delta) == max(ahat - correction, 0.0)
+    assert alpha_bar(ahat, pulls, alpha_bar_offset(params, delta)) == max(ahat - correction, 0.0)
     factor = (c / 2.0) ** (1.0 / alpha_floor)
     assert window_pair(pulls, params)[1] == max(1, math.floor(factor * (pulls // 2)))
 
@@ -240,8 +241,8 @@ def test_alpha_bar_activation_matches_the_horizon_table(T, thousands):
     params = _adapt_params(c=1.0, alpha_floor=0.2, mu_floor=0.5, T=T)
     n = alpha_bar_activation(2, T, params)
     assert round(n / 1000, 1) == thousands
-    delta = 1.0 / (2 * T**3)
-    assert alpha_bar(0.5, n - 1, params, delta) == 0.0 < alpha_bar(0.5, n, params, delta)
+    offset = alpha_bar_offset(params, 1.0 / (2 * T**3))
+    assert alpha_bar(0.5, n - 1, offset) == 0.0 < alpha_bar(0.5, n, offset)
 
 
 @given(
@@ -253,11 +254,11 @@ def test_alpha_bar_activation_matches_the_horizon_table(T, thousands):
 @settings(max_examples=100, deadline=None)
 def test_alpha_bar_activation_is_the_first_positive_count(c, mu_floor, K, T):
     params = _adapt_params(c=c, mu_floor=mu_floor, K=K, T=T)
-    delta = UcbParams(alpha=None, K=K, T=T).delta
+    offset = alpha_bar_offset(params, UcbParams(alpha=None, K=K, T=T).delta)
     n = alpha_bar_activation(K, T, params)
-    assert alpha_bar(0.5, n, params, delta) > 0.0
+    assert alpha_bar(0.5, n, offset) > 0.0
     if n > 2:
-        assert alpha_bar(0.5, n - 1, params, delta) == 0.0
+        assert alpha_bar(0.5, n - 1, offset) == 0.0
 
 
 def test_alpha_bar_activation_at_its_extremes():
