@@ -39,7 +39,8 @@ not an integer (``T``, ``runs``, ``master_seed``, ``d``, ``d0``, ``d1``,
 ``m``, each checkpoint) is a config error, as are checkpoints that do not
 rise strictly within ``[1, T]``, a real parameter that is a bool, a string
 or NaN, a ``delta`` below about 1.1e-308, an arm key other than ``reward``
-and ``delay``, a non-string ``name`` or ``output``, a CSV file name
+and ``delay``, a non-string ``name`` or ``output``, an empty ``name`` or
+one with a comma, a double quote, ``\\n`` or ``\\r``, a CSV file name
 (``output``, or ``name`` + ``.csv``) that is not a bare file name, and
 ``notes`` that are not a list of strings. So is a ``T`` whose episode
 cannot be allocated, whatever the policy. A ``--scale`` that is not
@@ -117,8 +118,14 @@ class ExperimentConfig:
         for key, value in (("name", name), ("output", output)):
             if value is not None and not isinstance(value, str):
                 raise ConfigError(f"field {key!r} must be a string, got {value!r}")
-        if name is not None and ("," in name or "\n" in name):
-            raise ConfigError("field 'name' must not contain commas or newlines")
+        # The name is an unquoted CSV cell: a line break splits its row, a quote
+        # opens a quoted cell, and "" labels the rows with nothing while the file
+        # is named after the config.
+        if name is not None and (name == "" or any(ch in name for ch in ',"\n\r')):
+            raise ConfigError(
+                f"field 'name' must be nonempty, without commas, quotes or line breaks, "
+                f"got {name!r}"
+            )
         # The CSV goes into the output directory, and nowhere else.
         csv_name = output if output is not None else (name + ".csv" if name else None)
         if csv_name is not None and (

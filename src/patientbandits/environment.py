@@ -139,8 +139,9 @@ class ObservationView:
 # Waited-sum cursors kept per arm. A cursor only moves forward, in wait and in
 # pulls covered, so a stream of queries whose wait and count never drop costs
 # O(1) amortised on one cursor: a ducb episode builds one per arm, an adapt
-# episode one for each of the leader's two waits. Any other query builds a
-# cursor, at O(count + T).
+# episode one for each of the leader's two waits, and none while its leader is
+# below the pull count where its tail-index bound can turn positive. Any other
+# query builds a cursor, at O(count + T).
 _CURSORS_PER_ARM = 4
 
 

@@ -235,30 +235,37 @@ def alpha_bar(ahat: float, pulls_of_leader: int, offset: float) -> float:
     return max(ahat - offset / math.log(pulls_of_leader), 0.0)
 
 
-def alpha_bar_activation(K: int, T: int, params: AdaptParams) -> Union[int, float]:
-    """Smallest leader pull count ``n`` with ``alpha_bar(0.5, n, ...) > 0``.
+def alpha_bar_threshold(offset: float) -> Union[int, float]:
+    """Smallest leader pull count ``n`` with ``alpha_bar(0.5, n, offset) > 0``.
 
-    As ``alpha_hat`` is at most 0.5, below this count the adaptive policy's
-    bound is 0 on every round, and it runs as UCB plus a constant bias. That
-    needs ``n > exp(2 * offset)`` (see :func:`alpha_bar_offset`); the float
-    rounding at the threshold is settled by ``alpha_bar`` itself. ``delta``
-    is the policies' default ``1 / (K * T**3)``. ``math.inf`` when the
-    threshold is beyond the float range.
+    As ``alpha_hat`` is at most 0.5 and ``0.5 - offset / log(n)`` rises with
+    ``n``, the bound is 0 at every count below this one, whatever the waited
+    means. That needs ``n > exp(2 * offset)``; the float rounding at the
+    threshold is settled by ``alpha_bar`` itself, in a bisection, as
+    ``log(n)`` stops changing with each unit step of a large ``n``. 2 when
+    ``offset <= 0``, ``math.inf`` when the threshold is beyond the float range.
     """
-    offset = alpha_bar_offset(params, UcbParams(alpha=None, K=K, T=T).delta)
 
     def active(n: int) -> bool:
         return alpha_bar(0.5, n, offset) > 0.0
 
     try:
-        n = max(2, math.floor(math.exp(2.0 * offset)) + 1)
+        hi = max(2, math.floor(math.exp(2.0 * offset)) + 1)
     except OverflowError:
         return math.inf
-    while n > 2 and active(n - 1):
-        n -= 1
-    while not active(n):
-        n += 1
-    return n
+    lo = 1  # below every count alpha_bar accepts, so inactive by definition
+    while not active(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if active(mid) else (mid, hi)
+    return hi
+
+
+def alpha_bar_activation(K: int, T: int, params: AdaptParams) -> Union[int, float]:
+    """:func:`alpha_bar_threshold` at the policies' default ``delta = 1 / (K * T**3)``:
+    below this leader pull count the adaptive policy runs as UCB plus a constant bias."""
+    return alpha_bar_threshold(alpha_bar_offset(params, UcbParams(alpha=None, K=K, T=T).delta))
 
 
 def window_pair(pulls_of_leader: int, params: AdaptParams) -> tuple[int, int]:

@@ -106,8 +106,10 @@ class AdaptPatientBandits(OptimisticIndex):
     Pulls every arm twice, then each round probes the most-pulled arm with
     a long and a short wait, turns the waited-mean difference into a
     tail-index estimate, lower-bounds it for confidence, and plugs that
-    bound into the patient radius. Needs only coarse structural floors
-    (``c``, ``alpha_floor``, ``mu_floor``), not the index itself.
+    bound into the patient radius. Until the most-pulled arm has enough
+    pulls for the bound to be positive, it skips the probe: the bound is 0.
+    Needs only coarse structural floors (``c``, ``alpha_floor``,
+    ``mu_floor``), not the index itself.
     """
 
     init_pulls = 2
@@ -137,11 +139,20 @@ class AdaptPatientBandits(OptimisticIndex):
             T=horizon,
         )
         self._alpha_bar_offset = estimators.alpha_bar_offset(self.tail_params, self.params.delta)
+        self._alpha_bar_threshold = estimators.alpha_bar_threshold(self._alpha_bar_offset)
         self.alpha_bar_history = []
 
     def bias_alpha(self, view: ObservationView) -> float:
-        """The tail-index lower bound computable from this round's view, recorded."""
+        """The tail-index lower bound computable from this round's view, recorded.
+
+        Exactly 0, with no window query, while the leader has fewer pulls than
+        :func:`~.estimators.alpha_bar_threshold`: rewards lie in [0, 1], so the
+        waited-mean difference is finite and ``alpha_hat`` at most 0.5.
+        """
         leader_pulls = max(view.counts)
+        if leader_pulls < self._alpha_bar_threshold:
+            self.alpha_bar_history.append(0.0)
+            return 0.0
         leader = view.counts.index(leader_pulls)  # the lowest index on ties
         long_wait, short_wait = estimators.window_pair(leader_pulls, self.tail_params)
         n_long, total_long = view.windowed(leader, long_wait)

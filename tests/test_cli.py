@@ -317,6 +317,27 @@ def test_csv_name_that_is_not_a_bare_file_name_exits_1(tmp_path, capsys, fields)
     assert not elsewhere.exists()
 
 
+def test_empty_name_exits_1(tmp_path, capsys):
+    # Accepted before: the rows carried an empty policy cell while the file
+    # was named after the config path.
+    path = _write(tmp_path, {**TWO_ARM, "name": ""})
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "field 'name' must be nonempty" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("name", ["a\rb", '"x'], ids=repr)
+def test_name_that_would_split_its_csv_row_exits_1(tmp_path, capsys, name):
+    # Accepted before: csv.reader read a row of "a\rb" as two rows, and a
+    # leading quote swallowed the rows that followed into one cell.
+    path = _write(tmp_path, {**TWO_ARM, "name": name, "output": "out.csv"})
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line breaks" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_parsing_allocates_no_episode():
     # ducb has no radius table, so nothing at parse time scales with T; the
     # run fails instead (test_horizon_too_large_for_memory_exits_1_for_every_policy).

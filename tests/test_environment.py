@@ -313,7 +313,10 @@ def counted_cursors(monkeypatch):
 _STREAM_POLICIES = [
     pytest.param({"kind": "ducb", "m": 50, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}}, 1,
                  id="ducb"),
-    pytest.param({"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5}, 2,
+    # The pinned adapt(alpha_bar>0) floors: its leader reaches the bound's threshold
+    # at 6 pulls, so it queries from then on. At mu_floor 0.5 and the default delta
+    # it would query nothing below 26,016 pulls (see the test after the next one).
+    pytest.param({"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 8.0, "delta": 0.5}, 2,
                  id="adapt"),
 ]
 
@@ -350,6 +353,12 @@ def test_an_episode_files_each_pull_once_per_stream(counted_cursors, spec, most)
             assert cursor.swept <= T + 2
             assert cursor.filed == cursor.covered <= len(rounds)
     assert sum(cursor.filed for cursor in counted_cursors) <= most * T
+
+
+def test_adapt_below_its_threshold_builds_no_cursor(counted_cursors):
+    # At the figure-5 floors the bound is 0 for the whole episode, so no window is read.
+    env = _figure5_episode({"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5})
+    assert counted_cursors == [] and env._arm_cursors == [[], []]
 
 
 @st.composite

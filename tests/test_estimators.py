@@ -17,6 +17,7 @@ from patientbandits.estimators import (
     alpha_bar,
     alpha_bar_activation,
     alpha_bar_offset,
+    alpha_bar_threshold,
     alpha_hat,
     bias_bound_oracle,
     confidence_radius,
@@ -259,6 +260,41 @@ def test_alpha_bar_activation_is_the_first_positive_count(c, mu_floor, K, T):
     assert alpha_bar(0.5, n, offset) > 0.0
     if n > 2:
         assert alpha_bar(0.5, n - 1, offset) == 0.0
+
+
+@given(
+    c=st.floats(1e-3, 1.0),
+    mu_floor=st.floats(1e-3, 1e3),
+    K=st.integers(1, 8),
+    T=st.integers(2, 10**6),
+)
+@settings(max_examples=100, deadline=None)
+def test_alpha_bar_activation_is_the_threshold_at_the_default_delta(c, mu_floor, K, T):
+    params = _adapt_params(c=c, mu_floor=mu_floor, K=K, T=T)
+    offset = alpha_bar_offset(params, UcbParams(alpha=None, K=K, T=T).delta)
+    assert alpha_bar_activation(K, T, params) == alpha_bar_threshold(offset)
+
+
+@given(offset=st.floats(-50.0, 400.0))
+@settings(max_examples=200, deadline=None)
+def test_alpha_bar_threshold_is_the_first_positive_count(offset):
+    n = alpha_bar_threshold(offset)
+    if n == math.inf:
+        assert 2.0 * offset > 709.0  # exp(2 * offset) overflows
+        return
+    assert alpha_bar(0.5, n, offset) > 0.0
+    if n > 2:
+        assert alpha_bar(0.5, n - 1, offset) == 0.0
+    else:
+        assert offset < 0.5 * math.log(2.0)
+
+
+def test_alpha_bar_threshold_at_its_extremes():
+    assert alpha_bar_threshold(0.0) == alpha_bar_threshold(-1e300) == 2
+    assert alpha_bar_threshold(355.0) == alpha_bar_threshold(1e300) == math.inf
+    # Here log(n) changes only once n moves by about 1e294, yet the search ends.
+    n = alpha_bar_threshold(354.0)
+    assert alpha_bar(0.5, n - 1, 354.0) == 0.0 < alpha_bar(0.5, n, 354.0)
 
 
 def test_alpha_bar_activation_at_its_extremes():

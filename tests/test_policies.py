@@ -6,9 +6,18 @@ import math
 import numpy as np
 import pytest
 from conftest import FakeView
-from patientbandits.distributions import Bernoulli, Dirac, Geometric, ParetoCeil, from_spec
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from patientbandits.distributions import (
+    Bernoulli,
+    Dirac,
+    Geometric,
+    ParetoCeil,
+    PointMass,
+    from_spec,
+)
 from patientbandits.environment import BanditInstance
-from patientbandits.estimators import delay_bias, deviation
+from patientbandits.estimators import alpha_bar_activation, delay_bias, deviation
 from patientbandits.harness import simulate
 from patientbandits.policies import (
     AdaptPatientBandits,
@@ -140,18 +149,24 @@ def test_adapt_initialization_two_sweeps():
 
 
 def test_adapt_leader_is_lowest_index_on_ties():
-    policy = _ready(AdaptPatientBandits(c=1.0, alpha_floor=0.5, mu_floor=0.4), K=2, T=100)
+    # mu_floor 8 and delta 0.5 put the bound's threshold at 6 pulls, so the windows are read.
+    policy = _ready(AdaptPatientBandits(c=1.0, alpha_floor=0.5, mu_floor=8.0, delta=0.5),
+                    K=2, T=100)
     view = FakeView(counts=[6, 6], sums=[2.0, 2.0], t=13, windows={(0, 3): (4, 2.0), (0, 1): (5, 1.0)})
     policy.select(view, np.random.default_rng(0))
+    assert view.queried_windows
     assert all(arm == 0 for arm, _ in view.queried_windows)
 
 
 def test_adapt_degenerate_window_still_selects():
-    policy = _ready(AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=0.4), K=2, T=100)
+    # mu_floor 16 and delta 0.5 put the bound's threshold at 2 pulls, so the windows are read.
+    policy = _ready(AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=16.0, delta=0.5),
+                    K=2, T=100)
     # Windows answer (0, 0.0): diff collapses to the null-signal path.
     view = FakeView(counts=[3, 2], sums=[1.0, 1.0], t=6)
     arm = policy.select(view, np.random.default_rng(0))
     assert arm in (0, 1)
+    assert view.queried_windows
     assert policy.alpha_bar_history and 0.0 <= policy.alpha_bar_history[-1] <= 0.5
 
 
@@ -164,6 +179,87 @@ def test_adapt_alpha_bar_within_range_on_simulation():
     bars = trace.diagnostics["alpha_bar"]
     assert len(bars) == 600 - 2 * 2
     assert np.all((bars >= 0.0) & (bars <= 0.5))
+
+
+class _FullAdapt(AdaptPatientBandits):
+    """The same policy with the threshold forced to 2: every round reads its windows."""
+
+    def reset(self, n_arms, horizon):
+        super().reset(n_arms, horizon)
+        self._alpha_bar_threshold = 2
+
+
+def _adapt_episode(policy_class, instance, c, mu_floor, delta, seed):
+    policy = policy_class(c=c, alpha_floor=0.2, mu_floor=mu_floor, delta=delta)
+    env, trace = simulate(instance, policy, np.random.default_rng(seed))
+    return policy, env, trace
+
+
+_FIGURE5_LIKE = [(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.6), ParetoCeil(0.3))]
+_REWARDS = st.one_of(st.floats(0.0, 1.0).map(Bernoulli), st.sampled_from([0.0, 1.0]).map(PointMass))
+_DELAYS = st.one_of(st.sampled_from([0.2, 0.5, 1.0]).map(ParetoCeil), st.integers(0, 4).map(Dirac))
+
+
+@given(
+    arms=st.lists(st.tuples(_REWARDS, _DELAYS), min_size=2, max_size=3),
+    T=st.integers(10, 200),
+    c=st.floats(0.1, 1.0),
+    mu_floor=st.floats(0.5, 60.0),
+    delta=st.one_of(st.none(), st.floats(1e-6, 0.9)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# The thresholds of test_adapt_threshold_at_its_extremes: 2, infinite, and 6, where
+# the bound turns positive mid-episode.
+@example(arms=_FIGURE5_LIKE, T=100, c=1.0, mu_floor=100.0, delta=0.5, seed=1)
+@example(arms=_FIGURE5_LIKE, T=100, c=1e-3, mu_floor=1e-160, delta=None, seed=1)
+@example(arms=_FIGURE5_LIKE, T=400, c=1.0, mu_floor=8.0, delta=0.5, seed=1)
+@settings(max_examples=100, deadline=None)
+def test_adapt_threshold_shortcut_equals_the_full_computation(arms, T, c, mu_floor, delta, seed):
+    instance = BanditInstance(arms, T)
+    fast, fast_env, fast_trace = _adapt_episode(AdaptPatientBandits, instance, c, mu_floor, delta,
+                                                seed)
+    full, full_env, full_trace = _adapt_episode(_FullAdapt, instance, c, mu_floor, delta, seed)
+    assert np.array(fast.alpha_bar_history).tobytes() == np.array(full.alpha_bar_history).tobytes()
+    assert fast_env.pull_records() == full_env.pull_records()
+    assert fast_trace.regret.tobytes() == full_trace.regret.tobytes()
+
+
+@pytest.mark.parametrize("c, mu_floor, delta, threshold", [
+    (1.0, 100.0, 0.5, 2),  # offset <= 0
+    (1e-3, 1e-160, None, math.inf),  # exp(2 * offset) overflows
+    (1.0, 8.0, 0.5, 6),  # the pinned adapt(alpha_bar>0)
+])
+def test_adapt_threshold_at_its_extremes(c, mu_floor, delta, threshold):
+    policy = _ready(AdaptPatientBandits(c=c, alpha_floor=0.2, mu_floor=mu_floor, delta=delta),
+                    K=2, T=400)
+    assert policy._alpha_bar_threshold == threshold
+
+
+class _NoWindows(FakeView):
+    def windowed(self, arm, wait):
+        raise AssertionError(f"windowed({arm}, {wait}) queried below the threshold")
+
+
+def test_adapt_makes_no_window_query_below_the_threshold():
+    # The figure-5 floors at the default delta, T = 1e5: the bound stays 0 below 36,788 pulls.
+    policy = _ready(AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=0.5), K=2, T=10**5)
+    n = policy._alpha_bar_threshold
+    assert n == alpha_bar_activation(2, 10**5, policy.tail_params) == 36788
+    policy.select(_NoWindows(counts=[n - 1, 500], sums=[300.0, 200.0], t=n + 500), None)
+    assert policy.alpha_bar_history == [0.0]
+
+
+def test_adapt_queries_windows_from_the_threshold_on():
+    # The pinned adapt(alpha_bar>0) config: mu_floor 8, delta 0.5, threshold 6.
+    policy = _ready(AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=8.0, delta=0.5),
+                    K=2, T=400)
+    n = policy._alpha_bar_threshold
+    assert n == 6
+    policy.select(_NoWindows(counts=[n - 1, n - 1], sums=[2.0, 3.0], t=2 * n - 1), None)
+    view = FakeView(counts=[n, n - 1], sums=[2.0, 3.0], t=2 * n, windows={(0, 3): (3, 2.0)})
+    policy.select(view, None)
+    assert [arm for arm, _ in view.queried_windows] == [0, 0]
+    assert policy.alpha_bar_history[0] == 0.0
 
 
 def test_ducb_warm_up_is_round_robin():
@@ -229,7 +325,7 @@ def test_information_hygiene_identical_views_same_arm():
         PatientBandits(alpha=0.3),
         VanillaUcb(),
         DUcb(m=2, cdf=Dirac(1)),
-        AdaptPatientBandits(c=1.0, alpha_floor=0.3, mu_floor=0.4),
+        AdaptPatientBandits(c=1.0, alpha_floor=0.3, mu_floor=8.0, delta=0.5),  # reads windows
     ]
     windows = {(0, 1): (3, 1.0), (1, 1): (2, 2.0), (0, 2): (2, 1.0), (1, 2): (1, 1.0),
                (0, 3): (2, 1.0), (1, 3): (1, 1.0)}
