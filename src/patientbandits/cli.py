@@ -55,6 +55,7 @@ produce byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -416,6 +417,7 @@ def worker_count(text: str) -> int:
     return n
 
 
+@functools.cache  # built on the first call, not at import; main reuses it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="patientbandits", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 
@@ -129,9 +129,12 @@ class ParetoCeil:
     """
 
     alpha: float
+    # -1 / alpha, the exponent of every draw; computed once here.
+    _exponent: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_real("alpha", self.alpha, positive=True)
+        object.__setattr__(self, "_exponent", -1.0 / self.alpha)
 
     def tail(self, m: float) -> float:
         """``P(D > m) = floor(m) ** -alpha``, and 1 below m = 1."""
@@ -143,7 +146,7 @@ class ParetoCeil:
 
     def from_uniform(self, u: float):
         try:
-            return math.ceil((1.0 - u) ** (-1.0 / self.alpha))  # 1 - u is in (0, 1]
+            return math.ceil((1.0 - u) ** self._exponent)  # 1 - u is in (0, 1]
         except OverflowError:  # past any horizon
             return math.inf
 

@@ -103,10 +103,15 @@ class ObservationView:
         and gives ``(0, 0.0)``. ``arm`` must lie in [0, K) and ``wait`` must
         be an integer; anything else raises ``ValueError``.
 
-        The total comes from the arm's cursor with the largest
-        ``(wait, covered)`` that neither waits longer nor covers more pulls
-        than the query. Without one a cursor is built, retiring the arm's
-        oldest when it already has ``_CURSORS_PER_ARM``.
+        A cursor with exactly this ``wait`` that last answered for a round
+        <= t answers at once: for a fixed wait the count never falls as t
+        rises, so it covers no more pulls than the query, and it steps its
+        count forward over the pulls that entered the window since. Any
+        other query (a first one, a rising or falling wait, a stored older
+        view) takes the arm's cursor with the largest ``(wait, covered)``
+        that neither waits longer nor covers more pulls than the query.
+        Without one a cursor is built, retiring the arm's oldest when it
+        already has ``_CURSORS_PER_ARM``.
         """
         if type(wait) is not int:
             wait = int(check_int("wait", wait))
@@ -115,10 +120,21 @@ class ObservationView:
         if not 0 <= arm < len(self.counts):
             raise ValueError(f"arm {arm} out of range [0, {len(self.counts)})")
         env = self._env
-        count = bisect_right(env._arm_rounds[arm], self.t - wait, 0, self.counts[arm])
+        t = self.t
+        cursors = env._arm_cursors[arm]
+        for cursor in cursors:
+            if cursor.wait == wait and cursor.at <= t:
+                rounds, last = env._arm_rounds[arm], t - wait
+                count, stop = cursor.covered, self.counts[arm]
+                while count < stop and rounds[count] <= last:
+                    count += 1
+                cursor.at = t
+                if count == cursor.covered:
+                    return count, cursor.inside / cursor.scale
+                return count, cursor.total(count, wait)
+        count = bisect_right(env._arm_rounds[arm], t - wait, 0, self.counts[arm])
         if count == 0:
             return 0, 0.0
-        cursors = env._arm_cursors[arm]
         cursor = None
         for candidate in cursors:
             if candidate.wait <= wait and candidate.covered <= count and (
@@ -133,15 +149,17 @@ class ObservationView:
                 env._arm_rewards[arm], env._arm_delays[arm], wait, env.instance.horizon
             )
             cursors.append(cursor)
+        cursor.at = t
         return count, cursor.total(count, wait)
 
 
 # Waited-sum cursors kept per arm. A cursor only moves forward, in wait and in
 # pulls covered, so a stream of queries whose wait and count never drop costs
-# O(1) amortised on one cursor: a ducb episode builds one per arm, an adapt
-# episode one for each of the leader's two waits, and none while its leader is
-# below the pull count where its tail-index bound can turn positive. Any other
-# query builds a cursor, at O(count + T).
+# O(1) amortised on one cursor: a ducb episode builds one per arm and answers
+# each round's query on it with no search, an adapt episode builds one for each
+# of the leader's two waits, and none while its leader is below the pull count
+# where its tail-index bound can turn positive. Any other query builds a
+# cursor, at O(count + T).
 _CURSORS_PER_ARM = 4
 
 
@@ -154,10 +172,12 @@ class _WaitedCursor:
     at most T + 1, and a negative one counts as 0), so raising the wait adds
     the buckets it passes. Sums are ints in units of ``1 / scale``, ``scale``
     being the largest ``as_integer_ratio`` denominator added so far; a total
-    is thus the exact sum, rounded once by the final division.
+    is thus the exact sum, rounded once by the final division. ``at`` is the
+    round of the view it last answered for: ``covered`` is that view's count
+    at ``wait``.
     """
 
-    __slots__ = ("rewards", "delays", "covered", "wait", "inside", "late", "scale")
+    __slots__ = ("rewards", "delays", "covered", "wait", "inside", "late", "scale", "at")
 
     def __init__(self, rewards: list, delays: list, wait: int, horizon: int):
         self.rewards = rewards
@@ -167,6 +187,7 @@ class _WaitedCursor:
         self.inside = 0
         self.late = [0] * (horizon + 2)
         self.scale = 1
+        self.at = 0
 
     def total(self, count: int, wait: int) -> float:
         """Sum of ``rewards[i]`` over ``i < count`` with ``delays[i] <= wait``.
@@ -206,7 +227,8 @@ class DelayedBanditEnv:
 
     def __init__(self, instance: BanditInstance):
         self.instance = instance
-        K, T = instance.n_arms, instance.horizon
+        self._K = K = instance.n_arms
+        self._T = T = instance.horizon
         self._round = 1
         self._counts = [0] * K
         self._sums = [0.0] * K
@@ -243,7 +265,7 @@ class DelayedBanditEnv:
     def observe(self) -> ObservationView:
         """The view of the current round, whose arrivals were delivered as it began."""
         t = self._round
-        if t > self.instance.horizon:
+        if t > self._T:
             raise EpisodeComplete(f"episode over: round {t} > horizon")
         return ObservationView(self, t, tuple(self._counts), tuple(self._sums))
 
@@ -259,11 +281,11 @@ class DelayedBanditEnv:
         episode as it was.
         """
         s = self._round
-        T = self.instance.horizon
+        T = self._T
         if s > T:
             raise EpisodeComplete(f"episode over: cannot pull at round {s} > horizon {T}")
-        if not 0 <= arm < len(self._counts):
-            raise RuntimeError(f"arm {arm} out of range [0, {len(self._counts)}) at round {s}")
+        if not 0 <= arm < self._K:
+            raise RuntimeError(f"arm {arm} out of range [0, {self._K}) at round {s}")
         reward, delay = self.instance.draw(arm, uniform(), uniform())
         # Clamp: any delay past the horizon (even an infinite one) behaves
         # identically within the episode.
@@ -282,9 +304,11 @@ class DelayedBanditEnv:
         self._arm_rewards[arm].append(reward)
         self._counts[arm] += 1
         self._round = s + 1
-        sums = self._sums
-        for due_arm, due_reward in self._calendar[s + 1] or ():
-            sums[due_arm] += due_reward
+        due = self._calendar[s + 1]
+        if due is not None:
+            sums = self._sums
+            for due_arm, due_reward in due:
+                sums[due_arm] += due_reward
 
     def true_pseudo_regret(self) -> float:
         """Gap-weighted suboptimal pull count over the rounds played so far.

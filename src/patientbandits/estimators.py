@@ -216,8 +216,10 @@ def alpha_hat(diff: float, pulls_of_leader: int) -> float:
 
 def alpha_bar_offset(params: AdaptParams, delta: float) -> float:
     """Numerator of :func:`alpha_bar`'s correction, constant over an episode:
-    ``log(2**3.5 * b / (c * mu_floor))`` with ``b = deviation(1, delta)``."""
-    return math.log(2.0**3.5 * deviation(1, delta) / (params.c * params.mu_floor))
+    ``log(2**3.5 * b / (c * mu_floor))`` with ``b = deviation(1, delta)``,
+    clamped at 0. A negative correction would lift the lower bound above the
+    point estimate, and above the 0.5 cap; at 0 the bound is the estimate."""
+    return max(math.log(2.0**3.5 * deviation(1, delta) / (params.c * params.mu_floor)), 0.0)
 
 
 def alpha_bar(ahat: float, pulls_of_leader: int, offset: float) -> float:

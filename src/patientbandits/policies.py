@@ -58,6 +58,8 @@ class OptimisticIndex(Policy):
         self._radius_table = estimators.radius_table(
             horizon, self.params.delta, None if callable(self.alpha) else self.alpha
         )
+        # delay_bias(n, 0.0) is 2 * n ** -0.0, the same at every n (and at -0.0).
+        self._flat_bias = estimators.delay_bias(1, 0.0)
 
     def bias_alpha(self, view: ObservationView) -> Optional[float]:
         """This round's bias exponent, or None when the table holds the whole radius."""
@@ -69,12 +71,13 @@ class OptimisticIndex(Policy):
         if fewest < self.init_pulls:
             return counts.index(fewest)
         alpha = self.bias_alpha(view)
+        flat = self._flat_bias if alpha == 0.0 else None
         table = self._radius_table
         best, best_index = 0, -math.inf
         for i, (n, arrived) in enumerate(zip(counts, view.sums)):
             radius = table[n - 1]
             if alpha is not None:
-                radius = radius + estimators.delay_bias(n, alpha)
+                radius = radius + (flat if flat is not None else estimators.delay_bias(n, alpha))
             index = mu_hat(arrived, n) + radius
             if index > best_index:
                 best, best_index = i, index

@@ -474,6 +474,35 @@ def test_main_run_and_env_outdir(tmp_path, monkeypatch, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_repeated_main_calls_behave_as_fresh_ones(tmp_path, monkeypatch, capsys):
+    # main reuses one parser per process; no call may see another's arguments.
+    path = _write(tmp_path, MINIMAL)
+    assert main(["run", path, "--out", str(tmp_path / "first"), "--jobs", "1"]) == 0
+    assert (tmp_path / "first" / "config.csv").exists()
+    assert main(["lowerbound", "--T", "16", "--alpha", "0.5"]) == 0
+    assert "q >= p/4: True" in capsys.readouterr().out
+    assert main(["run"]) == 1
+    assert "config" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: patientbandits")
+    monkeypatch.setenv("PATIENTBANDITS_OUTDIR", str(tmp_path / "second"))
+    assert main(["run", path]) == 0  # no --out: the first call's is not kept
+    assert (tmp_path / "second" / "config.csv").exists()
+
+
+def test_the_parser_is_built_once_per_process_and_not_at_import():
+    code = ("import patientbandits.cli as cli\n"
+            "assert cli._build_parser.cache_info().currsize == 0\n"
+            "assert cli.main(['--help']) == cli.main(['--help']) == 0\n"
+            "assert cli._build_parser.cache_info().misses == 1\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_lowerbound_verb(capsys):
     assert main(["lowerbound", "--T", "16", "--alpha", "0.5"]) == 0
     out = capsys.readouterr().out

@@ -257,6 +257,47 @@ def test_windowed_in_any_query_order_matches_brute_force(instance, seed, order):
         assert view.windowed(arm, wait) == _brute_window(records, arm, view.t, wait)
 
 
+def _replay_arms(instance, arms, seed):
+    """Every round's view of an episode that pulls ``arms[t - 1]`` at round t, and its log."""
+    env = DelayedBanditEnv(instance)
+    uniform = np.random.default_rng(seed).random
+    views = []
+    for arm in arms:
+        views.append(env.observe())
+        env.pull(arm, uniform)
+    return views, env.pull_records()
+
+
+@st.composite
+def episodes(draw):
+    """An instance, its arm at every round (an arm may never be pulled), and a seed."""
+    instance = draw(st.one_of(instances(), scripted_instances()))
+    K, T = instance.n_arms, instance.horizon
+    arms = draw(st.lists(st.integers(0, K - 1), min_size=T, max_size=T))
+    return instance, arms, draw(st.integers(0, 2**32 - 1))
+
+
+@given(episode=episodes(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_same_wait_streams_match_brute_force(episode, data):
+    # ducb's shape: each arm asked one fixed wait at every view in turn, which
+    # its cursor answers without search. Between rounds come the queries that
+    # must not take that path: stored older views asked after the episode
+    # moved on (also with the stream's own wait), and waits that fall or rise.
+    instance, arms, seed = episode
+    K, T = instance.n_arms, instance.horizon
+    views, records = _replay_arms(instance, arms, seed)
+    streams = data.draw(st.lists(st.integers(0, T + 1), min_size=K, max_size=K))
+    for i, view in enumerate(views):
+        for arm, wait in enumerate(streams):
+            assert view.windowed(arm, wait) == _brute_window(records, arm, view.t, wait)
+        for _ in range(data.draw(st.integers(0, 2))):
+            older = views[data.draw(st.integers(0, i))]
+            arm = data.draw(st.integers(0, K - 1))
+            wait = data.draw(st.one_of(st.just(streams[arm]), st.integers(0, older.t + 1)))
+            assert older.windowed(arm, wait) == _brute_window(records, arm, older.t, wait)
+
+
 def test_windowed_constant_reward_is_the_sum_rounded_once():
     # k equal rewards total k * 0.45, the exact sum rounded once, whatever k;
     # a running float sum drifts in the last bits. Two identical arms with
@@ -283,18 +324,19 @@ def test_a_negative_delay_counts_as_zero():
 
 
 class _CountedCursor(environment._WaitedCursor):
-    """A cursor that records the buckets it sweeps and the pulls it files."""
+    """A cursor that records the buckets it sweeps, the pulls it files and its ``total`` calls."""
 
-    __slots__ = ("swept", "filed")
+    __slots__ = ("swept", "filed", "calls")
     built: list = []
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.swept = self.filed = 0
+        self.swept = self.filed = self.calls = 0
         self.built.append(self)
 
     def total(self, count, wait):
         wait_before, covered_before = self.wait, self.covered
+        self.calls += 1
         result = super().total(count, wait)
         assert self.wait >= wait_before and self.covered >= covered_before
         self.swept += self.wait - wait_before
@@ -353,6 +395,21 @@ def test_an_episode_files_each_pull_once_per_stream(counted_cursors, spec, most)
             assert cursor.swept <= T + 2
             assert cursor.filed == cursor.covered <= len(rounds)
     assert sum(cursor.filed for cursor in counted_cursors) <= most * T
+
+
+def test_a_same_wait_stream_calls_total_only_when_a_pull_enters(counted_cursors):
+    # ducb asks each arm the same wait every round. The arm's one cursor steps
+    # its count forward itself and answers from its stored sum while no pull
+    # entered the window, so ``total`` runs at most once per pull it files,
+    # not once a query, and each pull is still filed once.
+    T, m = 3000, 50
+    spec = {"kind": "ducb", "m": m, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}}
+    env = _figure5_episode(spec, T)
+    for cursors, rounds in zip(env._arm_cursors, env._arm_rounds):
+        (cursor,) = cursors
+        assert (cursor.wait, cursor.at) == (m, T)
+        assert cursor.filed == cursor.covered == sum(s <= T - m for s in rounds)
+        assert 1 <= cursor.calls <= cursor.filed
 
 
 def test_adapt_below_its_threshold_builds_no_cursor(counted_cursors):

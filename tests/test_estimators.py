@@ -199,6 +199,28 @@ def test_alpha_bar_hand_value():
     assert alpha_bar(0.0, 10**6, offset) == 0.0
 
 
+@pytest.mark.parametrize("T, delta", [(10, 0.5), (3000, 0.05), (3000, None), (10**5, 1e-6),
+                                      (10**5, None)])
+def test_a_zero_bias_exponent_adds_the_same_constant_at_every_count(T, delta):
+    # The index policies add one constant, not a delay_bias call per arm, on a
+    # round whose exponent is 0; the sum must keep every bit of the call's.
+    delta = UcbParams(alpha=None, K=2, T=T, delta=delta).delta
+    for n in range(1, T + 1):
+        dev = deviation(n, delta)
+        assert dev + delay_bias(n, 0.0) == dev + delay_bias(n, -0.0) == dev + 2.0
+
+
+def test_alpha_bar_offset_is_clamped_at_zero():
+    # c * mu_floor above 2**3.5 * deviation(1, delta): the log is negative, and
+    # unclamped the bound would sit above the estimate and above 0.5.
+    params = _adapt_params(c=1.0, mu_floor=100.0)
+    assert math.log(2.0**3.5 * deviation(1, 0.5) / 100.0) < 0.0
+    offset = alpha_bar_offset(params, 0.5)
+    assert offset == 0.0 and alpha_bar_threshold(offset) == 2
+    for ahat in (0.0, 0.2, 0.5):
+        assert alpha_bar(ahat, 10, offset) == ahat
+
+
 def test_alpha_bar_range_and_limit():
     params = _adapt_params()
     offset = alpha_bar_offset(params, 1.0 / (2 * 1000**3))

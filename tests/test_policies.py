@@ -8,6 +8,7 @@ import pytest
 from conftest import FakeView
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from patientbandits import estimators
 from patientbandits.distributions import (
     Bernoulli,
     Dirac,
@@ -233,6 +234,24 @@ def test_adapt_threshold_at_its_extremes(c, mu_floor, delta, threshold):
     policy = _ready(AdaptPatientBandits(c=c, alpha_floor=0.2, mu_floor=mu_floor, delta=delta),
                     K=2, T=400)
     assert policy._alpha_bar_threshold == threshold
+
+
+def test_adapt_bound_never_exceeds_its_estimate(monkeypatch):
+    # Floors whose correction is negative (offset clamped to 0): every recorded
+    # bound is at most the estimate it bounds, and at most 0.5.
+    pairs, alpha_bar = [], estimators.alpha_bar
+
+    def recording_alpha_bar(ahat, pulls, offset):
+        pairs.append((ahat, alpha_bar(ahat, pulls, offset)))
+        return pairs[-1][1]
+
+    monkeypatch.setattr(estimators, "alpha_bar", recording_alpha_bar)
+    instance = BanditInstance(_FIGURE5_LIKE, 400)
+    policy, _, _ = _adapt_episode(AdaptPatientBandits, instance, 1.0, 100.0, 0.5, seed=1)
+    history = policy.alpha_bar_history
+    assert len(history) == 400 - 2 * 2  # threshold 2: every round after the sweeps reads
+    assert [abar for _, abar in pairs[-len(history):]] == history  # after reset's search
+    assert all(abar <= ahat <= 0.5 for ahat, abar in pairs)
 
 
 class _NoWindows(FakeView):
