@@ -316,7 +316,10 @@ def _resolve_outdir(out_dir: Optional[str]) -> str:
 
 
 def _scaled(runs: int, scale: float) -> int:
-    return max(1, int(round(runs * scale)))
+    scaled = runs * scale
+    if scaled == math.inf:
+        raise ConfigError(f"--scale {scale!r} is too large: {runs} runs scale to infinity")
+    return max(1, int(round(scaled)))
 
 
 def _pareto_arm(mu: float, alpha: float) -> dict:

@@ -3,7 +3,7 @@
 One round works like this: arrivals scheduled for the round are delivered,
 the policy inspects an :class:`ObservationView`, picks an arm, and the
 environment draws a (reward, delay) pair and schedules the reward's future
-arrival. A reward pulled at round ``s`` with delay ``d`` becomes visible at
+arrival (a zero reward needs none: it would add nothing to a sum). A reward pulled at round ``s`` with delay ``d`` becomes visible at
 round ``s + max(d, 1)``: observations only cover strictly past pulls, so
 even a zero-delay conversion is first seen one round later. Arrivals past
 the horizon are generated but censored.
@@ -47,7 +47,11 @@ class PullRecord:
 
 
 class BanditInstance:
-    """A bandit problem: per-arm (reward law, delay law) pairs and a horizon."""
+    """A bandit problem: per-arm (reward law, delay law) pairs and a horizon.
+
+    Each arm's two ``from_uniform`` samplers are bound once, here, for
+    :meth:`draw`; the laws are frozen, so the bound pair stays theirs.
+    """
 
     def __init__(self, arms: Sequence[Tuple[RewardLaw, DelayLaw]], horizon: int):
         arms = tuple((r, d) for r, d in arms)
@@ -55,6 +59,7 @@ class BanditInstance:
             raise ValueError("instance needs at least one arm")
         self.arms = arms
         self.horizon = int(check_int("horizon", horizon, len(arms)))
+        self._samplers = tuple((r.from_uniform, d.from_uniform) for r, d in arms)
         self.means = tuple(r.mean() for r, _ in arms)
         self.best_mean = max(self.means)
         self.gaps = tuple(self.best_mean - mu for mu in self.means)
@@ -69,11 +74,12 @@ class BanditInstance:
     def draw(self, arm: int, u: float, v: float) -> Tuple[float, int]:
         """The (reward, delay) pair of ``arm`` at the uniforms ``u`` and ``v``.
 
-        ``u`` sets the reward and ``v`` the delay; :meth:`DelayedBanditEnv.pull`
-        supplies them from the stream.
+        ``u`` sets the reward and ``v`` the delay, through the arm's samplers
+        bound at construction; :meth:`DelayedBanditEnv.pull` supplies them
+        from the stream.
         """
-        reward_law, delay_law = self.arms[arm]
-        return reward_law.from_uniform(u), delay_law.from_uniform(v)
+        reward_from, delay_from = self._samplers[arm]
+        return reward_from(u), delay_from(v)
 
 
 class ObservationView:
@@ -279,6 +285,11 @@ class DelayedBanditEnv:
         episodes, and coupled runs, hang on this. An ``arm`` outside [0, K)
         raises ``RuntimeError`` before the stream is read, leaving the
         episode as it was.
+
+        The pull is logged, and counted as censored when its arrival lands
+        past the horizon. A nonzero reward arriving in time is filed in the
+        calendar under its arrival round; a zero (of either sign) is not, as
+        adding it to a sum that starts at +0.0 and never falls changes no bit.
         """
         s = self._round
         T = self._T
@@ -291,14 +302,14 @@ class DelayedBanditEnv:
         # identically within the episode.
         delay = int(delay) if delay <= T else T + 1
         arrival = s + (delay if delay >= 1 else 1)
-        if arrival <= T:
+        if arrival > T:
+            self._censored += 1
+        elif reward:  # a zero would leave the arm's sum as it is
             arrivals = self._calendar[arrival]
             if arrivals is None:
                 self._calendar[arrival] = [(arm, reward)]
             else:
                 arrivals.append((arm, reward))
-        else:
-            self._censored += 1
         self._arm_rounds[arm].append(s)
         self._arm_delays[arm].append(delay)
         self._arm_rewards[arm].append(reward)

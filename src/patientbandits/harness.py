@@ -18,11 +18,12 @@ between pulls, so its pulls read ``rng.random`` itself.
 
 Worker pools live as long as the process. ``monte_carlo`` starts a pool of
 ``n`` workers the first time it is asked for ``n`` (0 and -1 resolve to
-``os.cpu_count()``), and every later call with that count reuses it, so a
-loop over many small configs pays the start-up once. Importing the package
-starts nothing. The workers are forked (the default start method on Linux)
-when the pool is first used, and keep the parent's module state as it was
-at that moment: a module attribute patched afterwards is not seen by them.
+``os.cpu_count()``, and no count exceeds the batch's ``runs``), and every
+later call with that count reuses it, so a loop over many small configs pays
+the start-up once. Importing the package starts nothing. The workers are
+forked (the default start method on Linux) when the pool is first used, and
+keep the parent's module state as it was at that moment: a module attribute
+patched afterwards is not seen by them.
 The pools are shut down, and their workers joined, when the interpreter
 exits normally; ``os._exit`` skips that. A pool that breaks, for example
 because a worker was killed, raises ``BrokenProcessPool`` once and is
@@ -205,7 +206,8 @@ def monte_carlo(
     ``policy_spec`` is a config-style mapping (a fresh policy is built per
     run, which keeps replications independent across worker processes).
     ``n_jobs`` is the number of worker processes; 0 or -1 means one per CPU.
-    The pool is kept for later calls (see the module docstring).
+    No more workers than ``runs`` are asked for. The pool is kept for later
+    calls (see the module docstring).
     """
     check_int("runs", runs, 1)
     check_int("master_seed", master_seed)
@@ -214,8 +216,8 @@ def monte_carlo(
     payloads = [
         (instance, policy_spec, split_seed(master_seed, i), cps) for i in range(runs)
     ]
-    workers = n_jobs if n_jobs > 0 else (os.cpu_count() or 1)
-    if workers == 1 or runs == 1:
+    workers = min(n_jobs if n_jobs > 0 else (os.cpu_count() or 1), runs)
+    if workers == 1:
         rows = [_replicate(p) for p in payloads]
     else:
         rows = _pooled_rows(workers, payloads)

@@ -46,7 +46,10 @@ class OptimisticIndex(Policy):
     again breaking ties toward the lowest index. ``alpha`` is the bias
     exponent: ``None`` for no bias term, a float folded into the shared
     radius table, or a schedule of the round. Subclasses whose
-    exponent depends on the round override :meth:`bias_alpha`.
+    exponent depends on the round override :meth:`bias_alpha`. When the
+    table holds the whole radius (no schedule, no override), :meth:`select`
+    takes a loop that asks for no exponent; both of its loops compute the
+    same index bit for bit.
     """
 
     init_pulls = 1
@@ -57,6 +60,10 @@ class OptimisticIndex(Policy):
         self.params = UcbParams(alpha=self.alpha, K=n_arms, T=horizon, delta=self.delta)
         self._radius_table = estimators.radius_table(
             horizon, self.params.delta, None if callable(self.alpha) else self.alpha
+        )
+        # The table is the whole radius unless the exponent can vary by round.
+        self._table_is_radius = (
+            not callable(self.alpha) and type(self).bias_alpha is OptimisticIndex.bias_alpha
         )
         # delay_bias(n, 0.0) is 2 * n ** -0.0, the same at every n (and at -0.0).
         self._flat_bias = estimators.delay_bias(1, 0.0)
@@ -70,17 +77,26 @@ class OptimisticIndex(Policy):
         fewest = min(counts)
         if fewest < self.init_pulls:
             return counts.index(fewest)
+        sums = view.sums
+        table = self._radius_table
+        best, best_index, i = 0, -math.inf, 0
+        if self._table_is_radius:
+            for n in counts:
+                index = mu_hat(sums[i], n) + table[n - 1]
+                if index > best_index:
+                    best, best_index = i, index
+                i += 1
+            return best
         alpha = self.bias_alpha(view)
         flat = self._flat_bias if alpha == 0.0 else None
-        table = self._radius_table
-        best, best_index = 0, -math.inf
-        for i, (n, arrived) in enumerate(zip(counts, view.sums)):
+        for n in counts:
             radius = table[n - 1]
             if alpha is not None:
                 radius = radius + (flat if flat is not None else estimators.delay_bias(n, alpha))
-            index = mu_hat(arrived, n) + radius
+            index = mu_hat(sums[i], n) + radius
             if index > best_index:
                 best, best_index = i, index
+            i += 1
         return best
 
 

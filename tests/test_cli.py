@@ -459,6 +459,15 @@ def test_bad_cli_numbers_exit_1(tmp_path, monkeypatch, capsys, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_scale_whose_run_count_overflows_exits_1(tmp_path, monkeypatch, capsys):
+    # 1e308 is finite, but 400 runs times it is not: rejected before any run starts.
+    monkeypatch.setattr(cli, "execute", lambda *args, **kwargs: pytest.fail("a run started"))
+    assert main(["preset", "figure5", "--scale", "1e308", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--scale" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_runtime_failure_exits_2(tmp_path):
     config = _write(tmp_path, MINIMAL)
     blocker = tmp_path / "blocker"

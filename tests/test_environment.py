@@ -170,12 +170,16 @@ def delay_laws(T):
     )
 
 
+# Laws whose every reward is a zero, of either sign.
+zero_reward_laws = st.sampled_from([Bernoulli(0.0), PointMass(0.0), PointMass(-0.0)])
+
+
 @st.composite
-def instances(draw):
+def instances(draw, rewards=reward_laws):
     """K in 1..4, T <= 60, any reward law and any delay law on each arm."""
     K = draw(st.integers(1, 4))
     T = draw(st.integers(K, 60))
-    arms = draw(st.lists(st.tuples(reward_laws, delay_laws(T)), min_size=K, max_size=K))
+    arms = draw(st.lists(st.tuples(rewards, delay_laws(T)), min_size=K, max_size=K))
     return BanditInstance(arms, horizon=T)
 
 
@@ -219,6 +223,24 @@ def test_arrived_sum_matches_brute_force(seed, instance):
         brute = [sum(r.reward for r in past if r.arm == arm and r.delay <= t - r.round)
                  for arm in arms]
         assert view.sums == pytest.approx(brute, abs=1e-12)
+
+
+@given(instance=instances(rewards=st.one_of(reward_laws, zero_reward_laws)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_arrived_sum_is_the_sequential_sum_of_arrivals(instance, seed):
+    # Bit for bit, sign of zero included: each arm's sum adds its arrived
+    # rewards one by one, zeros too, in (arrival round, pull round) order.
+    views, records = _replay_uniform(instance, seed)
+    arrived = sorted((r for r in records if not r.censored),
+                     key=lambda r: (r.arrival_round, r.round))
+    for view in views:
+        for arm in range(instance.n_arms):
+            total = 0.0
+            for r in arrived:
+                if r.arm == arm and r.arrival_round <= view.t:
+                    total += r.reward
+            assert view.sums[arm].hex() == total.hex()
 
 
 def _brute_window(records, arm, t, wait):

@@ -171,8 +171,30 @@ def test_one_pool_serves_a_sequence_of_configs(pool_starts):
             serial = monte_carlo(instance, spec, runs=5, master_seed=3)
             pooled = monte_carlo(instance, spec, runs=5, master_seed=3, n_jobs=n_jobs)
             assert pooled.regrets.tobytes() == serial.regrets.tobytes()
-    # n_jobs=0 means one worker per CPU: the 2-worker pool again on a 2-CPU host.
-    assert pool_starts == sorted({2, os.cpu_count() or 1} - {1})
+    # n_jobs=0 means one worker per CPU, but no more than the 5 runs: the
+    # 2-worker pool again on a 2-CPU host.
+    assert pool_starts == sorted({2, min(os.cpu_count() or 1, 5)} - {1})
+
+
+@pytest.mark.parametrize("n_jobs", [64, 0, -1])
+def test_no_more_workers_than_runs(monkeypatch, n_jobs):
+    """A pool is asked for at most ``runs`` workers; the recording stand-in starts no process."""
+    asked = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def map(self, fn, payloads, chunksize):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(harness, "_pools", {})
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    serial = monte_carlo(GAP_INSTANCE, {"kind": "ucb"}, runs=2, master_seed=6)
+    capped = monte_carlo(GAP_INSTANCE, {"kind": "ucb"}, runs=2, master_seed=6, n_jobs=n_jobs)
+    assert asked == [2] and list(harness._pools) == [2]
+    assert capped.regrets.tobytes() == serial.regrets.tobytes()
 
 
 def test_a_single_run_starts_no_pool(pool_starts):

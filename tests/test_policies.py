@@ -281,6 +281,119 @@ def test_adapt_queries_windows_from_the_threshold_on():
     assert policy.alpha_bar_history[0] == 0.0
 
 
+class _OwnExponent(VanillaUcb):
+    """An index policy with its own round exponent: none every third round, 0 every fourth."""
+
+    def bias_alpha(self, view):
+        return None if view.t % 3 == 0 else (view.t % 4) / 6
+
+
+def _adapt_oracle_alpha(policy, view):
+    """The tail-index bound from its formula, with no threshold shortcut."""
+    leader_pulls = max(view.counts)
+    leader = view.counts.index(leader_pulls)
+    long_wait, short_wait = estimators.window_pair(leader_pulls, policy.tail_params)
+    n_long, total_long = view.windows.get((leader, long_wait), (0, 0.0))
+    n_short, total_short = view.windows.get((leader, short_wait), (0, 0.0))
+    diff = total_long / n_long - total_short / n_short if n_long and n_short else 0.0
+    ahat = estimators.alpha_hat(diff, leader_pulls)
+    offset = estimators.alpha_bar_offset(policy.tail_params, policy.params.delta)
+    return estimators.alpha_bar(ahat, leader_pulls, offset)
+
+
+_ORACLE_T = 4000
+# case -> (policy factory, oracle of the round's bias exponent or None, least leader count)
+_ORACLE_CASES = {
+    "ucb": (VanillaUcb, lambda policy, view: None, 0),
+    **{f"patient-{a:g}": (lambda a=a: PatientBandits(a), lambda policy, view: None, 0)
+       for a in (0.1, 0.3, 0.5, 2.0)},
+    "loglog": (lambda: PatientBandits("loglog"),
+               lambda policy, view: estimators.log_log_schedule(view.t), 0),
+    # A callable of the round that is 0 every fifth round.
+    "callable": (lambda: PatientBandits(lambda t: (t % 5) / 8),
+                 lambda policy, view: (view.t % 5) / 8, 0),
+    # The default delta puts the threshold past the horizon: the bound is 0 throughout.
+    "adapt-below": (lambda: AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=0.4),
+                    _adapt_oracle_alpha, 0),
+    # Threshold 6, and the leader at or above it.
+    "adapt-above": (lambda: AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=8.0, delta=0.5),
+                    _adapt_oracle_alpha, 6),
+    "own-bias-alpha": (_OwnExponent, lambda policy, view: _OwnExponent.bias_alpha(None, view), 0),
+}
+
+
+@st.composite
+def _arm_states(draw, leader_at_least):
+    """Counts and sums of up to 8 arms drawn with replacement from a few states, so ties are common.
+
+    Counts fall on both sides of every ``init_pulls``.
+    """
+    counts = st.one_of(st.integers(0, 3), st.integers(0, _ORACLE_T - 1000))
+    fractions = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    states = draw(st.lists(st.tuples(counts, fractions), min_size=1, max_size=8))
+    arms = draw(st.lists(st.sampled_from(states), min_size=1, max_size=8))
+    if max(n for n, _ in arms) < leader_at_least:
+        leader = (draw(st.integers(leader_at_least, _ORACLE_T - 1000)), draw(fractions))
+        arms[draw(st.integers(0, len(arms) - 1))] = leader
+    return [n for n, _ in arms], [fraction * n for n, fraction in arms]
+
+
+def _least_total_reaching(index, n, target):
+    """The least arm sum whose index at ``n`` pulls is not below ``target``, by bisection."""
+    lo, hi = 0.0, 1.0
+    if index(n, lo) >= target:
+        return lo
+    while index(n, hi) < target:
+        hi *= 2.0
+    while math.nextafter(lo, hi) < hi:
+        mid = lo + (hi - lo) / 2.0
+        lo, hi = (lo, mid) if index(n, mid) >= target else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_select_is_the_first_argmax_of_the_scalar_index(case, data):
+    make, oracle_alpha, leader_at_least = _ORACLE_CASES[case]
+    counts, sums = data.draw(_arm_states(leader_at_least))
+    K = len(counts)
+    policy = _ready(make(), K=K, T=_ORACLE_T)
+    windows = {}
+    if isinstance(policy, AdaptPatientBandits) and max(counts) >= 2:
+        leader_pulls = max(counts)
+        for wait in estimators.window_pair(leader_pulls, policy.tail_params):
+            n = data.draw(st.integers(0, leader_pulls))
+            windows[(counts.index(leader_pulls), wait)] = (n, n * data.draw(st.floats(0.0, 1.0)))
+    if min(counts) < policy.init_pulls:
+        view = FakeView(counts, sums, t=sum(counts) + 1)
+        assert policy.select(view, None) == counts.index(min(counts))
+        return
+    # The round's exponent depends on the counts, the round and the windows, not on the sums.
+    alpha_t = oracle_alpha(policy, FakeView(counts, sums, t=sum(counts) + 1, windows=windows))
+    delta = policy.delta if policy.delta is not None else 1.0 / (K * _ORACLE_T**3)
+    table_alpha = policy.alpha if isinstance(policy.alpha, float) else None
+
+    def index(n, total):
+        radius = deviation(n, delta)
+        if table_alpha is not None:
+            radius = radius + delay_bias(n, table_alpha)
+        if alpha_t is not None:
+            radius = radius + delay_bias(n, alpha_t)
+        return estimators.mu_hat(total, n) + radius
+
+    if K >= 2 and data.draw(st.booleans()):
+        # A near tie: one arm's index is the least at or above arm 0's, so a
+        # last-bit change in either index can move the argmax.
+        j = data.draw(st.integers(1, K - 1))
+        sums[j] = _least_total_reaching(index, counts[j], index(counts[0], sums[0]))
+    view = FakeView(counts, sums, t=sum(counts) + 1, windows=windows)
+    indices = [index(n, total) for n, total in zip(counts, sums)]
+    assert policy.select(view, None) == indices.index(max(indices))
+    if isinstance(policy, AdaptPatientBandits):
+        assert policy.alpha_bar_history == [alpha_t]
+
+
 def test_ducb_warm_up_is_round_robin():
     policy = _ready(DUcb(m=5, cdf=Dirac(0)), K=2, T=100)
     for t in range(1, 7):  # t < m + K = 7
