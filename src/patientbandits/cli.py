@@ -249,7 +249,8 @@ def dump_config(config: ExperimentConfig) -> str:
 
 def execute(config: ExperimentConfig, n_jobs: int = 1) -> MonteCarloResult:
     # Parsing allocates no episode: a horizon too large for its calendar, or
-    # for the rest of the episode, fails here.
+    # for the rest of the episode, fails here, and so does a run count too
+    # large for the regret matrix, before any run.
     try:
         return monte_carlo(
             config.build_instance(),
@@ -260,7 +261,9 @@ def execute(config: ExperimentConfig, n_jobs: int = 1) -> MonteCarloResult:
             n_jobs=n_jobs,
         )
     except MemoryError:
-        raise ConfigError(f"T={config.T} is too large for memory") from None
+        raise ConfigError(
+            f"T={config.T} is too large for memory, or runs={config.runs} is"
+        ) from None
 
 
 def write_results(

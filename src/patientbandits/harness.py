@@ -13,8 +13,13 @@ index policy) leaves the pulls as the stream's only reader, so the episode's
 pull reads its two from the block's iterator. The block holds the same
 values in the same order as ``2 T`` scalar calls and leaves the generator in
 the same state, so no regret bit changes; it costs about 64 B per round
-while the episode runs (6.4 MB at T = 1e5). ``uniform`` draws its arm
-between pulls, so its pulls read ``rng.random`` itself.
+while the episode runs (6.4 MB at T = 1e5). A policy that reads the rng
+(``uniform``) draws its arm between pulls, so ``select`` and the pulls share
+one ``_Stream``: it reads the generator's PCG64 raw outputs in blocks of a
+fixed size and returns what the generator's scalar ``random()`` and
+``integers(n)`` calls would, in the same order, and it leaves the generator
+in the same state at the end. Such a policy needs a Generator over PCG64
+(``default_rng``); ``simulate`` refuses any other with ``TypeError``.
 
 Worker pools live as long as the process. ``monte_carlo`` starts a pool of
 ``n`` workers the first time it is asked for ``n`` (0 and -1 resolve to
@@ -113,29 +118,124 @@ def _validated_checkpoints(checkpoints, horizon) -> Tuple[int, ...]:
     return cps
 
 
+# Raw outputs a ``_Stream`` draws from its generator at a time.
+_BLOCK = 1024
+
+
+class _Stream:
+    """The episode's PCG64 generator, for a policy that reads it, read in raw blocks.
+
+    ``random()`` and ``integers(n)`` return what the generator's own
+    ``random()`` and ``integers(n)`` would, bit for bit and in the same
+    order. A double is ``(raw >> 11) * 2**-53``. An integer below ``n`` is
+    Lemire's bounded multiply on a 32-bit half: ``m = u * n``, redrawn while
+    ``m``'s low word is below ``(2**32 - n) % n`` (a bound computed only when
+    that word is below ``n``), and its high word returned; ``n == 1`` draws
+    nothing. The halves come as numpy deals them: the low word of a fresh raw
+    output, its high word kept for the next call (PCG64's
+    ``has_uint32``/``uinteger``, read from the generator's state at the start).
+
+    Raw outputs are drawn ``_BLOCK`` at a time with ``random_raw``, so an
+    episode holds one block whatever its horizon. :meth:`close` sets the
+    generator to its start state advanced by the raw outputs used, with the
+    stream's buffer, which is where the scalar calls would have left it.
+    """
+
+    def __init__(self, rng):
+        bit_generator = getattr(rng, "bit_generator", None)
+        if type(bit_generator) is not np.random.PCG64:
+            raise TypeError(
+                "a policy that reads the rng needs a Generator over PCG64 "
+                f"(such as numpy.random.default_rng), got {rng!r}"
+            )
+        self._bit_generator = bit_generator
+        self._start = bit_generator.state
+        self._has_uint32 = self._start["has_uint32"]
+        self._uinteger = self._start["uinteger"]
+        self._drawn = 0
+        self._raws = iter(())
+        self._next = self._raws.__next__
+
+    def _refill(self) -> int:
+        self._raws = iter(self._bit_generator.random_raw(_BLOCK).tolist())
+        self._next = self._raws.__next__
+        self._drawn += _BLOCK
+        return self._next()
+
+    def _uint32(self) -> int:
+        if self._has_uint32:
+            self._has_uint32 = 0
+            return self._uinteger
+        try:
+            raw = self._next()
+        except StopIteration:
+            raw = self._refill()
+        self._has_uint32 = 1
+        self._uinteger = raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def random(self) -> float:
+        try:
+            raw = self._next()
+        except StopIteration:
+            raw = self._refill()
+        return (raw >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        if not 1 < n < 1 << 32:
+            if n == 1:
+                return 0
+            raise ValueError(f"integers(n) needs an integer n in [1, 2**32), got {n!r}")
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = ((1 << 32) - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
+
+    def close(self) -> None:
+        """Leave the generator where the scalar calls would have left it."""
+        bit_generator = self._bit_generator
+        bit_generator.state = self._start
+        bit_generator.advance(self._drawn - self._raws.__length_hint__())
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = self._has_uint32, self._uinteger
+        bit_generator.state = state
+
+
 def simulate(
     instance: BanditInstance,
     policy: Policy,
-    rng,
+    rng: np.random.Generator,
     checkpoints: Optional[Sequence[int]] = None,
 ) -> tuple[DelayedBanditEnv, RegretTrace]:
-    """Play one full episode; returns the environment alongside the trace."""
+    """Play one full episode; returns the environment alongside the trace.
+
+    A policy that reads the rng needs ``rng`` to be a Generator over PCG64
+    (``np.random.default_rng``); any other raises ``TypeError`` before the
+    episode starts.
+    """
     cps = _validated_checkpoints(checkpoints, instance.horizon)
+    stream = _Stream(rng) if policy.reads_rng else None
     K, T = instance.n_arms, instance.horizon
     policy.reset(K, T)
     env = DelayedBanditEnv(instance)
-    if policy.reads_rng:
-        uniform, select_rng = rng.random, rng
+    if stream is None:
+        uniform = iter(rng.random(2 * T).tolist()).__next__
     else:
-        uniform, select_rng = iter(rng.random(2 * T).tolist()).__next__, None
+        uniform = stream.random
     marks = iter(cps)
     mark = next(marks)
     regret = []
-    for t in range(1, T + 1):
-        env.pull(policy.select(env.observe(), select_rng), uniform)
-        if t == mark:
-            regret.append(env.true_pseudo_regret())
-            mark = next(marks, 0)
+    try:
+        for t in range(1, T + 1):
+            env.pull(policy.select(env.observe(), stream), uniform)
+            if t == mark:
+                regret.append(env.true_pseudo_regret())
+                mark = next(marks, 0)
+    finally:
+        if stream is not None:
+            stream.close()
     diagnostics = {}
     history = getattr(policy, "alpha_bar_history", None)
     if history:
@@ -180,14 +280,15 @@ atexit.register(_shutdown_pools)
 os.register_at_fork(after_in_child=_pools.clear)
 
 
-def _pooled_rows(workers: int, payloads: list) -> list:
-    """``_replicate`` over ``payloads`` in the process's pool of ``workers``, in order."""
+def _pooled_rows(workers: int, payloads, out: np.ndarray) -> None:
+    """``_replicate`` over ``payloads`` in the pool of ``workers``; row ``i`` into ``out[i]``."""
     pool = _pools.get(workers)
     if pool is None:
         pool = _pools.setdefault(workers, ProcessPoolExecutor(max_workers=workers))
-    chunk = max(1, len(payloads) // (8 * workers))
+    chunk = max(1, len(out) // (8 * workers))
     try:
-        return list(pool.map(_replicate, payloads, chunksize=chunk))
+        for i, row in enumerate(pool.map(_replicate, payloads, chunksize=chunk)):
+            out[i] = row
     except BrokenProcessPool:
         _pools.pop(workers, None)
         raise
@@ -213,15 +314,18 @@ def monte_carlo(
     check_int("master_seed", master_seed)
     check_int("n_jobs", n_jobs, -1)
     cps = _validated_checkpoints(checkpoints, instance.horizon)
-    payloads = [
-        (instance, policy_spec, split_seed(master_seed, i), cps) for i in range(runs)
-    ]
+    # Allocated first, so that a batch too large for memory fails before any work.
+    try:
+        regrets = np.empty((runs, len(cps)))
+    except ValueError:  # more bytes than an address can span
+        raise MemoryError(f"{runs} rows of {len(cps)} checkpoints do not fit in memory") from None
+    payloads = ((instance, policy_spec, split_seed(master_seed, i), cps) for i in range(runs))
     workers = min(n_jobs if n_jobs > 0 else (os.cpu_count() or 1), runs)
     if workers == 1:
-        rows = [_replicate(p) for p in payloads]
+        for i, payload in enumerate(payloads):
+            regrets[i] = _replicate(payload)
     else:
-        rows = _pooled_rows(workers, payloads)
-    regrets = np.vstack(rows)
+        _pooled_rows(workers, payloads, regrets)
     mean = regrets.mean(axis=0)
     if runs > 1:
         stderr = regrets.std(axis=0, ddof=1) / np.sqrt(runs)

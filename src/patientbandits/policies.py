@@ -23,9 +23,11 @@ class Policy:
     """Contract: ``reset(n_arms, horizon)`` once, then ``select`` each round.
 
     ``reads_rng`` says whether ``select`` may draw from its ``rng``. If so,
-    its draws interleave with the pulls' on the one generator. A policy that
-    sets it false is handed ``rng=None``, and the pulls read the episode's
-    reward and delay uniforms from one block drawn ahead (see :mod:`.harness`).
+    it is handed the episode's stream, which offers ``random()`` and
+    ``integers(n)`` with the values of the generator's own calls, and its
+    draws interleave with the pulls' on that stream. A policy that sets it
+    false is handed ``rng=None``, and the pulls read the episode's reward and
+    delay uniforms from one block drawn ahead (see :mod:`.harness`).
     """
 
     label = "policy"
@@ -241,7 +243,11 @@ class VanillaUcb(OptimisticIndex):
 
 
 class UniformRandom(Policy):
-    """Pulls a uniformly random arm every round; the no-learning floor."""
+    """Pulls a uniformly random arm every round; the no-learning floor.
+
+    The arm is ``rng.integers(K)`` on the episode's stream, drawn before the
+    round's pull reads its two uniforms; at K = 1 it draws nothing.
+    """
 
     label = "uniform"
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -569,3 +570,19 @@ def test_preset_scaling_rule():
         preset("figure7")
     with pytest.raises(ConfigError):
         preset("figure2", scale=0.0)
+
+
+@pytest.mark.parametrize("runs", [10**15, 10**20])
+def test_runs_too_large_for_memory_exits_1_at_once(tmp_path, capsys, runs):
+    # 10**15 rows of 20 checkpoints are 1.6e17 B, past any 57-bit address
+    # space, so the regret matrix is refused before a page is touched; 10**20
+    # rows are past numpy's largest array. Neither gets to the first run.
+    config = {**TWO_ARM, "T": 20, "checkpoints": list(range(1, 21)), "runs": runs,
+              "policy": {"kind": "ucb"}}
+    path = _write(tmp_path, config)
+    start = time.perf_counter()
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert f"runs={runs}" in err and "T=20" in err and "too large for memory" in err
+    assert not list(tmp_path.glob("*.csv"))

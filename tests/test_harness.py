@@ -448,3 +448,127 @@ def test_block_policy_is_handed_no_generator():
 
     with pytest.raises(AttributeError):
         run_episode(GAP_INSTANCE, SecretlyRandom(), seed=0)
+
+
+# One draw of the stream oracle: None is random(), an int n is integers(n).
+# n near 3 * 2**30 has a rejection bound of 2**30, so a quarter of its
+# draws are redrawn.
+_STREAM_DRAWS = st.lists(
+    st.one_of(
+        st.none(),
+        st.integers(1, 8),
+        st.integers(1, 2**32 - 1),
+        st.integers(3 * 2**30 - 2**10, 3 * 2**30 + 2**10),
+    ),
+    max_size=40,
+)
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    pre_draws=st.integers(0, 3),
+    block=st.integers(1, 3),
+    draws=_STREAM_DRAWS,
+)
+@settings(max_examples=300, deadline=None)
+def test_stream_matches_the_generator_bit_for_bit(seed, pre_draws, block, draws):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(pre_draws):  # integers(2) never redraws: odd counts leave a half pending
+        rng.integers(2)
+        reference.integers(2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_BLOCK", block)  # block boundaries fall mid-episode
+        stream = harness._Stream(rng)
+        for n in draws:
+            if n is None:
+                assert stream.random().hex() == reference.random().hex()
+            else:
+                assert stream.integers(n) == int(reference.integers(n))
+        stream.close()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_stream_redraws_where_lemire_rejects():
+    rng, reference = np.random.default_rng(4), np.random.default_rng(4)
+    stream = harness._Stream(rng)
+    n = 3 * 2**30
+    assert [stream.integers(n) for _ in range(200)] == reference.integers(n, size=200).tolist()
+    stream.close()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    # 200 draws without a redraw would take 100 raw outputs.
+    used = np.random.default_rng(4).bit_generator
+    used.advance(100)
+    assert rng.bit_generator.state["state"] != used.state["state"]
+
+
+@pytest.mark.parametrize("n", [0, -1, 2**32])
+def test_stream_refuses_a_bound_outside_32_bits(n):
+    rng = np.random.default_rng(1)
+    stream = harness._Stream(rng)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        stream.integers(n)
+    stream.close()
+    assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+
+
+@st.composite
+def _uniform_instances(draw):
+    arms = draw(st.lists(st.tuples(_REWARDS, _DELAYS), min_size=1, max_size=8))
+    return BanditInstance(arms, draw(st.integers(len(arms), 300)))
+
+
+@given(instance=_uniform_instances(), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_uniform_episode_matches_the_brute_force_loop(instance, seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    T = instance.horizon
+    env, trace = simulate(instance, UniformRandom(), rng, range(1, T + 1))
+    reference = DelayedBanditEnv(instance)
+    regret = []
+    for _ in range(T):  # K = 1 draws no arm: integers(1) reads nothing
+        reference.pull(int(reference_rng.integers(instance.n_arms)), reference_rng.random)
+        regret.append(reference.true_pseudo_regret())
+    assert env.pull_records() == reference.pull_records()
+    assert trace.regret.tobytes() == np.array(regret).tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_policy_that_reads_the_rng_needs_pcg64():
+    class Recorded(BanditInstance):
+        def draw(self, arm, u, v):
+            pulls.append(arm)
+            return super().draw(arm, u, v)
+
+    def mersenne():
+        return np.random.Generator(np.random.MT19937(5))
+
+    def next_raws(rng):  # MT19937's state holds an array; its next outputs compare plainly
+        return rng.bit_generator.random_raw(4).tolist()
+
+    pulls = []
+    instance = Recorded(GAP_INSTANCE.arms, 50)
+    rng = mersenne()
+    with pytest.raises(TypeError, match="PCG64"):
+        simulate(instance, UniformRandom(), rng)
+    assert pulls == [] and next_raws(rng) == next_raws(mersenne())
+    # The block of an index policy is read from any generator.
+    rng, reference_rng = mersenne(), mersenne()
+    env, trace = simulate(instance, VanillaUcb(), rng)
+    reference_env, regret = _interleaved(instance, VanillaUcb(), reference_rng, trace.checkpoints)
+    assert trace.regret.tolist() == regret
+    assert env.pull_records() == reference_env.pull_records()
+    assert next_raws(rng) == next_raws(reference_rng)
+
+
+def test_episode_that_raises_leaves_the_generator_where_the_scalar_calls_did():
+    class RogueAtFive(UniformRandom):
+        def select(self, view, rng):
+            arm = super().select(view, rng)
+            return 99 if view.t == 5 else arm
+
+    rng, reference_rng = np.random.default_rng(6), np.random.default_rng(6)
+    with pytest.raises(RuntimeError, match="out of range"):
+        simulate(GAP_INSTANCE, RogueAtFive(), rng)
+    with pytest.raises(RuntimeError, match="out of range"):
+        _interleaved(GAP_INSTANCE, RogueAtFive(), reference_rng, ())
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
