@@ -43,9 +43,10 @@ and ``delay``, a non-string ``name`` or ``output``, an empty ``name`` or
 one with a comma, a double quote, ``\\n`` or ``\\r``, a CSV file name
 (``output``, or ``name`` + ``.csv``) that is not a bare file name, and
 ``notes`` that are not a list of strings. So is a ``T`` whose episode
-cannot be allocated, whatever the policy. A ``--scale`` that is not
-positive and finite, and a ``lowerbound`` with ``--T`` below 2 or an
-``--alpha`` that is not positive and finite, exit 1 too.
+cannot be allocated, whatever the policy, and a ducb ``m`` at which the
+assumed delay CDF overflows a float. A ``--scale`` that is not positive
+and finite, and a ``lowerbound`` with ``--T`` below 2 or past the float
+range or an ``--alpha`` that is not positive and finite, exit 1 too.
 
 Running a config writes a CSV with header
 ``policy,run_count,round,mean_regret,stderr`` plus a ``.meta.json`` sidecar
@@ -452,7 +453,7 @@ def _lowerbound_report(T: int, alpha: float) -> str:
     try:
         pair = make_lower_bound_pair(T, alpha)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"bad --T or --alpha: {exc}") from None
     residual = abs((0.5 + pair.q) * (1.0 - pair.p) - (0.5 - pair.q))
     margin = assumption1_margin(pair.problem_b.delay_law(1), alpha, m_max=T - 1)
     lines = [

@@ -21,6 +21,17 @@ fixed size and returns what the generator's scalar ``random()`` and
 in the same state at the end. Such a policy needs a Generator over PCG64
 (``default_rng``); ``simulate`` refuses any other with ``TypeError``.
 
+An episode runs one of two loops. A policy whose index after its sweep is
+a table lookup declares the table as ``Policy.index_table`` (``ucb``,
+``patient`` with a float α, and ``adapt`` when its tail-index bound is
+provably 0 all episode). Its episode runs in one loop,
+:meth:`DelayedBanditEnv.play_index`, which picks and files each pull on the
+environment's own state with no view, ``select`` or ``pull`` call. Every
+other episode (``patient(loglog)``, ``uniform``, ``ducb``, ``adapt`` above
+its threshold, any policy that overrides ``select``) runs the generic loop,
+``env.pull(policy.select(env.observe(), rng), uniform)``. The generic loop is
+the reference: the table loop gives the same bits, and tests compare them.
+
 Worker pools live as long as the process. ``monte_carlo`` starts a pool of
 ``n`` workers the first time it is asked for ``n`` (0 and -1 resolve to
 ``os.cpu_count()``, and no count exceeds the batch's ``runs``), and every
@@ -211,6 +222,12 @@ def simulate(
 ) -> tuple[DelayedBanditEnv, RegretTrace]:
     """Play one full episode; returns the environment alongside the trace.
 
+    When the freshly reset policy's ``index_table`` is not None, the episode
+    runs in :meth:`DelayedBanditEnv.play_index`, and the policy is told how
+    many rounds after its sweep were played there (``index_rounds_played``).
+    Otherwise each round is ``env.pull(policy.select(env.observe(), rng),
+    uniform)``, the reference loop (see the module docstring).
+
     A policy that reads the rng needs ``rng`` to be a Generator over PCG64
     (``np.random.default_rng``); any other raises ``TypeError`` before the
     episode starts.
@@ -224,15 +241,20 @@ def simulate(
         uniform = iter(rng.random(2 * T).tolist()).__next__
     else:
         uniform = stream.random
-    marks = iter(cps)
-    mark = next(marks)
-    regret = []
+    table = policy.index_table
     try:
-        for t in range(1, T + 1):
-            env.pull(policy.select(env.observe(), stream), uniform)
-            if t == mark:
-                regret.append(env.true_pseudo_regret())
-                mark = next(marks, 0)
+        if table is not None:
+            regret, index_rounds = env.play_index(table, policy.init_pulls, uniform, cps)
+            policy.index_rounds_played(index_rounds)
+        else:
+            marks = iter(cps)
+            mark = next(marks)
+            regret = []
+            for t in range(1, T + 1):
+                env.pull(policy.select(env.observe(), stream), uniform)
+                if t == mark:
+                    regret.append(env.true_pseudo_regret())
+                    mark = next(marks, 0)
     finally:
         if stream is not None:
             stream.close()

@@ -28,10 +28,19 @@ class Policy:
     draws interleave with the pulls' on that stream. A policy that sets it
     false is handed ``rng=None``, and the pulls read the episode's reward and
     delay uniforms from one block drawn ahead (see :mod:`.harness`).
+
+    ``index_table``, read after ``reset``, is None unless, for the whole
+    episode, the policy's choice is: the arm with fewest pulls while some arm
+    has fewer than ``init_pulls``, then the first argmax of
+    ``sums[i] / n + index_table[n - 1]``. A policy that declares a table
+    also has ``init_pulls`` and ``index_rounds_played(rounds)``; ``simulate``
+    then plays the episode in :meth:`.DelayedBanditEnv.play_index`, calls no
+    ``select``, and passes the number of rounds played after the sweep.
     """
 
     label = "policy"
     reads_rng = True
+    index_table = None
 
     def reset(self, n_arms: int, horizon: int) -> None:
         raise NotImplementedError
@@ -49,9 +58,10 @@ class OptimisticIndex(Policy):
     exponent: ``None`` for no bias term, a float folded into the shared
     radius table, or a schedule of the round. Subclasses whose
     exponent depends on the round override :meth:`bias_alpha`. When the
-    table holds the whole radius (no schedule, no override), :meth:`select`
-    takes a loop that asks for no exponent; both of its loops compute the
-    same index bit for bit.
+    table holds the whole radius (no schedule, no override), it is the
+    :attr:`index_table`, and ``simulate`` plays the episode in
+    :meth:`.DelayedBanditEnv.play_index` without calling :meth:`select`,
+    which computes the same index bit for bit.
     """
 
     init_pulls = 1
@@ -63,12 +73,27 @@ class OptimisticIndex(Policy):
         self._radius_table = estimators.radius_table(
             horizon, self.params.delta, None if callable(self.alpha) else self.alpha
         )
-        # The table is the whole radius unless the exponent can vary by round.
-        self._table_is_radius = (
-            not callable(self.alpha) and type(self).bias_alpha is OptimisticIndex.bias_alpha
-        )
         # delay_bias(n, 0.0) is 2 * n ** -0.0, the same at every n (and at -0.0).
         self._flat_bias = estimators.delay_bias(1, 0.0)
+
+    @property
+    def index_table(self):
+        """The radius table when it is the whole radius, else None; read after :meth:`reset`.
+
+        It is, unless the exponent is a schedule or a subclass overrides
+        :meth:`select` or :meth:`bias_alpha`.
+        """
+        cls = type(self)
+        if (
+            callable(self.alpha)
+            or cls.select is not OptimisticIndex.select
+            or cls.bias_alpha is not OptimisticIndex.bias_alpha
+        ):
+            return None
+        return self._radius_table
+
+    def index_rounds_played(self, rounds: int) -> None:
+        """Told how many rounds after the sweep were played on :attr:`index_table`."""
 
     def bias_alpha(self, view: ObservationView) -> Optional[float]:
         """This round's bias exponent, or None when the table holds the whole radius."""
@@ -82,13 +107,6 @@ class OptimisticIndex(Policy):
         sums = view.sums
         table = self._radius_table
         best, best_index, i = 0, -math.inf, 0
-        if self._table_is_radius:
-            for n in counts:
-                index = mu_hat(sums[i], n) + table[n - 1]
-                if index > best_index:
-                    best, best_index = i, index
-                i += 1
-            return best
         alpha = self.bias_alpha(view)
         flat = self._flat_bias if alpha == 0.0 else None
         for n in counts:
@@ -129,6 +147,11 @@ class AdaptPatientBandits(OptimisticIndex):
     tail-index estimate, lower-bounds it for confidence, and plugs that
     bound into the patient radius. Until the most-pulled arm has enough
     pulls for the bound to be positive, it skips the probe: the bound is 0.
+    When that count is at least T, the bound is 0 all episode and the policy
+    is ``ucb`` with two sweeps and a constant bias: its :attr:`index_table`
+    is then the radius table at exponent 0, ``simulate`` plays the episode in
+    :meth:`.DelayedBanditEnv.play_index`, and :meth:`index_rounds_played`
+    records the zero bounds that :meth:`bias_alpha` would have.
     Needs only coarse structural floors (``c``, ``alpha_floor``,
     ``mu_floor``), not the index itself.
     """
@@ -162,6 +185,28 @@ class AdaptPatientBandits(OptimisticIndex):
         self._alpha_bar_offset = estimators.alpha_bar_offset(self.tail_params, self.params.delta)
         self._alpha_bar_threshold = estimators.alpha_bar_threshold(self._alpha_bar_offset)
         self.alpha_bar_history = []
+
+    @property
+    def index_table(self):
+        """The table of ``deviation + delay_bias(n, 0.0)`` when the bound is 0 all episode.
+
+        So it is when the threshold is at least T: the leader has at most
+        T - 1 pulls. Otherwise None, as when a subclass overrides
+        :meth:`select` or :meth:`bias_alpha`. Built when asked for, not in
+        :meth:`reset`.
+        """
+        cls = type(self)
+        if (
+            self._alpha_bar_threshold < self.params.T
+            or cls.select is not OptimisticIndex.select
+            or cls.bias_alpha is not AdaptPatientBandits.bias_alpha
+        ):
+            return None
+        return estimators.radius_table(self.params.T, self.params.delta, 0.0)
+
+    def index_rounds_played(self, rounds: int) -> None:
+        """Records the bound, 0, for each of those rounds."""
+        self.alpha_bar_history += [0.0] * rounds
 
     def bias_alpha(self, view: ObservationView) -> float:
         """The tail-index lower bound computable from this round's view, recorded.
@@ -209,7 +254,12 @@ class DUcb(Policy):
     def __init__(self, m: int, cdf: DelayLaw):
         self.m = check_int("threshold m", m, 1)
         self.cdf = cdf
-        self.tau_m = cdf.cdf(self.m)
+        try:
+            self.tau_m = cdf.cdf(self.m)
+        except OverflowError:  # a law whose cdf takes float(m), or a power of it
+            raise ValueError(
+                "threshold m is too large: the assumed delay CDF cannot be evaluated there"
+            ) from None
         if self.tau_m <= 0.0:
             raise ValueError(
                 f"assumed delay CDF is 0 at the threshold m={m}; the index is undefined"

@@ -37,7 +37,10 @@ def make_lower_bound_pair(T: int, alpha: float) -> LowerBoundPair:
     """
     check_int("T", T, 2)
     check_real("alpha", alpha, positive=True)
-    p = float(T) ** -alpha
+    try:
+        p = float(T) ** -alpha
+    except OverflowError:
+        raise ValueError("T is too large: it has no float value") from None
     q = p / (4.0 - 2.0 * p)
     arm1 = (Bernoulli(0.5), Dirac(0))
     problem_a = BanditInstance([arm1, (Bernoulli(0.5 - q), Dirac(0))], horizon=T)

@@ -271,6 +271,19 @@ def test_bad_parameter_or_spec_is_named(tmp_path, capsys, config, named):
     assert err.startswith("error:") and f"{named} must be" in err and "format" not in err
 
 
+@pytest.mark.parametrize("cdf", [
+    {"kind": "pareto_ceil", "alpha": 0.5},
+    {"kind": "geometric", "q": 0.3},
+], ids=lambda cdf: cdf["kind"])
+def test_ducb_threshold_past_the_float_range_exits_1(tmp_path, capsys, cdf):
+    # An integer m the validator accepts, at which these laws' cdf would overflow a float.
+    path = _write(tmp_path, _with_policy({"kind": "ducb", "m": 10**400, "cdf": cdf}))
+    assert main(["run", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "threshold m" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("policy", [
     {"kind": "patient", "alpha": 0.3, "delta": 5e-324},
     {"kind": "ucb", "delta": 1e-320},
@@ -511,6 +524,12 @@ def test_the_parser_is_built_once_per_process_and_not_at_import():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_lowerbound_horizon_past_the_float_range_exits_1(capsys):
+    assert main(["lowerbound", "--T", str(10**400), "--alpha", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--T" in err
 
 
 def test_lowerbound_verb(capsys):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedInstance
@@ -20,7 +20,7 @@ from patientbandits.distributions import (
     from_spec,
 )
 from patientbandits.environment import BanditInstance, DelayedBanditEnv, EpisodeComplete
-from patientbandits.policies import POLICIES, UniformRandom
+from patientbandits.policies import POLICIES, UniformRandom, VanillaUcb
 from patientbandits.harness import simulate
 
 
@@ -519,6 +519,47 @@ def test_pull_past_horizon_raises():
         env.pull(0, rng.random)
     with pytest.raises(EpisodeComplete):
         env.observe()
+
+
+@given(instance=instances(), seed=st.integers(0, 2**32 - 1), played=st.integers(0, 60),
+       init_pulls=st.integers(1, 2))
+# A sweep of 8 rounds in a horizon of 5: no index round.
+@example(instance=BanditInstance([_arm(0.5)] * 4, 5), seed=0, played=1, init_pulls=2)
+@settings(max_examples=100, deadline=None)
+def test_play_index_continues_an_episode_as_select_and_pull_would(
+    instance, seed, played, init_pulls
+):
+    K, T = instance.n_arms, instance.horizon
+    assume(K * T > 1)  # the default delta is 1 at K = T = 1
+    played %= T + 1
+    policy = VanillaUcb()
+    policy.init_pulls = init_pulls
+    policy.reset(K, T)
+    envs, regrets = [], []
+    for fused in (True, False):
+        env, rng = DelayedBanditEnv(instance), np.random.default_rng(seed)
+        regret = []
+        for t in range(1, T + 1):
+            if fused and t > played:
+                rest, index_rounds = env.play_index(
+                    policy.index_table, init_pulls, rng.random, range(1, T + 1)
+                )
+                assert index_rounds == max(T + 1 - max(t, K * init_pulls + 1), 0)
+                regret += rest
+                break
+            env.pull(policy.select(env.observe(), None), rng.random)
+            regret.append(env.true_pseudo_regret())
+        envs.append(env)
+        regrets.append(regret)
+    assert regrets[0] == regrets[1]
+    fused, reference = envs
+    assert fused.round == reference.round == T + 1
+    assert fused.pull_records() == reference.pull_records()
+    assert fused.censored_count == reference.censored_count
+    assert fused._sums == reference._sums
+    assert fused._calendar == reference._calendar
+    with pytest.raises(EpisodeComplete):
+        fused.play_index(policy.index_table, init_pulls, rng.random, [T])
 
 
 @pytest.mark.parametrize("arm", [-1, 2])

@@ -365,11 +365,20 @@ def _interleaved(instance, policy, rng, checkpoints):
 def _assert_matches_interleaved(make_instance, make_policy, seed, checkpoints=None):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     env, trace = simulate(make_instance(), make_policy(), rng, checkpoints)
+    reference_policy = make_policy()
     reference_env, regret = _interleaved(
-        make_instance(), make_policy(), reference_rng, trace.checkpoints
+        make_instance(), reference_policy, reference_rng, trace.checkpoints
     )
     assert trace.regret.tolist() == regret
     assert env.pull_records() == reference_env.pull_records()
+    assert env.censored_count == reference_env.censored_count
+    assert env.pull_counts == reference_env.pull_counts
+    # Filed alike: no zero reward in the calendar, the rest in pull order.
+    assert env._calendar == reference_env._calendar
+    history = getattr(reference_policy, "alpha_bar_history", None)
+    assert trace.diagnostics.keys() == ({"alpha_bar"} if history else set())
+    if history:
+        assert trace.diagnostics["alpha_bar"].tobytes() == np.asarray(history).tobytes()
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
@@ -390,7 +399,7 @@ _DELAYS = st.one_of(
 
 @st.composite
 def _episodes(draw):
-    arms = draw(st.lists(st.tuples(_REWARDS, _DELAYS), min_size=1, max_size=3))
+    arms = draw(st.lists(st.tuples(_REWARDS, _DELAYS), min_size=1, max_size=8))
     T = draw(st.integers(max(2, len(arms)), 60))  # K = T = 1 gives delta = 1, refused
     marks = draw(st.one_of(st.none(), st.sets(st.integers(1, T), min_size=1)))
     return BanditInstance(arms, T), None if marks is None else sorted(marks)
@@ -419,6 +428,31 @@ def test_coupled_and_scripted_instances_match_the_interleaved_loop(spec):
     _assert_matches_interleaved(  # each episode consumes its own copy of the script
         lambda: ScriptedInstance([(Bernoulli(0.5), Dirac(0))] * 2, 60, script), make_policy, 5
     )
+
+
+class _AdaptWithThreshold(AdaptPatientBandits):
+    """The pinned adapt(alpha_bar>0) floors, whose bound read at T - 1 pulls can be
+    positive, with the pull count where it can turn positive moved to ``T + shift``."""
+
+    def __init__(self, shift):
+        super().__init__(c=1.0, alpha_floor=0.2, mu_floor=8.0, delta=0.5)
+        self.shift = shift
+
+    def reset(self, n_arms, horizon):
+        super().reset(n_arms, horizon)
+        self._alpha_bar_threshold = horizon + self.shift
+
+
+@pytest.mark.parametrize("shift", [-1, 0])
+@pytest.mark.parametrize("arms", [1, 2])
+def test_adapt_takes_the_table_loop_only_when_its_leader_stays_below_the_threshold(shift, arms):
+    # The leader has at most T - 1 pulls, which a one-arm episode reaches on its last round.
+    instance = BanditInstance([(Bernoulli(0.6), ParetoCeil(0.5))] * arms, 50)
+    policy = _AdaptWithThreshold(shift)
+    policy.reset(arms, 50)
+    assert (policy.index_table is None) == (shift < 0)
+    for seed in range(3):
+        _assert_matches_interleaved(lambda: instance, lambda: _AdaptWithThreshold(shift), seed)
 
 
 class _Coin(Policy):
