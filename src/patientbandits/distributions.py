@@ -218,10 +218,20 @@ def assumption1_margin(law: DelayLaw, alpha: float, m_max: int) -> float:
     Returns ``min_m (m**-alpha - (1 - cdf(m)))``; nonnegative iff the law's
     tail is dominated by ``m**-alpha`` on that range. ParetoCeil at its own
     index gives exactly 0.
+
+    A Dirac or TwoPointMass tail is constant between its jump points, and
+    ``m**-alpha`` falls as m grows, so each constant stretch is smallest at
+    its right end: only ``d - 1`` for each jump ``d`` in [2, m_max], and
+    ``m_max``, are evaluated. The other laws are evaluated at every m.
     """
     check_int("m_max", m_max, 1)
     check_real("alpha", alpha, positive=True)
-    return min(float(m) ** -alpha - law.tail(m) for m in range(1, m_max + 1))
+    if type(law) in (Dirac, TwoPointMass):
+        jumps = (law.d,) if type(law) is Dirac else (law.d0, law.d1)
+        ms = sorted({d - 1 for d in jumps if 2 <= d <= m_max} | {m_max})
+    else:
+        ms = range(1, m_max + 1)
+    return min(float(m) ** -alpha - law.tail(m) for m in ms)
 
 
 # ---------------------------------------------------------------------------

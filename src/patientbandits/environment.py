@@ -16,6 +16,7 @@ contribute 0 to every sum it can ask for.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -229,6 +230,11 @@ class _WaitedCursor:
         return inside / self.scale
 
 
+def pseudo_regret(gaps: Sequence[float], counts: Sequence[int]) -> float:
+    """``sum_i gaps[i] * counts[i]``, summed in arm order; the one regret formula."""
+    return float(sum(map(operator.mul, gaps, counts)))
+
+
 class DelayedBanditEnv:
     """Single-episode simulator enforcing the delayed-visibility rules."""
 
@@ -291,7 +297,8 @@ class DelayedBanditEnv:
         past the horizon. A nonzero reward arriving in time is filed in the
         calendar under its arrival round; a zero (of either sign) is not, as
         adding it to a sum that starts at +0.0 and never falls changes no bit.
-        :meth:`play_index` files its pulls by these same rules.
+        :meth:`play_index` files its pulls by these same rules, and so does
+        the compiled loop of :mod:`.kernel`.
         """
         s = self._round
         T = self._T
@@ -396,7 +403,7 @@ class DelayedBanditEnv:
         Environment-side accounting only; uses the true gaps, which no
         policy ever sees.
         """
-        return float(sum(g * c for g, c in zip(self.instance.gaps, self._counts)))
+        return pseudo_regret(self.instance.gaps, self._counts)
 
     def pull_records(self) -> list[PullRecord]:
         """Every pull made so far, merged by round from the per-arm logs.

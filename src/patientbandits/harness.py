@@ -21,16 +21,32 @@ fixed size and returns what the generator's scalar ``random()`` and
 in the same state at the end. Such a policy needs a Generator over PCG64
 (``default_rng``); ``simulate`` refuses any other with ``TypeError``.
 
-An episode runs one of two loops. A policy whose index after its sweep is
-a table lookup declares the table as ``Policy.index_table`` (``ucb``,
-``patient`` with a float α, and ``adapt`` when its tail-index bound is
-provably 0 all episode). Its episode runs in one loop,
-:meth:`DelayedBanditEnv.play_index`, which picks and files each pull on the
-environment's own state with no view, ``select`` or ``pull`` call. Every
-other episode (``patient(loglog)``, ``uniform``, ``ducb``, ``adapt`` above
-its threshold, any policy that overrides ``select``) runs the generic loop,
-``env.pull(policy.select(env.observe(), rng), uniform)``. The generic loop is
-the reference: the table loop gives the same bits, and tests compare them.
+An episode runs on one of three engines, which give the same bits. A
+policy whose index after its sweep is a table lookup declares the table as
+``Policy.index_table`` (``ucb``, ``patient`` with a float α, and ``adapt``
+when its tail-index bound is provably 0 all episode).
+
+- ``monte_carlo`` plays such an episode in the compiled kernel
+  (:mod:`.kernel`) when the instance does not override ``draw``, every law
+  is one of the six built-in ones, and the kernel's library can be had. It
+  returns pull counts per checkpoint, and the regret row is computed from
+  them by :func:`.environment.pseudo_regret`. Any other episode goes to
+  ``run_episode``.
+- ``simulate``, and so ``run_episode``, never uses the kernel, since its
+  caller gets the environment the episode filled. A table episode runs in
+  :meth:`DelayedBanditEnv.play_index`, which picks and files each pull on
+  the environment's own state with no view, ``select`` or ``pull`` call.
+- Every other episode (``patient(loglog)``, ``uniform``, ``ducb``, ``adapt``
+  above its threshold, any policy that overrides ``select``) runs the
+  generic loop, ``env.pull(policy.select(env.observe(), rng), uniform)``.
+
+The kernel is compiled with the host's ``cc`` on the first episode that
+could use it, never at import, and cached in the package's ``__pycache__``
+(see :mod:`.kernel`). Without a compiler, or when the build fails, the
+episode runs in ``play_index`` instead. The generic loop is the reference:
+the tests hold both table engines to it bit for bit. Because every engine
+gives the same numbers, there is no option to choose one; only the speed
+would change.
 
 Worker pools live as long as the process. ``monte_carlo`` starts a pool of
 ``n`` workers the first time it is asked for ``n`` (0 and -1 resolve to
@@ -59,8 +75,9 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import kernel
 from .distributions import check_int, from_spec
-from .environment import BanditInstance, DelayedBanditEnv
+from .environment import BanditInstance, DelayedBanditEnv, pseudo_regret
 from .policies import POLICIES, Policy
 
 _MASK64 = (1 << 64) - 1
@@ -284,9 +301,16 @@ def run_episode(
 
 
 def _replicate(args) -> np.ndarray:
+    """One run's regret row: from the compiled kernel when it takes the episode, else Python."""
     instance, policy_spec, seed, checkpoints = args
-    trace = run_episode(instance, from_spec(POLICIES, policy_spec, "policy"), seed, checkpoints)
-    return trace.regret
+    policy = from_spec(POLICIES, policy_spec, "policy")
+    policy.reset(instance.n_arms, instance.horizon)
+    played = kernel.play_index(instance, policy, seed, checkpoints)
+    if played is None:
+        # simulate resets the policy again, as it does at the start of every episode.
+        return run_episode(instance, policy, seed, checkpoints).regret
+    gaps = instance.gaps
+    return np.array([pseudo_regret(gaps, counts) for counts in played[0].tolist()])
 
 
 # Worker pools by worker count; see the module docstring for their lifetime.

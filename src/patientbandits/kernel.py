@@ -1,0 +1,185 @@
+"""A compiled loop for index episodes, equal bit for bit to the Python one.
+
+``index_kernel.c`` plays a whole episode of a policy that declares
+``Policy.index_table``: the sweep, then the first argmax of
+``sums[i] / n + table[n - 1]``, with each pull filed by
+:meth:`.DelayedBanditEnv.pull`'s rules (delays clamped to T + 1, arrival at
+``s + max(d, 1)``, censoring past T, no calendar entry for a zero reward of
+either sign). A law's nonzero reward is one value per arm, so the order
+in which a round's arrivals are added changes no sum. It returns the pull
+counts at each checkpoint; :func:`.environment.pseudo_regret` turns them
+into regret in Python, so the regret sum has one definition.
+
+It reads the episode's ``2 T`` uniforms from ``default_rng(seed).random(2 T)``
+and maps them as the laws' ``from_uniform`` do, with the C library's
+``pow``, ``log`` and ``ceil`` that CPython's ``**``, ``math.log`` and
+``math.ceil`` call in the same process. It knows the six built-in laws only;
+an instance that overrides ``draw``, or holds any other law, is not played
+here.
+
+The library is built on first use, never at import: the host's ``cc`` (or
+``gcc``) compiles the source with :data:`FLAGS` into the package's
+``__pycache__``, under a name keyed by a hash of the source, the flags and
+the compiler, written to a temporary name and moved in with ``os.replace``
+so that processes building at once all load a complete file. Without a
+compiler, or when building, writing or loading fails, :func:`load` returns
+None, remembered for the process but not on disk, and episodes run in
+Python.
+"""
+from __future__ import annotations
+
+import ctypes
+import math
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+from typing import Optional
+
+import numpy as np
+
+from .distributions import Bernoulli, Dirac, Geometric, ParetoCeil, PointMass, TwoPointMass
+from .environment import BanditInstance
+
+SOURCE = Path(__file__).with_name("index_kernel.c")
+# No -ffast-math, and no contraction of a multiply and an add into one FMA.
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+CACHE = Path(__file__).with_name("__pycache__")
+
+# Delay kinds of index_kernel.c.
+_FIXED, _PARETO, _TWO_POINT, _GEOMETRIC = range(4)
+
+_play = None
+_tried = False
+# The last radius table seen and its float64 copy: a table is converted once
+# per process, not per run.
+_table = (None, None)
+
+
+def load():
+    """The kernel's entry point, built and loaded on the first call; None if it cannot be."""
+    global _play, _tried
+    if not _tried:
+        _tried = True
+        try:
+            _play = _build_and_load()
+        except (OSError, subprocess.SubprocessError):
+            _play = None
+    return _play
+
+
+def _build_and_load():
+    import hashlib  # here, not at import: parsing a config should not pay for it
+
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        return None
+    compiler = os.path.realpath(compiler)
+    info = os.stat(compiler)
+    key = hashlib.sha256(SOURCE.read_bytes())
+    key.update(repr((FLAGS, compiler, info.st_size, info.st_mtime_ns)).encode())
+    path = CACHE / f"index_kernel-{key.hexdigest()[:16]}.so"
+    if not path.exists():
+        CACHE.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=CACHE, prefix=f"{path.stem}.", suffix=".tmp")
+        os.close(fd)
+        try:
+            built = subprocess.run(
+                [compiler, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                capture_output=True, timeout=300,
+            )
+            if built.returncode != 0:
+                return None
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    play = ctypes.CDLL(str(path)).play_index
+    count, pointer = ctypes.c_int64, ctypes.c_void_p
+    play.restype = count
+    play.argtypes = [count] * 3 + [pointer] * 8 + [count, pointer, pointer]
+    return play
+
+
+def _encode(instance: BanditInstance):
+    """The laws as index_kernel.c takes them, or None for a law it does not know."""
+    T = instance.horizon
+    below, value, kind, param, d0, d1 = [], [], [], [], [], []
+    for reward, delay in instance.arms:
+        if type(reward) is Bernoulli and type(reward.mu) in (float, int):
+            below.append(reward.mu)
+            value.append(1.0)
+        elif type(reward) is PointMass and type(reward.value) in (float, int):
+            below.append(2.0 if reward.value else 0.0)  # every uniform, or none
+            value.append(reward.value)
+        else:
+            return None
+        first, second, real = 0, 0, 0.0
+        if type(delay) is Dirac:
+            k, first = _FIXED, delay.d
+        elif type(delay) is ParetoCeil and type(delay._exponent) is float:
+            k, real = _PARETO, delay._exponent
+        elif type(delay) is TwoPointMass and type(delay.p) in (float, int):
+            k, real, first, second = _TWO_POINT, delay.p, delay.d0, delay.d1
+        elif type(delay) is Geometric and type(delay.q) in (float, int):
+            if delay.q >= 1.0:
+                k = _FIXED  # every delay is 0
+            else:
+                k, real = _GEOMETRIC, math.log(1.0 - delay.q)  # the C library's log
+        else:
+            return None
+        kind.append(k)
+        param.append(real)
+        d0.append(min(int(first), T + 1))
+        d1.append(min(int(second), T + 1))
+    return (
+        np.array(below, dtype=np.float64),
+        np.array(value, dtype=np.float64),
+        np.array(kind, dtype=np.int32),
+        np.array(param, dtype=np.float64),
+        np.array(d0, dtype=np.int64),
+        np.array(d1, dtype=np.int64),
+    )
+
+
+def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Optional[tuple]:
+    """``(counts, censored)`` of the episode run ``seed`` of the reset ``policy``, or None.
+
+    ``counts`` is an int64 array with one row of pull counts per checkpoint.
+    None means the episode is not the kernel's: the policy has no
+    ``index_table``, the instance overrides ``draw`` or holds a law other
+    than the built-in six, or the library cannot be had. The policy must
+    have been reset to the instance's horizon, and the checkpoints must
+    increase within [1, T]; otherwise ``ValueError``. A kernel that runs out
+    of memory raises ``MemoryError``.
+    """
+    global _table
+    table = policy.index_table
+    if table is None or type(instance).draw is not BanditInstance.draw:
+        return None
+    laws = _encode(instance)
+    if laws is None:
+        return None
+    play = load()
+    if play is None:
+        return None
+    K, T = instance.n_arms, instance.horizon
+    # The kernel reads table[n - 1] for n < T and writes one row per mark.
+    marks = np.array(checkpoints, dtype=np.int64)
+    if len(table) != T or not (
+        len(marks) and marks[0] >= 1 and marks[-1] <= T and (marks[1:] > marks[:-1]).all()
+    ):
+        raise ValueError(f"needs a table of T={T} entries and checkpoints increasing in [1, T]")
+    if _table[0] is not table:
+        _table = (table, np.array(table, dtype=np.float64))
+    uniforms = np.random.default_rng(seed).random(2 * T)
+    counts = np.empty((len(marks), K), dtype=np.int64)
+    censored = play(
+        K, T, policy.init_pulls, *(a.ctypes.data for a in laws),
+        _table[1].ctypes.data, uniforms.ctypes.data,
+        len(marks), marks.ctypes.data, counts.ctypes.data,
+    )
+    if censored < 0:
+        raise MemoryError(f"an index episode of T={T} does not fit in memory")
+    return counts, censored

@@ -33,9 +33,14 @@ class Policy:
     episode, the policy's choice is: the arm with fewest pulls while some arm
     has fewer than ``init_pulls``, then the first argmax of
     ``sums[i] / n + index_table[n - 1]``. A policy that declares a table
-    also has ``init_pulls`` and ``index_rounds_played(rounds)``; ``simulate``
-    then plays the episode in :meth:`.DelayedBanditEnv.play_index`, calls no
-    ``select``, and passes the number of rounds played after the sweep.
+    also has ``init_pulls`` and ``index_rounds_played(rounds)``, and no
+    ``select`` is called in its episode. ``monte_carlo`` plays the episode in
+    the compiled kernel (:mod:`.kernel`) when the instance's laws allow and a
+    C compiler is available, and otherwise in
+    :meth:`.DelayedBanditEnv.play_index`. ``simulate`` always uses
+    ``play_index`` and passes the number of rounds played after the sweep to
+    ``index_rounds_played``. Both engines give the generic loop's bits (see
+    :mod:`.harness`).
     """
 
     label = "policy"

@@ -532,6 +532,15 @@ def test_lowerbound_horizon_past_the_float_range_exits_1(capsys):
     assert err.startswith("error:") and "--T" in err
 
 
+def test_lowerbound_at_a_horizon_of_a_trillion_answers_at_once(capsys):
+    # The tail-bound margin of problem B's two-point delay is evaluated at its
+    # jump points only, not at every m < T.
+    start = time.perf_counter()
+    assert main(["lowerbound", "--T", str(10**12), "--alpha", "0.5"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert "q >= p/4: True" in capsys.readouterr().out
+
+
 def test_lowerbound_verb(capsys):
     assert main(["lowerbound", "--T", "16", "--alpha", "0.5"]) == 0
     out = capsys.readouterr().out

@@ -195,6 +195,21 @@ def test_assumption1_margin_pareto_grid_is_scalar_exact(alpha):
         assert assumption1_margin(ParetoCeil(law_alpha), alpha, m_max=1000) == brute
 
 
+_STEP_TAIL_LAWS = st.one_of(
+    st.integers(0, 2100).map(Dirac),
+    st.builds(TwoPointMass, p=st.floats(0.0, 1.0), d0=st.integers(0, 2100),
+              d1=st.integers(0, 2100)),
+)
+
+
+@given(law=_STEP_TAIL_LAWS, alpha=st.floats(0.0, 50.0, exclude_min=True),
+       m_max=st.integers(1, 2000))
+@settings(max_examples=200, deadline=None)
+def test_assumption1_margin_of_a_step_tail_is_the_brute_force_minimum(law, alpha, m_max):
+    brute = min(float(m) ** -alpha - law.tail(m) for m in range(1, m_max + 1))
+    assert assumption1_margin(law, alpha, m_max).hex() == brute.hex()
+
+
 @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf, True])
 def test_assumption1_margin_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):

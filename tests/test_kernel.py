@@ -1,0 +1,212 @@
+"""The compiled index loop: equal bit for bit to both Python loops, built once, shipped."""
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from patientbandits import harness, kernel
+from patientbandits.distributions import (
+    Bernoulli,
+    Dirac,
+    Geometric,
+    ParetoCeil,
+    PointMass,
+    TwoPointMass,
+    from_spec,
+)
+from patientbandits.environment import BanditInstance, DelayedBanditEnv
+from patientbandits.policies import POLICIES
+
+PACKAGE = Path(kernel.__file__).parent
+
+# Every policy whose episode has an index table: adapt's default floors keep
+# its tail-index bound at 0 far beyond these horizons.
+TABLE_SPECS = [
+    {"kind": "ucb"},
+    {"kind": "patient", "alpha": 0.3},
+    {"kind": "patient", "alpha": 2.0, "delta": 0.5},
+    {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5},
+]
+
+_REWARDS = st.one_of(
+    st.floats(0.0, 1.0).map(Bernoulli),
+    # -0.0 is a zero reward; the others are not dyadic, so their sums are
+    # inexact.
+    st.sampled_from([0.0, -0.0, 0.1, 0.3, 0.7, 1.0]).map(PointMass),
+)
+_DELAYS = st.one_of(
+    st.sampled_from([0, 1, 3, 10**30]).map(Dirac),
+    # At alpha 0.005 a few percent of the draws overflow to an infinite delay.
+    st.sampled_from([0.005, 0.01, 0.3, 1.0, 5.0]).map(ParetoCeil),
+    st.sampled_from([1.0, 0.5, 0.1, 1e-12]).map(Geometric),
+    st.builds(TwoPointMass, p=st.floats(0.0, 1.0), d0=st.integers(0, 4),
+              d1=st.sampled_from([5, 40, 10**30])),
+)
+
+
+@st.composite
+def _episodes(draw):
+    arms = draw(st.lists(st.tuples(_REWARDS, _DELAYS), min_size=1, max_size=8))
+    T = draw(st.integers(max(2, len(arms)), 200))  # K = T = 1 gives delta = 1, refused
+    marks = draw(st.one_of(st.none(), st.sets(st.integers(1, T), min_size=1)))
+    return BanditInstance(arms, T), harness._validated_checkpoints(
+        None if marks is None else sorted(marks), T
+    )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def compiled():
+    if kernel.load() is None:
+        pytest.skip("no C compiler on this host: the kernel cannot be built")
+
+
+def _generic(instance, spec, seed, checkpoints):
+    """The reference loop, ``pull(select(observe()))`` each round; ``(env, regret)``."""
+    policy = from_spec(POLICIES, spec, "policy")
+    policy.reset(instance.n_arms, instance.horizon)
+    env = DelayedBanditEnv(instance)
+    uniform = iter(np.random.default_rng(seed).random(2 * instance.horizon).tolist()).__next__
+    regret = []
+    for t in range(1, instance.horizon + 1):
+        env.pull(policy.select(env.observe(), None), uniform)
+        if t in checkpoints:
+            regret.append(env.true_pseudo_regret())
+    return env, regret
+
+
+@given(episode=_episodes(), spec=st.sampled_from(TABLE_SPECS), seed=st.integers(0, 2**64 - 1))
+@example(  # a sweep of 2 * 8 rounds in a horizon of 9: no index round
+    episode=(BanditInstance([(Bernoulli(0.5), Dirac(1))] * 8, 9), (9,)),
+    spec=TABLE_SPECS[3], seed=0,
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_play_index_and_the_generic_loop(episode, spec, seed):
+    instance, checkpoints = episode
+    policy = from_spec(POLICIES, spec, "policy")
+    policy.reset(instance.n_arms, instance.horizon)
+    (counts,), censored = kernel.play_index(instance, policy, seed, (instance.horizon,))
+    row = harness._replicate((instance, spec, seed, checkpoints))
+    python_row = harness.run_episode(
+        instance, from_spec(POLICIES, spec, "policy"), seed, checkpoints
+    ).regret
+    env, regret = _generic(instance, spec, seed, checkpoints)
+    assert row.tobytes() == python_row.tobytes() == np.array(regret).tobytes()
+    assert tuple(counts.tolist()) == env.pull_counts
+    assert censored == env.censored_count
+
+
+def test_kernel_plays_only_plain_instances_and_table_policies():
+    class Overridden(BanditInstance):
+        def draw(self, arm, u, v):
+            return super().draw(arm, u, v)
+
+    class Subclassed(Bernoulli):
+        pass
+
+    arms = [(Bernoulli(0.5), Dirac(0)), (Bernoulli(0.6), Dirac(2))]
+    for instance, spec in [
+        (BanditInstance(arms, 20), {"kind": "patient", "alpha": "loglog"}),
+        (BanditInstance(arms, 20), {"kind": "ducb", "m": 2, "cdf": {"kind": "dirac", "d": 0}}),
+        (Overridden(arms, 20), {"kind": "ucb"}),
+        (BanditInstance([(Subclassed(0.5), Dirac(0))] + arms, 20), {"kind": "ucb"}),
+    ]:
+        policy = from_spec(POLICIES, spec, "policy")
+        policy.reset(instance.n_arms, instance.horizon)
+        assert kernel.play_index(instance, policy, 0, (20,)) is None
+    policy = POLICIES["ucb"]()
+    policy.reset(2, 20)
+    assert kernel.play_index(BanditInstance(arms, 20), policy, 0, (20,)) is not None
+
+
+@pytest.mark.parametrize("horizon, checkpoints", [
+    (30, (20,)),  # the policy was reset for another horizon
+    (20, (0, 5)), (20, (5, 21)), (20, (5, 5)), (20, ()),
+])
+def test_kernel_refuses_a_table_or_checkpoints_that_do_not_fit(horizon, checkpoints):
+    policy = POLICIES["ucb"]()
+    policy.reset(2, horizon)
+    instance = BanditInstance([(Bernoulli(0.5), Dirac(0))] * 2, 20)
+    with pytest.raises(ValueError, match="checkpoints"):
+        kernel.play_index(instance, policy, 0, checkpoints)
+
+
+def _regret_bytes(instance, spec):
+    return harness.monte_carlo(instance, spec, runs=3, master_seed=11).regrets.tobytes()
+
+
+def test_without_a_compiler_monte_carlo_gives_the_same_bits(monkeypatch):
+    instance = BanditInstance(
+        [(Bernoulli(0.5), ParetoCeil(1.0)), (PointMass(0.3), Geometric(0.2)),
+         (Bernoulli(0.6), TwoPointMass(p=0.3, d0=2, d1=500))],
+        horizon=400,
+    )
+    compiled = [_regret_bytes(instance, spec) for spec in TABLE_SPECS]
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    in_python = []
+    play_index = DelayedBanditEnv.play_index
+
+    def counted(env, *args):
+        in_python.append(env)
+        return play_index(env, *args)
+
+    monkeypatch.setattr(DelayedBanditEnv, "play_index", counted)
+    assert [_regret_bytes(instance, spec) for spec in TABLE_SPECS] == compiled
+    assert len(in_python) == 3 * len(TABLE_SPECS)
+
+
+_BUILD_AND_RUN = """
+import json, sys
+from patientbandits import harness, kernel
+from patientbandits.distributions import Bernoulli, ParetoCeil
+from patientbandits.environment import BanditInstance
+arms = [(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.6), ParetoCeil(0.3))]
+regrets = harness.monte_carlo(BanditInstance(arms, 300), {"kind": "ucb"}, 4, 3).regrets
+print(json.dumps([kernel.load() is not None, regrets.tobytes().hex(), kernel.__file__]))
+"""
+
+
+def test_two_processes_building_a_cold_cache_at_once_both_load_it(tmp_path):
+    shutil.copytree(PACKAGE, tmp_path / "patientbandits",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _BUILD_AND_RUN], env=env, cwd=tmp_path,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    outputs = [proc.communicate(timeout=300) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outputs]
+    arms = [(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.6), ParetoCeil(0.3))]
+    expected = harness.monte_carlo(BanditInstance(arms, 300), {"kind": "ucb"}, 4, 3).regrets
+    for out, _ in outputs:
+        loaded, regrets, where = json.loads(out)
+        assert loaded and Path(where).parent == tmp_path / "patientbandits"
+        assert regrets == expected.tobytes().hex()
+    cache = sorted(p.name for p in (tmp_path / "patientbandits" / "__pycache__").iterdir())
+    assert len(cache) == 1 and cache[0].startswith("index_kernel-") and cache[0].endswith(".so")
+
+
+def test_the_kernel_source_ships_in_the_built_package(tmp_path):
+    project = Path(__file__).resolve().parent.parent
+    copy = tmp_path / "project"
+    copy.mkdir()
+    shutil.copy(project / "pyproject.toml", copy)
+    shutil.copytree(project / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run(
+        [sys.executable, "-c", "import setuptools; setuptools.setup()",
+         "build_py", "--build-lib", str(tmp_path / "lib")],
+        cwd=copy, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "lib" / "patientbandits" / kernel.SOURCE.name).read_bytes() == (
+        kernel.SOURCE.read_bytes()
+    )
