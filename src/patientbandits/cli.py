@@ -262,9 +262,10 @@ def execute(config: ExperimentConfig, n_jobs: int = 1) -> MonteCarloResult:
             n_jobs=n_jobs,
         )
     except MemoryError:
-        raise ConfigError(
-            f"T={config.T} is too large for memory, or runs={config.runs} is"
-        ) from None
+        # Not raised in here: the traceback holds the failed episode, so
+        # memory may still be too full even for the message.
+        pass
+    raise ConfigError(f"T={config.T} is too large for memory, or runs={config.runs} is")
 
 
 def write_results(

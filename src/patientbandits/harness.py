@@ -9,24 +9,27 @@ bitwise identical to a serial pass.
 
 A policy whose ``select`` never draws (``Policy.reads_rng`` false: every
 index policy) leaves the pulls as the stream's only reader, so the episode's
-``2 T`` uniforms are drawn as one block, ``rng.random(2 * T)``, and each
-pull reads its two from the block's iterator. The block holds the same
-values in the same order as ``2 T`` scalar calls and leaves the generator in
-the same state, so no regret bit changes; it costs about 64 B per round
-while the episode runs (6.4 MB at T = 1e5). A policy that reads the rng
-(``uniform``) draws its arm between pulls, so ``select`` and the pulls share
-one ``_Stream``: it reads the generator's PCG64 raw outputs in blocks of a
+``2 T`` uniforms are drawn ``_CHUNK`` at a time (the last block shorter),
+``rng.random(n)`` when the pulls reach a block, and each pull reads its two
+from the blocks' chained iterator. The blocks hold the same values in the
+same order as ``2 T`` scalar calls and leave the generator in the same
+state, so no regret bit changes; the episode holds one block as a list,
+about 2 MB, whatever its horizon. A policy that reads the rng (``uniform``)
+draws its arm between pulls, so ``select`` and the pulls share one
+``_Stream``: it reads the generator's PCG64 raw outputs in blocks of a
 fixed size and returns what the generator's scalar ``random()`` and
 ``integers(n)`` calls would, in the same order, and it leaves the generator
 in the same state at the end. Such a policy needs a Generator over PCG64
 (``default_rng``); ``simulate`` refuses any other with ``TypeError``.
 
-An episode runs on one of three engines, which give the same bits. A
-policy whose index after its sweep is a table lookup declares the table as
+An episode runs on one of three engines, which give the same bits. Two
+kinds of policy declare the shape of their whole episode. One whose index
+after its sweep is a table lookup declares the table as
 ``Policy.index_table`` (``ucb``, ``patient`` with a float α, and ``adapt``
-when its tail-index bound is provably 0 all episode).
+when its tail-index bound is provably 0 all episode). ``ducb`` declares its
+fixed wait and de-biasing factor as ``Policy.window_index``.
 
-- ``monte_carlo`` plays such an episode in the compiled kernel
+- ``monte_carlo`` plays an episode of either kind in the compiled kernel
   (:mod:`.kernel`) when the instance does not override ``draw``, every law
   is one of the six built-in ones, and the kernel's library can be had. It
   returns pull counts per checkpoint, and the regret row is computed from
@@ -36,17 +39,18 @@ when its tail-index bound is provably 0 all episode).
   caller gets the environment the episode filled. A table episode runs in
   :meth:`DelayedBanditEnv.play_index`, which picks and files each pull on
   the environment's own state with no view, ``select`` or ``pull`` call.
-- Every other episode (``patient(loglog)``, ``uniform``, ``ducb``, ``adapt``
-  above its threshold, any policy that overrides ``select``) runs the
-  generic loop, ``env.pull(policy.select(env.observe(), rng), uniform)``.
+- Every other episode (``patient(loglog)``, ``uniform``, ``adapt`` above
+  its threshold, any policy that overrides ``select``, and ``ducb`` outside
+  the kernel) runs the generic loop,
+  ``env.pull(policy.select(env.observe(), rng), uniform)``.
 
 The kernel is compiled with the host's ``cc`` on the first episode that
 could use it, never at import, and cached in the package's ``__pycache__``
-(see :mod:`.kernel`). Without a compiler, or when the build fails, the
-episode runs in ``play_index`` instead. The generic loop is the reference:
-the tests hold both table engines to it bit for bit. Because every engine
-gives the same numbers, there is no option to choose one; only the speed
-would change.
+(see :mod:`.kernel`). Without a compiler, or when the build fails, a table
+episode runs in ``play_index`` and a ``ducb`` episode in the generic loop.
+The generic loop is the reference: the tests hold the kernel and
+``play_index`` to it bit for bit. Because every engine gives the same
+numbers, there is no option to choose one; only the speed would change.
 
 Worker pools live as long as the process. ``monte_carlo`` starts a pool of
 ``n`` workers the first time it is asked for ``n`` (0 and -1 resolve to
@@ -71,6 +75,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -148,6 +153,8 @@ def _validated_checkpoints(checkpoints, horizon) -> Tuple[int, ...]:
 
 # Raw outputs a ``_Stream`` draws from its generator at a time.
 _BLOCK = 1024
+# Uniforms ``simulate`` draws at a time for a policy that does not read the rng.
+_CHUNK = 65536
 
 
 class _Stream:
@@ -255,26 +262,16 @@ def simulate(
     policy.reset(K, T)
     env = DelayedBanditEnv(instance)
     if stream is None:
-        uniform = iter(rng.random(2 * T).tolist()).__next__
+        uniform = chain.from_iterable(
+            rng.random(min(_CHUNK, 2 * T - start)).tolist() for start in range(0, 2 * T, _CHUNK)
+        ).__next__
     else:
         uniform = stream.random
     table = policy.index_table
-    try:
-        if table is not None:
-            regret, index_rounds = env.play_index(table, policy.init_pulls, uniform, cps)
-            policy.index_rounds_played(index_rounds)
-        else:
-            marks = iter(cps)
-            mark = next(marks)
-            regret = []
-            for t in range(1, T + 1):
-                env.pull(policy.select(env.observe(), stream), uniform)
-                if t == mark:
-                    regret.append(env.true_pseudo_regret())
-                    mark = next(marks, 0)
-    finally:
-        if stream is not None:
-            stream.close()
+    if stream is None:
+        regret = _play(env, policy, table, None, uniform, cps)
+    else:
+        regret = _closing(stream, _play, env, policy, table, stream, uniform, cps)
     diagnostics = {}
     history = getattr(policy, "alpha_bar_history", None)
     if history:
@@ -286,6 +283,39 @@ def simulate(
         diagnostics=diagnostics,
     )
     return env, trace
+
+
+def _play(env, policy, table, rng, uniform, checkpoints) -> list:
+    """The episode's regret at ``checkpoints``: ``play_index`` on a table, else the generic loop."""
+    if table is not None:
+        regret, index_rounds = env.play_index(table, policy.init_pulls, uniform, checkpoints)
+        policy.index_rounds_played(index_rounds)
+        return regret
+    marks = iter(checkpoints)
+    mark = next(marks)
+    regret = []
+    for t in range(1, env.horizon + 1):
+        env.pull(policy.select(env.observe(), rng), uniform)
+        if t == mark:
+            regret.append(env.true_pseudo_regret())
+            mark = next(marks, 0)
+    return regret
+
+
+def _closing(stream: _Stream, play, *args):
+    """``play(*args)``, then ``stream.close()``, also when ``play`` raises.
+
+    A function of its own so that its ``finally`` stays among the first
+    bytecode offsets. Entering a ``finally``, CPython 3.11 boxes the offset
+    of the raising instruction as an int; past the cached small ints that
+    allocates, and when memory is exhausted the failed allocation re-enters
+    the same handler, so an episode that ran out of memory spun there at
+    full CPU instead of raising ``MemoryError``.
+    """
+    try:
+        return play(*args)
+    finally:
+        stream.close()
 
 
 def run_episode(

@@ -1,21 +1,31 @@
-"""A compiled loop for index episodes, equal bit for bit to the Python one.
+"""Compiled loops for index episodes, equal bit for bit to the Python ones.
 
-``index_kernel.c`` plays a whole episode of a policy that declares
-``Policy.index_table``: the sweep, then the first argmax of
-``sums[i] / n + table[n - 1]``, with each pull filed by
-:meth:`.DelayedBanditEnv.pull`'s rules (delays clamped to T + 1, arrival at
-``s + max(d, 1)``, censoring past T, no calendar entry for a zero reward of
-either sign). A law's nonzero reward is one value per arm, so the order
-in which a round's arrivals are added changes no sum. It returns the pull
-counts at each checkpoint; :func:`.environment.pseudo_regret` turns them
-into regret in Python, so the regret sum has one definition.
+``index_kernel.c`` plays a whole episode of a policy of one of two shapes.
+
+- A policy that declares ``Policy.index_table``: the sweep, then the first
+  argmax of ``sums[i] / n + table[n - 1]`` (``play_table``).
+- A policy that declares ``Policy.window_index``, ``ducb``: round robin
+  before round ``m + K``, then the first argmax of
+  :func:`.policies.ducb_index` over each arm's window at the fixed wait
+  ``m`` (``play_ducb``). Each round one pull enters one window, and an
+  arm's nonzero rewards are one value ``v``, so a window of ``k`` of them
+  totals ``k * v`` rounded once, the exact sum that
+  :meth:`.ObservationView.windowed` rounds once.
+
+Both file each pull by :meth:`.DelayedBanditEnv.pull`'s rules (delays
+clamped to T + 1, arrival at ``s + max(d, 1)``, censoring past T, no
+calendar entry for a zero reward of either sign), in one C helper. A law's
+nonzero reward is one value per arm, so the order in which a round's
+arrivals are added changes no sum. The kernel returns the pull counts at
+each checkpoint; :func:`.environment.pseudo_regret` turns them into regret
+in Python, so the regret sum has one definition.
 
 It reads the episode's ``2 T`` uniforms from ``default_rng(seed).random(2 T)``
 and maps them as the laws' ``from_uniform`` do, with the C library's
-``pow``, ``log`` and ``ceil`` that CPython's ``**``, ``math.log`` and
-``math.ceil`` call in the same process. It knows the six built-in laws only;
-an instance that overrides ``draw``, or holds any other law, is not played
-here.
+``pow``, ``log``, ``sqrt`` and ``ceil`` that CPython's ``**``,
+``math.log``, ``math.sqrt`` and ``math.ceil`` call in the same process. It
+knows the six built-in laws only; an instance that overrides ``draw``, or
+holds any other law, is not played here.
 
 The library is built on first use, never at import: the host's ``cc`` (or
 ``gcc``) compiles the source with :data:`FLAGS` into the package's
@@ -50,7 +60,7 @@ CACHE = Path(__file__).with_name("__pycache__")
 # Delay kinds of index_kernel.c.
 _FIXED, _PARETO, _TWO_POINT, _GEOMETRIC = range(4)
 
-_play = None
+_library = None
 _tried = False
 # The last radius table seen and its float64 copy: a table is converted once
 # per process, not per run.
@@ -58,15 +68,15 @@ _table = (None, None)
 
 
 def load():
-    """The kernel's entry point, built and loaded on the first call; None if it cannot be."""
-    global _play, _tried
+    """The kernel's library, built and loaded on the first call; None if it cannot be."""
+    global _library, _tried
     if not _tried:
         _tried = True
         try:
-            _play = _build_and_load()
+            _library = _build_and_load()
         except (OSError, subprocess.SubprocessError):
-            _play = None
-    return _play
+            _library = None
+    return _library
 
 
 def _build_and_load():
@@ -95,11 +105,13 @@ def _build_and_load():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    play = ctypes.CDLL(str(path)).play_index
-    count, pointer = ctypes.c_int64, ctypes.c_void_p
-    play.restype = count
-    play.argtypes = [count] * 3 + [pointer] * 8 + [count, pointer, pointer]
-    return play
+    library = ctypes.CDLL(str(path))
+    count, real, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    marks = [count, pointer, pointer]
+    library.play_table.restype = library.play_ducb.restype = count
+    library.play_table.argtypes = [count] * 3 + [pointer] * 8 + marks
+    library.play_ducb.argtypes = [count] * 3 + [real] + [pointer] * 7 + marks
+    return library
 
 
 def _encode(instance: BanditInstance):
@@ -147,39 +159,51 @@ def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Opti
     """``(counts, censored)`` of the episode run ``seed`` of the reset ``policy``, or None.
 
     ``counts`` is an int64 array with one row of pull counts per checkpoint.
-    None means the episode is not the kernel's: the policy has no
-    ``index_table``, the instance overrides ``draw`` or holds a law other
-    than the built-in six, or the library cannot be had. The policy must
-    have been reset to the instance's horizon, and the checkpoints must
-    increase within [1, T]; otherwise ``ValueError``. A kernel that runs out
-    of memory raises ``MemoryError``.
+    None means the episode is not the kernel's: the policy has neither an
+    ``index_table`` nor a ``window_index``, the instance overrides ``draw``
+    or holds a law other than the built-in six, or the library cannot be
+    had. The policy must have been reset to the instance's horizon, and the
+    checkpoints must increase within [1, T]; otherwise ``ValueError``. An
+    episode too large for memory raises ``MemoryError``.
     """
     global _table
-    table = policy.index_table
-    if table is None or type(instance).draw is not BanditInstance.draw:
+    table, window = policy.index_table, policy.window_index
+    if (table is None and window is None) or type(instance).draw is not BanditInstance.draw:
         return None
     laws = _encode(instance)
     if laws is None:
         return None
-    play = load()
-    if play is None:
+    library = load()
+    if library is None:
         return None
     K, T = instance.n_arms, instance.horizon
     # The kernel reads table[n - 1] for n < T and writes one row per mark.
     marks = np.array(checkpoints, dtype=np.int64)
-    if len(table) != T or not (
+    if (table is not None and len(table) != T) or not (
         len(marks) and marks[0] >= 1 and marks[-1] <= T and (marks[1:] > marks[:-1]).all()
     ):
         raise ValueError(f"needs a table of T={T} entries and checkpoints increasing in [1, T]")
-    if _table[0] is not table:
-        _table = (table, np.array(table, dtype=np.float64))
-    uniforms = np.random.default_rng(seed).random(2 * T)
+    rng = np.random.default_rng(seed)
+    try:
+        uniforms = rng.random(2 * T)
+    except ValueError:  # more bytes than an address can span
+        raise MemoryError(f"the {2 * T} uniforms of T={T} do not fit in memory") from None
     counts = np.empty((len(marks), K), dtype=np.int64)
-    censored = play(
-        K, T, policy.init_pulls, *(a.ctypes.data for a in laws),
-        _table[1].ctypes.data, uniforms.ctypes.data,
-        len(marks), marks.ctypes.data, counts.ctypes.data,
-    )
+    tail = (len(marks), marks.ctypes.data, counts.ctypes.data)
+    pointers = [a.ctypes.data for a in laws]  # laws keeps the arrays alive
+    if table is not None:
+        if _table[0] is not table:
+            _table = (table, np.array(table, dtype=np.float64))
+        censored = library.play_table(
+            K, T, policy.init_pulls, *pointers, _table[1].ctypes.data, uniforms.ctypes.data, *tail
+        )
+    else:
+        m, tau_m = window
+        # Any m past T makes every round round robin; ctypes would silently
+        # wrap an m past the int64 range.
+        censored = library.play_ducb(
+            K, T, min(m, T + 1), tau_m, *pointers, uniforms.ctypes.data, *tail
+        )
     if censored < 0:
         raise MemoryError(f"an index episode of T={T} does not fit in memory")
     return counts, censored

@@ -27,7 +27,7 @@ class Policy:
     ``integers(n)`` with the values of the generator's own calls, and its
     draws interleave with the pulls' on that stream. A policy that sets it
     false is handed ``rng=None``, and the pulls read the episode's reward and
-    delay uniforms from one block drawn ahead (see :mod:`.harness`).
+    delay uniforms from blocks drawn ahead (see :mod:`.harness`).
 
     ``index_table``, read after ``reset``, is None unless, for the whole
     episode, the policy's choice is: the arm with fewest pulls while some arm
@@ -39,13 +39,21 @@ class Policy:
     C compiler is available, and otherwise in
     :meth:`.DelayedBanditEnv.play_index`. ``simulate`` always uses
     ``play_index`` and passes the number of rounds played after the sweep to
-    ``index_rounds_played``. Both engines give the generic loop's bits (see
-    :mod:`.harness`).
+    ``index_rounds_played``.
+
+    ``window_index``, read after ``reset``, is likewise None unless the
+    policy's choice is ``ducb``'s for the whole episode: ``t % K`` at round
+    ``t < m + K``, then the first argmax of :func:`ducb_index` over each
+    arm's ``windowed(i, m)``, infinite for an empty window. It is then
+    ``(m, tau_m)``, and ``monte_carlo`` plays the episode in the compiled
+    kernel when it can, and otherwise in the generic loop. Every engine gives
+    the generic loop's bits (see :mod:`.harness`).
     """
 
     label = "policy"
     reads_rng = True
     index_table = None
+    window_index = None
 
     def reset(self, n_arms: int, horizon: int) -> None:
         raise NotImplementedError
@@ -251,7 +259,9 @@ class DUcb(Policy):
     windowed mean by the supplied delay CDF evaluated at ``m``, and plays
     round-robin until round ``m + K``. The CDF is a modelling input, not
     ground truth: handing it a wrong one is exactly the failure mode worth
-    studying.
+    studying. Its wait is fixed, so it declares :attr:`window_index`, and
+    ``monte_carlo`` plays its episodes in the compiled kernel without calling
+    :meth:`select`, which computes the same index bit for bit.
     """
 
     reads_rng = False
@@ -273,6 +283,11 @@ class DUcb(Policy):
 
     def reset(self, n_arms: int, horizon: int) -> None:
         pass
+
+    @property
+    def window_index(self):
+        """``(m, tau_m)``, or None when a subclass overrides :meth:`select`."""
+        return None if type(self).select is not DUcb.select else (self.m, self.tau_m)
 
     def select(self, view: ObservationView, rng) -> int:
         t = view.t

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from patientbandits import cli
+from patientbandits import cli, kernel
 from patientbandits.cli import (
     ConfigError,
     ExperimentConfig,
@@ -387,35 +387,56 @@ HUGE_T_POLICIES = [
 ]
 
 
-@pytest.mark.parametrize("T, limit_mib", [
+@pytest.mark.parametrize("T, limit_mib, fits", [
     # Far below the limit and at once: the radius table of patient, adapt
-    # and ucb fails at parse time, the calendar of ducb and uniform when the
-    # run allocates it.
-    pytest.param(2**61, 1536, id=str(2**61)),
-    pytest.param(10**12, 1536, id=str(10**12)),
-    # The calendar fits, but the episode does not: the uniform block, or the
-    # logs of an interleaved run, exhaust the limit after parsing.
-    pytest.param(2 * 10**6, 320, id=str(2 * 10**6)),
+    # and ucb fails at parse time, the uniforms of compiled ducb and the
+    # calendar of uniform when the run allocates them.
+    pytest.param(2**61, 1536, (), id=str(2**61)),
+    pytest.param(10**12, 1536, (), id=str(10**12)),
+    # The calendar fits, but the Python episodes do not: the logs of an
+    # interleaved run exhaust the limit after parsing, and patient's peak
+    # (about 357 MB of address space) passes it too. The compiled episodes
+    # of ucb (about 280 MB) and ducb (16 B of uniforms per round, about
+    # 145 MB) run.
+    pytest.param(2 * 10**6, 320, ("ucb", "ducb"), id=str(2 * 10**6)),
+    # No engine fits: the kernel's uniforms alone are 320 MB.
+    pytest.param(2 * 10**7, 320, (), id=str(2 * 10**7)),
 ])
-def test_horizon_too_large_for_memory_exits_1_for_every_policy(tmp_path, T, limit_mib):
+def test_horizon_too_large_for_memory_exits_1_for_every_policy(tmp_path, T, limit_mib, fits):
     # Under an address-space limit, so that a regression fails here instead
     # of exhausting the host. One BLAS thread keeps numpy's own reservations
-    # small whatever the core count.
-    paths = [_write(tmp_path, {**TWO_ARM, "T": T, "policy": policy}, f"{i}.json")
-             for i, policy in enumerate(HUGE_T_POLICIES)]
+    # small whatever the core count. The configs that must fail share one
+    # process; each that must run has its own, as from the command line: an
+    # episode that ran out of memory leaves its process's heap grown, and
+    # whether a later config fits beside it is luck. The kernel is built
+    # here, outside the limit; without a compiler ucb and ducb run Python
+    # loops, which do not fit.
+    if kernel.load() is None:
+        fits = ()
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run(
-        [sys.executable, "-c", _UNDER_A_MEMORY_LIMIT, str(limit_mib), str(tmp_path), *paths],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    codes, peak_rss = json.loads(done.stdout)
-    assert codes == [1] * len(HUGE_T_POLICIES)
-    assert peak_rss < 512 << 20
-    assert done.stderr.count(f"error: T={T} is too large for memory") == len(HUGE_T_POLICIES)
-    assert not list(tmp_path.glob("*.csv"))
+
+    def run(policies):
+        paths = [_write(tmp_path, {**TWO_ARM, "T": T, "policy": p, "name": p["kind"]},
+                        f"{p['kind']}.json") for p in policies]
+        done = subprocess.run(
+            [sys.executable, "-c", _UNDER_A_MEMORY_LIMIT, str(limit_mib), str(tmp_path), *paths],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        codes, peak_rss = json.loads(done.stdout.splitlines()[-1])  # after a run's own line
+        assert peak_rss < 512 << 20
+        return codes, done.stderr
+
+    failing = [p for p in HUGE_T_POLICIES if p["kind"] not in fits]
+    codes, err = run(failing)
+    assert codes == [1] * len(failing), err
+    assert err.count(f"error: T={T} is too large for memory") == len(failing)
+    for policy in HUGE_T_POLICIES:
+        if policy["kind"] in fits:
+            assert run([policy]) == ([0], "")
+    assert sorted(p.stem for p in tmp_path.glob("*.csv")) == sorted(fits)
 
 
 def test_pareto_overflow_runs_and_censors(tmp_path):

@@ -475,6 +475,29 @@ def test_undeclared_policy_keeps_the_interleaved_order():
         _assert_matches_interleaved(lambda: instance, _Coin, seed)
 
 
+class _Recorded(BanditInstance):
+    """A plain instance that records the uniforms each pull reads."""
+
+    def draw(self, arm, u, v):
+        self.uniforms += (u, v)
+        return super().draw(arm, u, v)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "ucb"},  # play_index
+    {"kind": "ducb", "m": 20, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}},  # the generic loop
+])
+def test_uniforms_drawn_in_chunks_equal_one_block_in_bits_and_state(spec):
+    # 2T spans three chunks, the last one short.
+    T = harness._CHUNK + 1000
+    instance = _Recorded([(Bernoulli(0.5), ParetoCeil(1.0)), (PointMass(0.3), Geometric(0.2))], T)
+    instance.uniforms = []
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    simulate(instance, from_spec(POLICIES, spec, "policy"), rng, (T,))
+    assert instance.uniforms == reference.random(2 * T).tolist()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_block_policy_is_handed_no_generator():
     class SecretlyRandom(VanillaUcb):
         def select(self, view, rng):

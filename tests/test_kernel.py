@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from patientbandits import harness, kernel
@@ -24,7 +25,7 @@ from patientbandits.distributions import (
     from_spec,
 )
 from patientbandits.environment import BanditInstance, DelayedBanditEnv
-from patientbandits.policies import POLICIES
+from patientbandits.policies import POLICIES, DUcb
 
 PACKAGE = Path(kernel.__file__).parent
 
@@ -104,6 +105,87 @@ def test_kernel_matches_play_index_and_the_generic_loop(episode, spec, seed):
     assert censored == env.censored_count
 
 
+# Assumed delay CDFs for ducb. Some are 0 at small waits, which the policy
+# refuses; the rest include tiny values of tau_m, down to the least positive
+# float, at which every index overflows to infinity.
+_DUCB_CDFS = [
+    {"kind": "dirac", "d": 0},
+    {"kind": "dirac", "d": 3},
+    {"kind": "pareto_ceil", "alpha": 0.7},
+    {"kind": "pareto_ceil", "alpha": 1e-9},
+    {"kind": "geometric", "q": 1e-12},
+    {"kind": "two_point", "p": 0.3, "d0": 5, "d1": 40},
+    {"kind": "two_point", "p": 5e-324, "d0": 10**30, "d1": 0},
+]
+
+
+@st.composite
+def _ducb_episodes(draw):
+    instance, checkpoints = draw(_episodes())
+    spec = {"kind": "ducb", "m": draw(st.integers(1, instance.horizon + 5)),
+            "cdf": draw(st.sampled_from(_DUCB_CDFS))}
+    try:
+        from_spec(POLICIES, spec, "policy")
+    except ValueError:  # the assumed CDF is 0 at m
+        assume(False)
+    return instance, checkpoints, spec
+
+
+def _assert_kernel_matches_the_generic_loop(instance, spec, seed, checkpoints):
+    policy = from_spec(POLICIES, spec, "policy")
+    policy.reset(instance.n_arms, instance.horizon)
+    (counts,), censored = kernel.play_index(instance, policy, seed, (instance.horizon,))
+    row = harness._replicate((instance, spec, seed, checkpoints))
+    env, regret = _generic(instance, spec, seed, checkpoints)
+    assert row.tobytes() == np.array(regret).tobytes()
+    assert tuple(counts.tolist()) == env.pull_counts
+    assert censored == env.censored_count
+    return row
+
+
+@given(episode=_ducb_episodes(), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_kernel_plays_ducb_as_the_generic_loop(episode, seed):
+    instance, checkpoints, spec = episode
+    _assert_kernel_matches_the_generic_loop(instance, spec, seed, checkpoints)
+
+
+def test_ducb_divides_each_window_total_as_the_python_index_does():
+    # At round 3 each arm's window holds its one round-robin pull, so the two
+    # indices differ only in total / (tau_m * 1). 0.685 and the next float up
+    # tie there, and the first arm is kept; as (1 / (tau_m * 1)) * total they
+    # would not, and the second arm would be pulled.
+    low, high = 0.685, math.nextafter(0.685, 1.0)
+    instance = BanditInstance([(PointMass(low), Dirac(0)), (PointMass(high), Dirac(0))], 3)
+    spec = {"kind": "ducb", "m": 1, "cdf": {"kind": "two_point", "p": 0.3, "d0": 0, "d1": 10**6}}
+    row = _assert_kernel_matches_the_generic_loop(instance, spec, 0, (1, 2, 3))
+    assert row.tolist() == [0.0, high - low, 2 * (high - low)]
+
+
+def test_a_ducb_wait_past_the_int64_range_is_round_robin_all_episode():
+    # ctypes would pass 2**64 + 5 to C as 5 without a word.
+    instance = BanditInstance(
+        [(Bernoulli(0.3), Dirac(1)), (Bernoulli(0.9), ParetoCeil(0.5)), (PointMass(0.7), Dirac(2))],
+        horizon=300,
+    )
+    checkpoints = harness._validated_checkpoints(None, 300)
+    spec = {"kind": "ducb", "m": 2**64 + 5, "cdf": {"kind": "dirac", "d": 3}}
+    row = _assert_kernel_matches_the_generic_loop(instance, spec, 9, checkpoints)
+    wrapped = harness._replicate((instance, {**spec, "m": 5}, 9, checkpoints))
+    assert row.tobytes() != wrapped.tobytes()
+    policy = from_spec(POLICIES, spec, "policy")
+    policy.reset(3, 300)
+    assert kernel.play_index(instance, policy, 9, (300,))[0].tolist() == [[100, 100, 100]]
+
+
+def test_a_ducb_horizon_past_numpys_array_size_is_a_memory_error():
+    # default_rng().random(2 * T) raises ValueError there, not MemoryError.
+    policy = DUcb(10, Dirac(0))
+    instance = BanditInstance([(Bernoulli(0.5), Dirac(0))] * 2, 2**61)
+    with pytest.raises(MemoryError):
+        kernel.play_index(instance, policy, 0, (2**61,))
+
+
 def test_kernel_plays_only_plain_instances_and_table_policies():
     class Overridden(BanditInstance):
         def draw(self, arm, u, v):
@@ -112,19 +194,25 @@ def test_kernel_plays_only_plain_instances_and_table_policies():
     class Subclassed(Bernoulli):
         pass
 
+    class Reselecting(DUcb):
+        def select(self, view, rng):
+            return super().select(view, rng)
+
     arms = [(Bernoulli(0.5), Dirac(0)), (Bernoulli(0.6), Dirac(2))]
-    for instance, spec in [
-        (BanditInstance(arms, 20), {"kind": "patient", "alpha": "loglog"}),
-        (BanditInstance(arms, 20), {"kind": "ducb", "m": 2, "cdf": {"kind": "dirac", "d": 0}}),
-        (Overridden(arms, 20), {"kind": "ucb"}),
-        (BanditInstance([(Subclassed(0.5), Dirac(0))] + arms, 20), {"kind": "ucb"}),
+    ducb = {"kind": "ducb", "m": 2, "cdf": {"kind": "dirac", "d": 0}}
+    for instance, policy in [
+        (BanditInstance(arms, 20), POLICIES["patient"]("loglog")),
+        (BanditInstance(arms, 20), Reselecting(2, Dirac(0))),
+        (Overridden(arms, 20), POLICIES["ucb"]()),
+        (Overridden(arms, 20), from_spec(POLICIES, ducb, "policy")),
+        (BanditInstance([(Subclassed(0.5), Dirac(0))] + arms, 20), POLICIES["ucb"]()),
     ]:
-        policy = from_spec(POLICIES, spec, "policy")
         policy.reset(instance.n_arms, instance.horizon)
         assert kernel.play_index(instance, policy, 0, (20,)) is None
-    policy = POLICIES["ucb"]()
-    policy.reset(2, 20)
-    assert kernel.play_index(BanditInstance(arms, 20), policy, 0, (20,)) is not None
+    for spec in [{"kind": "ucb"}, ducb]:
+        policy = from_spec(POLICIES, spec, "policy")
+        policy.reset(2, 20)
+        assert kernel.play_index(BanditInstance(arms, 20), policy, 0, (20,)) is not None
 
 
 @pytest.mark.parametrize("horizon, checkpoints", [
@@ -137,6 +225,12 @@ def test_kernel_refuses_a_table_or_checkpoints_that_do_not_fit(horizon, checkpoi
     instance = BanditInstance([(Bernoulli(0.5), Dirac(0))] * 2, 20)
     with pytest.raises(ValueError, match="checkpoints"):
         kernel.play_index(instance, policy, 0, checkpoints)
+
+
+DUCB_SPECS = [
+    {"kind": "ducb", "m": 50, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}},
+    {"kind": "ducb", "m": 3, "cdf": {"kind": "two_point", "p": 0.3, "d0": 2, "d1": 500}},
+]
 
 
 def _regret_bytes(instance, spec):
@@ -210,3 +304,23 @@ def test_the_kernel_source_ships_in_the_built_package(tmp_path):
     assert (tmp_path / "lib" / "patientbandits" / kernel.SOURCE.name).read_bytes() == (
         kernel.SOURCE.read_bytes()
     )
+
+
+def test_without_a_compiler_ducb_gives_the_same_bits_in_the_generic_loop(monkeypatch):
+    instance = BanditInstance(
+        [(Bernoulli(0.5), ParetoCeil(1.0)), (PointMass(0.3), Geometric(0.2)),
+         (Bernoulli(0.6), TwoPointMass(p=0.3, d0=2, d1=500))],
+        horizon=400,
+    )
+    compiled = [_regret_bytes(instance, spec) for spec in DUCB_SPECS]
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    selected = []
+    select = DUcb.select
+
+    def counted(policy, view, rng):
+        selected.append(view.t)
+        return select(policy, view, rng)
+
+    monkeypatch.setattr(DUcb, "select", counted)
+    assert [_regret_bytes(instance, spec) for spec in DUCB_SPECS] == compiled
+    assert len(selected) == 3 * 400 * len(DUCB_SPECS)
