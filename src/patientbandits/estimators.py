@@ -37,11 +37,15 @@ def log_log_schedule(t: int) -> float:
     """Round-dependent tail-index input ``log(log t) / log t``.
 
     Lets the index-aware policy run without a tail bound at the price of a
-    constant factor, asymptotically. Clamped below so early rounds (where
-    ``log log t`` is negative or undefined) still produce a positive value.
+    constant factor, asymptotically. Defined for ``t >= 2``, which every
+    round after a sweep of at least one arm is; ``ValueError`` below that.
+    Clamped below so early rounds (where ``log log t`` is negative) still
+    produce a positive value.
     """
+    if not t >= 2:
+        raise ValueError(f"log_log_schedule is defined for rounds t >= 2, got {t!r}")
     log_t = math.log(t)
-    return max(math.log(log_t) if log_t > 0 else 0.0, 1e-6) / log_t
+    return max(math.log(log_t), 1e-6) / log_t
 
 
 @dataclass(frozen=True)

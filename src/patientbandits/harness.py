@@ -22,16 +22,19 @@ fixed size and returns what the generator's scalar ``random()`` and
 in the same state at the end. Such a policy needs a Generator over PCG64
 (``default_rng``); ``simulate`` refuses any other with ``TypeError``.
 
-An episode runs on one of three engines, which give the same bits. Two
+An episode runs on one of three engines, which give the same bits. Three
 kinds of policy declare the shape of their whole episode. One whose index
 after its sweep is a table lookup declares the table as
 ``Policy.index_table`` (``ucb``, ``patient`` with a float α, and ``adapt``
-when its tail-index bound is provably 0 all episode). ``ducb`` declares its
-fixed wait and de-biasing factor as ``Policy.window_index``.
+when its tail-index bound is provably 0 all episode). ``patient`` with a
+schedule of the round as α (``loglog``) declares the table and the schedule
+as ``Policy.schedule_index``. ``ducb`` declares its fixed wait and
+de-biasing factor as ``Policy.window_index``.
 
-- ``monte_carlo`` plays an episode of either kind in the compiled kernel
-  (:mod:`.kernel`) when the instance does not override ``draw``, every law
-  is one of the six built-in ones, and the kernel's library can be had. It
+- ``monte_carlo`` plays an episode of any of these kinds in the compiled
+  kernel (:mod:`.kernel`) when the instance does not override ``draw``,
+  every law is one of the six built-in ones, the kernel's library can be
+  had, and a schedule gives a float exponent in [0, 0.5] at every round. It
   returns pull counts per checkpoint, and the regret row is computed from
   them by :func:`.environment.pseudo_regret`. Any other episode goes to
   ``run_episode``.
@@ -39,15 +42,16 @@ fixed wait and de-biasing factor as ``Policy.window_index``.
   caller gets the environment the episode filled. A table episode runs in
   :meth:`DelayedBanditEnv.play_index`, which picks and files each pull on
   the environment's own state with no view, ``select`` or ``pull`` call.
-- Every other episode (``patient(loglog)``, ``uniform``, ``adapt`` above
-  its threshold, any policy that overrides ``select``, and ``ducb`` outside
-  the kernel) runs the generic loop,
+- Every other episode (``uniform``, ``adapt`` above its threshold, any
+  policy that overrides ``select``, and ``ducb`` and schedule episodes
+  outside the kernel) runs the generic loop,
   ``env.pull(policy.select(env.observe(), rng), uniform)``.
 
 The kernel is compiled with the host's ``cc`` on the first episode that
 could use it, never at import, and cached in the package's ``__pycache__``
 (see :mod:`.kernel`). Without a compiler, or when the build fails, a table
-episode runs in ``play_index`` and a ``ducb`` episode in the generic loop.
+episode runs in ``play_index`` and a ``ducb`` or schedule episode in the
+generic loop.
 The generic loop is the reference: the tests hold the kernel and
 ``play_index`` to it bit for bit. Because every engine gives the same
 numbers, there is no option to choose one; only the speed would change.

@@ -74,14 +74,17 @@ static void record(int64_t s, int64_t K, const int64_t *counts, int64_t n_marks,
  * pull count, or -1 when memory runs out.
  *
  * The arm is the one with fewest pulls before round 1 + K * init_pulls, then
- * the first argmax of sums[i] / n + table[n - 1]. Round s reads
+ * the first argmax of sums[i] / n + table[n - 1], or, when exponents is not
+ * NULL, of sums[i] / n + (table[n - 1] + 2 * n ** -exponents[s]) at round s:
+ * the radius is summed before the mean is added, as in the Python index, and
+ * pow(n, -0.0) is 1, the flat bias of an exponent of 0. Round s reads
  * uniforms[2s - 2] and uniforms[2s - 1]. Pull counts after each round in
  * marks (increasing) go to counts_at_marks, K per mark. */
 int64_t play_table(int64_t K, int64_t T, int64_t init_pulls,
                    const double *reward_below, const double *reward_value,
                    const int32_t *delay_kind, const double *delay_param,
                    const int64_t *delay0, const int64_t *delay1,
-                   const double *table, const double *uniforms,
+                   const double *table, const double *exponents, const double *uniforms,
                    int64_t n_marks, const int64_t *marks, int64_t *counts_at_marks)
 {
     Laws laws = {T, reward_below, reward_value, delay_kind, delay_param, delay0, delay1};
@@ -109,7 +112,10 @@ int64_t play_table(int64_t K, int64_t T, int64_t init_pulls,
             double best = -INFINITY;
             for (int64_t i = 0; i < K; i++) {
                 int64_t n = counts[i];
-                double index = sums[i] / (double)n + table[n - 1];
+                double radius = table[n - 1];
+                if (exponents)
+                    radius = radius + 2.0 * pow((double)n, -exponents[s]);
+                double index = sums[i] / (double)n + radius;
                 if (index > best) {
                     arm = i;
                     best = index;

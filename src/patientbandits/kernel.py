@@ -1,9 +1,17 @@
 """Compiled loops for index episodes, equal bit for bit to the Python ones.
 
-``index_kernel.c`` plays a whole episode of a policy of one of two shapes.
+``index_kernel.c`` plays a whole episode of a policy of one of three shapes.
 
 - A policy that declares ``Policy.index_table``: the sweep, then the first
   argmax of ``sums[i] / n + table[n - 1]`` (``play_table``).
+- A policy that declares ``Policy.schedule_index``, ``patient`` with a
+  schedule such as ``loglog``: the same loop, with the radius
+  ``table[n - 1] + 2 * n ** -e_t`` at round ``t``, where ``e_t`` is
+  ``min(alpha(t), 0.5)`` as :func:`.estimators.delay_bias` takes it. The
+  exponents are computed in Python before the episode, for rounds 2..T
+  (round 1 is always a sweep round); an episode whose schedule raises, or
+  gives an exponent that is not a float in [0, 0.5], is not played here,
+  so the generic loop keeps its own behaviour, exception and all.
 - A policy that declares ``Policy.window_index``, ``ducb``: round robin
   before round ``m + K``, then the first argmax of
   :func:`.policies.ducb_index` over each arm's window at the fixed wait
@@ -44,6 +52,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -65,6 +74,9 @@ _tried = False
 # The last radius table seen and its float64 copy: a table is converted once
 # per process, not per run.
 _table = (None, None)
+# The last (schedule, T) seen and its exponents, or None when the kernel
+# declines them: computed once per process, not per run or per K.
+_exponents = (None, None, None)
 
 
 def load():
@@ -109,7 +121,7 @@ def _build_and_load():
     count, real, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     marks = [count, pointer, pointer]
     library.play_table.restype = library.play_ducb.restype = count
-    library.play_table.argtypes = [count] * 3 + [pointer] * 8 + marks
+    library.play_table.argtypes = [count] * 3 + [pointer] * 9 + marks
     library.play_ducb.argtypes = [count] * 3 + [real] + [pointer] * 7 + marks
     return library
 
@@ -155,19 +167,49 @@ def _encode(instance: BanditInstance):
     )
 
 
+def _exponents_of(alpha, T: int) -> Optional[np.ndarray]:
+    """``min(alpha(t), 0.5)`` at index ``t`` for rounds 2..T (0 before), or None.
+
+    None when a call raises, or an exponent is not a float in [0, 0.5]: the
+    generic loop then plays the episode, and raises what ``select`` raises
+    at the round it raises.
+    """
+    global _exponents
+    if _exponents[0] is not alpha or _exponents[1] != T:
+
+        def exponent(t):
+            a = alpha(t)
+            e = 0.5 if 0.5 < a else a  # as delay_bias takes it
+            if type(e) is not float or not 0.0 <= e <= 0.5:
+                raise ValueError(f"exponent {e!r} at round {t}")
+            return e
+
+        try:
+            exponents = np.fromiter(
+                chain((0.0, 0.0), map(exponent, range(2, T + 1))), np.float64, T + 1
+            )
+        except Exception:  # any schedule's own failure, left to the generic loop
+            exponents = None
+        _exponents = (alpha, T, exponents)
+    return _exponents[2]
+
+
 def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Optional[tuple]:
     """``(counts, censored)`` of the episode run ``seed`` of the reset ``policy``, or None.
 
     ``counts`` is an int64 array with one row of pull counts per checkpoint.
-    None means the episode is not the kernel's: the policy has neither an
-    ``index_table`` nor a ``window_index``, the instance overrides ``draw``
-    or holds a law other than the built-in six, or the library cannot be
-    had. The policy must have been reset to the instance's horizon, and the
-    checkpoints must increase within [1, T]; otherwise ``ValueError``. An
-    episode too large for memory raises ``MemoryError``.
+    None means the episode is not the kernel's: the policy has no
+    ``index_table``, ``schedule_index`` or ``window_index``, its schedule
+    raises or gives an exponent outside [0, 0.5], the instance overrides
+    ``draw`` or holds a law other than the built-in six, or the library
+    cannot be had. The policy must have been reset to the instance's
+    horizon, and the checkpoints must increase within [1, T]; otherwise
+    ``ValueError``. An episode too large for memory raises ``MemoryError``.
     """
     global _table
-    table, window = policy.index_table, policy.window_index
+    table, window, schedule = policy.index_table, policy.window_index, policy.schedule_index
+    if schedule is not None:
+        table = schedule[0]
     if (table is None and window is None) or type(instance).draw is not BanditInstance.draw:
         return None
     laws = _encode(instance)
@@ -183,6 +225,11 @@ def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Opti
         len(marks) and marks[0] >= 1 and marks[-1] <= T and (marks[1:] > marks[:-1]).all()
     ):
         raise ValueError(f"needs a table of T={T} entries and checkpoints increasing in [1, T]")
+    exponents = None
+    if schedule is not None:
+        exponents = _exponents_of(schedule[1], T)
+        if exponents is None:
+            return None
     rng = np.random.default_rng(seed)
     try:
         uniforms = rng.random(2 * T)
@@ -195,7 +242,8 @@ def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Opti
         if _table[0] is not table:
             _table = (table, np.array(table, dtype=np.float64))
         censored = library.play_table(
-            K, T, policy.init_pulls, *pointers, _table[1].ctypes.data, uniforms.ctypes.data, *tail
+            K, T, policy.init_pulls, *pointers, _table[1].ctypes.data,
+            None if exponents is None else exponents.ctypes.data, uniforms.ctypes.data, *tail,
         )
     else:
         m, tau_m = window

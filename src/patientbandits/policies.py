@@ -41,6 +41,14 @@ class Policy:
     ``play_index`` and passes the number of rounds played after the sweep to
     ``index_rounds_played``.
 
+    ``schedule_index``, read after ``reset``, is likewise None unless the
+    policy's choice is a table policy's whose radius also carries a bias
+    with a per-round exponent: after a sweep of ``init_pulls`` the first
+    argmax at round ``t`` of ``sums[i] / n + (radius_table[n - 1] +
+    delay_bias(n, alpha(t)))``. It is then ``(radius_table, alpha)``, and
+    ``monte_carlo`` plays the episode in the compiled kernel when it can,
+    and otherwise in the generic loop.
+
     ``window_index``, read after ``reset``, is likewise None unless the
     policy's choice is ``ducb``'s for the whole episode: ``t % K`` at round
     ``t < m + K``, then the first argmax of :func:`ducb_index` over each
@@ -53,6 +61,7 @@ class Policy:
     label = "policy"
     reads_rng = True
     index_table = None
+    schedule_index = None
     window_index = None
 
     def reset(self, n_arms: int, horizon: int) -> None:
@@ -74,7 +83,10 @@ class OptimisticIndex(Policy):
     table holds the whole radius (no schedule, no override), it is the
     :attr:`index_table`, and ``simulate`` plays the episode in
     :meth:`.DelayedBanditEnv.play_index` without calling :meth:`select`,
-    which computes the same index bit for bit.
+    which computes the same index bit for bit. When the exponent is a
+    schedule and nothing is overridden, the table and the schedule are the
+    :attr:`schedule_index`, and ``monte_carlo`` plays the episode in the
+    compiled kernel when it can; ``simulate`` runs the generic loop.
     """
 
     init_pulls = 1
@@ -96,14 +108,25 @@ class OptimisticIndex(Policy):
         It is, unless the exponent is a schedule or a subclass overrides
         :meth:`select` or :meth:`bias_alpha`.
         """
-        cls = type(self)
-        if (
-            callable(self.alpha)
-            or cls.select is not OptimisticIndex.select
-            or cls.bias_alpha is not OptimisticIndex.bias_alpha
-        ):
+        return None if callable(self.alpha) or self._overridden() else self._radius_table
+
+    @property
+    def schedule_index(self):
+        """``(radius table, alpha)`` when the exponent is a schedule of the round, else None.
+
+        None also when a subclass overrides :meth:`select` or :meth:`bias_alpha`;
+        read after :meth:`reset`.
+        """
+        if not callable(self.alpha) or self._overridden():
             return None
-        return self._radius_table
+        return self._radius_table, self.alpha
+
+    def _overridden(self) -> bool:
+        cls = type(self)
+        return (
+            cls.select is not OptimisticIndex.select
+            or cls.bias_alpha is not OptimisticIndex.bias_alpha
+        )
 
     def index_rounds_played(self, rounds: int) -> None:
         """Told how many rounds after the sweep were played on :attr:`index_table`."""

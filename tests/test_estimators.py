@@ -129,6 +129,12 @@ def test_alpha_schedule():
         confidence_radius(16, params)
 
 
+@pytest.mark.parametrize("t", [1, 0, -3, 1.5, math.nan])
+def test_alpha_schedule_names_its_domain_below_round_2(t):
+    with pytest.raises(ValueError, match=r"t >= 2"):
+        log_log_schedule(t)
+
+
 def test_bias_bound_oracle_hand_value():
     # ParetoCeil(0.5), pulls at 1..4, t = 4, mu = 1:
     # (1 + 1 + 2**-0.5 + 3**-0.5) / 4 against 2 * 4**-0.5.

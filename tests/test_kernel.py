@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from patientbandits.distributions import (
     from_spec,
 )
 from patientbandits.environment import BanditInstance, DelayedBanditEnv
-from patientbandits.policies import POLICIES, DUcb
+from patientbandits.policies import POLICIES, DUcb, OptimisticIndex
 
 PACKAGE = Path(kernel.__file__).parent
 
@@ -71,7 +72,10 @@ def compiled():
 
 
 def _generic(instance, spec, seed, checkpoints):
-    """The reference loop, ``pull(select(observe()))`` each round; ``(env, regret)``."""
+    """The reference loop, ``pull(select(observe()))`` each round; ``(env, regret)``.
+
+    It raises what ``select`` raises, at the same round.
+    """
     policy = from_spec(POLICIES, spec, "policy")
     policy.reset(instance.n_arms, instance.horizon)
     env = DelayedBanditEnv(instance)
@@ -103,6 +107,103 @@ def test_kernel_matches_play_index_and_the_generic_loop(episode, spec, seed):
     assert row.tobytes() == python_row.tobytes() == np.array(regret).tobytes()
     assert tuple(counts.tolist()) == env.pull_counts
     assert censored == env.censored_count
+
+
+# Every policy whose episode has a schedule of bias exponents: loglog at two
+# confidence levels, and a callable of the round that is 0 every fifth round,
+# where select adds the flat bias.
+SCHEDULE_SPECS = [
+    {"kind": "patient", "alpha": "loglog"},
+    {"kind": "patient", "alpha": "loglog", "delta": 0.5},
+    {"kind": "patient", "alpha": lambda t: (t % 5) / 8},
+]
+
+
+@given(episode=_episodes(), spec=st.sampled_from(SCHEDULE_SPECS), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=150, deadline=None)
+def test_kernel_plays_schedule_episodes_as_the_generic_loop(episode, spec, seed):
+    instance, checkpoints = episode
+    _assert_kernel_matches_the_generic_loop(instance, spec, seed, checkpoints)
+
+
+def test_a_schedule_index_adds_the_radius_up_before_the_mean():
+    # At round 3 each arm has one arrived pull, so the indices differ only in
+    # the mean: low + (deviation + 2.0) is below high + (deviation + 2.0), and
+    # the second arm is pulled. Summed as (mean + deviation) + 2.0 they would
+    # tie, and the first arm would be kept.
+    low, high = 0.60005, math.nextafter(0.60005, 1.0)
+    instance = BanditInstance([(PointMass(low), Dirac(0)), (PointMass(high), Dirac(0))], 3)
+    spec = {"kind": "patient", "alpha": "loglog", "delta": 0.5}
+    row = _assert_kernel_matches_the_generic_loop(instance, spec, 0, (1, 2, 3))
+    assert row.tolist() == [high - low] * 3
+
+
+def _raising_at_7(t):
+    if t == 7:
+        raise RuntimeError("no exponent at round 7")
+    return 0.3
+
+
+# Schedules the kernel declines, so the generic loop plays them as it always has.
+_DECLINED_SCHEDULES = {
+    "negative": lambda t: -0.25,
+    "far-negative": lambda t: -2000.0,  # n ** 2000.0 overflows in select
+    "nan": lambda t: math.nan,
+    "int": lambda t: t % 2,  # 0 every other round, an int
+    "numpy-float": lambda t: np.float64(0.3),
+    "raising": _raising_at_7,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECLINED_SCHEDULES))
+def test_kernel_declines_a_schedule_outside_its_exponents(name):
+    instance = BanditInstance(
+        [(Bernoulli(0.5), ParetoCeil(1.0)), (PointMass(0.3), Geometric(0.2)),
+         (Bernoulli(0.6), TwoPointMass(p=0.3, d0=2, d1=500))],
+        horizon=60,
+    )
+    spec = {"kind": "patient", "alpha": _DECLINED_SCHEDULES[name]}
+    policy = from_spec(POLICIES, spec, "policy")
+    policy.reset(3, 60)
+    assert policy.schedule_index is not None
+    assert kernel.play_index(instance, policy, 5, (60,)) is None
+    checkpoints = harness._validated_checkpoints(None, 60)
+    try:
+        _, regret = _generic(instance, spec, 5, checkpoints)
+    except Exception as error:  # then monte_carlo's episode must raise the same
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            harness._replicate((instance, spec, 5, checkpoints))
+    else:
+        assert harness._replicate((instance, spec, 5, checkpoints)).tobytes() == (
+            np.array(regret).tobytes()
+        )
+
+
+def test_a_subclass_with_its_own_exponent_is_not_a_schedule_episode():
+    class OwnExponent(POLICIES["patient"]):
+        def bias_alpha(self, view):
+            return 0.1 if view.t % 2 else 0.4
+
+    policy = OwnExponent("loglog")
+    policy.reset(2, 20)
+    assert policy.schedule_index is None and policy.index_table is None
+    instance = BanditInstance([(Bernoulli(0.5), Dirac(0)), (Bernoulli(0.6), Dirac(2))], 20)
+    assert kernel.play_index(instance, policy, 0, (20,)) is None
+
+
+def test_the_exponents_are_computed_once_per_schedule_and_horizon():
+    calls = []
+
+    def schedule(t):
+        calls.append(t)
+        return 0.25
+
+    for K in (2, 3, 2):
+        policy = POLICIES["patient"](schedule)
+        policy.reset(K, 50)
+        instance = BanditInstance([(Bernoulli(0.5), Dirac(1))] * K, 50)
+        assert kernel.play_index(instance, policy, K, (50,)) is not None
+    assert calls == list(range(2, 51))
 
 
 # Assumed delay CDFs for ducb. Some are 0 at small waits, which the policy
@@ -201,7 +302,6 @@ def test_kernel_plays_only_plain_instances_and_table_policies():
     arms = [(Bernoulli(0.5), Dirac(0)), (Bernoulli(0.6), Dirac(2))]
     ducb = {"kind": "ducb", "m": 2, "cdf": {"kind": "dirac", "d": 0}}
     for instance, policy in [
-        (BanditInstance(arms, 20), POLICIES["patient"]("loglog")),
         (BanditInstance(arms, 20), Reselecting(2, Dirac(0))),
         (Overridden(arms, 20), POLICIES["ucb"]()),
         (Overridden(arms, 20), from_spec(POLICIES, ducb, "policy")),
@@ -209,7 +309,7 @@ def test_kernel_plays_only_plain_instances_and_table_policies():
     ]:
         policy.reset(instance.n_arms, instance.horizon)
         assert kernel.play_index(instance, policy, 0, (20,)) is None
-    for spec in [{"kind": "ucb"}, ducb]:
+    for spec in [{"kind": "ucb"}, {"kind": "patient", "alpha": "loglog"}, ducb]:
         policy = from_spec(POLICIES, spec, "policy")
         policy.reset(2, 20)
         assert kernel.play_index(BanditInstance(arms, 20), policy, 0, (20,)) is not None
@@ -306,21 +406,33 @@ def test_the_kernel_source_ships_in_the_built_package(tmp_path):
     )
 
 
-def test_without_a_compiler_ducb_gives_the_same_bits_in_the_generic_loop(monkeypatch):
+def _assert_the_generic_loop_gives_the_same_bits_without_a_compiler(monkeypatch, specs, cls):
+    """Without the library, every round of every run calls ``cls.select``, and no bit moves."""
     instance = BanditInstance(
         [(Bernoulli(0.5), ParetoCeil(1.0)), (PointMass(0.3), Geometric(0.2)),
          (Bernoulli(0.6), TwoPointMass(p=0.3, d0=2, d1=500))],
         horizon=400,
     )
-    compiled = [_regret_bytes(instance, spec) for spec in DUCB_SPECS]
+    compiled = [_regret_bytes(instance, spec) for spec in specs]
     monkeypatch.setattr(kernel, "load", lambda: None)
     selected = []
-    select = DUcb.select
+    select = cls.select
 
     def counted(policy, view, rng):
         selected.append(view.t)
         return select(policy, view, rng)
 
-    monkeypatch.setattr(DUcb, "select", counted)
-    assert [_regret_bytes(instance, spec) for spec in DUCB_SPECS] == compiled
-    assert len(selected) == 3 * 400 * len(DUCB_SPECS)
+    monkeypatch.setattr(cls, "select", counted)
+    assert [_regret_bytes(instance, spec) for spec in specs] == compiled
+    assert len(selected) == 3 * 400 * len(specs)
+
+
+def test_without_a_compiler_ducb_gives_the_same_bits_in_the_generic_loop(monkeypatch):
+    _assert_the_generic_loop_gives_the_same_bits_without_a_compiler(monkeypatch, DUCB_SPECS, DUcb)
+
+
+def test_without_a_compiler_loglog_gives_the_same_bits_in_the_generic_loop(monkeypatch):
+    # Patched where it is defined, so that no policy overrides it.
+    _assert_the_generic_loop_gives_the_same_bits_without_a_compiler(
+        monkeypatch, SCHEDULE_SPECS[:2], OptimisticIndex
+    )
