@@ -169,12 +169,7 @@ class ExperimentConfig:
             notes=tuple(notes),
         )
         cfg.build_instance()  # law and shape errors surface at parse time
-        try:
-            # So do parameter errors, and a horizon too large for the table
-            # policies' radius table. No episode is allocated here.
-            cfg.build_policy()
-        except MemoryError:
-            raise ConfigError(f"T={T} is too large for memory") from None
+        cfg.build_policy()  # so do parameter errors; nothing here scales with T
         return cfg
 
     def to_dict(self) -> dict:
@@ -249,9 +244,9 @@ def dump_config(config: ExperimentConfig) -> str:
 
 
 def execute(config: ExperimentConfig, n_jobs: int = 1) -> MonteCarloResult:
-    # Parsing allocates no episode: a horizon too large for its calendar, or
-    # for the rest of the episode, fails here, and so does a run count too
-    # large for the regret matrix, before any run.
+    # Parsing allocates nothing that scales with T: a horizon too large for
+    # the radius table, the calendar or the rest of the episode fails here,
+    # and so does a run count too large for the regret matrix, before any run.
     try:
         return monte_carlo(
             config.build_instance(),

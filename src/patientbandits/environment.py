@@ -297,8 +297,8 @@ class DelayedBanditEnv:
         past the horizon. A nonzero reward arriving in time is filed in the
         calendar under its arrival round; a zero (of either sign) is not, as
         adding it to a sum that starts at +0.0 and never falls changes no bit.
-        :meth:`play_index` files its pulls by these same rules, and so does
-        the compiled loop of :mod:`.kernel`.
+        :meth:`play_index` pulls through this method; the compiled loop of
+        :mod:`.kernel` files its pulls by these same rules.
         """
         s = self._round
         T = self._T
@@ -337,20 +337,18 @@ class DelayedBanditEnv:
         an index policy whose index is a table lookup: while some arm has
         fewer than ``init_pulls`` pulls, the one with fewest (the lowest index
         on ties); after that the first argmax of ``sums[i] / n + table[n - 1]``
-        over arms pulled ``n`` times. The pull reads ``draw(arm, uniform(),
-        uniform())`` and is filed as :meth:`pull` files it, so every bit of
-        the episode, the stream's position and the env's state after it are
-        the same. ``regret`` holds :meth:`true_pseudo_regret` after each
-        round in ``checkpoints`` (increasing) from the current one on; the
-        index rounds are the rounds after the sweep.
+        over arms pulled ``n`` times. The arm is then played by :meth:`pull`,
+        so every bit of the episode, the stream's position and the env's
+        state after it are the same, also when a draw raises. ``regret``
+        holds :meth:`true_pseudo_regret` after each round in ``checkpoints``
+        (increasing) from the current one on; the index rounds are the
+        rounds after the sweep.
         """
         T = self._T
         start = self._round
         if start > T:
             raise EpisodeComplete(f"episode over: cannot pull at round {start} > horizon {T}")
-        counts, sums, calendar = self._counts, self._sums, self._calendar
-        arm_rounds, arm_delays, arm_rewards = self._arm_rounds, self._arm_delays, self._arm_rewards
-        draw = self.instance.draw
+        counts, sums, pull = self._counts, self._sums, self.pull
         arms = range(self._K)
         # Fewest pulls first, the sweep ends when every arm has init_pulls.
         first_index_round = start + sum(max(init_pulls - n, 0) for n in counts)
@@ -358,43 +356,20 @@ class DelayedBanditEnv:
         marks = iter([c for c in checkpoints if c >= start])
         mark = next(marks, 0)
         regret = []
-        censored = 0
-        try:
-            for s in range(start, T + 1):
-                if s < first_index_round:
-                    arm = counts.index(min(counts))
-                else:
-                    arm, best_index = 0, lowest
-                    for i in arms:
-                        n = counts[i]
-                        index = sums[i] / n + table[n - 1]
-                        if index > best_index:
-                            arm, best_index = i, index
-                reward, delay = draw(arm, uniform(), uniform())
-                delay = int(delay) if delay <= T else T + 1
-                arrival = s + (delay if delay >= 1 else 1)
-                if arrival > T:
-                    censored += 1
-                elif reward:
-                    arrivals = calendar[arrival]
-                    if arrivals is None:
-                        calendar[arrival] = [(arm, reward)]
-                    else:
-                        arrivals.append((arm, reward))
-                arm_rounds[arm].append(s)
-                arm_delays[arm].append(delay)
-                arm_rewards[arm].append(reward)
-                counts[arm] += 1
-                due = calendar[s + 1]
-                if due is not None:
-                    for due_arm, due_reward in due:
-                        sums[due_arm] += due_reward
-                if s == mark:
-                    regret.append(self.true_pseudo_regret())
-                    mark = next(marks, 0)
-        finally:
-            self._round = 1 + sum(counts)  # each pull counted is one round played
-            self._censored += censored
+        for s in range(start, T + 1):
+            if s < first_index_round:
+                arm = counts.index(min(counts))
+            else:
+                arm, best_index = 0, lowest
+                for i in arms:
+                    n = counts[i]
+                    index = sums[i] / n + table[n - 1]
+                    if index > best_index:
+                        arm, best_index = i, index
+            pull(arm, uniform)
+            if s == mark:
+                regret.append(self.true_pseudo_regret())
+                mark = next(marks, 0)
         return regret, max(T + 1 - max(start, first_index_round), 0)
 
     def true_pseudo_regret(self) -> float:

@@ -40,8 +40,9 @@ de-biasing factor as ``Policy.window_index``.
   ``run_episode``.
 - ``simulate``, and so ``run_episode``, never uses the kernel, since its
   caller gets the environment the episode filled. A table episode runs in
-  :meth:`DelayedBanditEnv.play_index`, which picks and files each pull on
-  the environment's own state with no view, ``select`` or ``pull`` call.
+  :meth:`DelayedBanditEnv.play_index`, which picks each arm on the
+  environment's own state, with no view or ``select`` call, and plays it
+  through ``pull``.
 - Every other episode (``uniform``, ``adapt`` above its threshold, any
   policy that overrides ``select``, and ``ducb`` and schedule episodes
   outside the kernel) runs the generic loop,

@@ -10,6 +10,7 @@ Config tags: ``patient``, ``adapt``, ``ducb``, ``ucb``, ``uniform``
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Mapping, Optional
 
@@ -95,11 +96,20 @@ class OptimisticIndex(Policy):
 
     def reset(self, n_arms: int, horizon: int) -> None:
         self.params = UcbParams(alpha=self.alpha, K=n_arms, T=horizon, delta=self.delta)
-        self._radius_table = estimators.radius_table(
-            horizon, self.params.delta, None if callable(self.alpha) else self.alpha
-        )
+        self.__dict__.pop("_radius_table", None)  # the next episode's is built when read
         # delay_bias(n, 0.0) is 2 * n ** -0.0, the same at every n (and at -0.0).
         self._flat_bias = estimators.delay_bias(1, 0.0)
+
+    @functools.cached_property
+    def _radius_table(self) -> tuple[float, ...]:
+        """Entry ``n - 1`` is the radius at ``n`` pulls, bias included for a float alpha.
+
+        Built on first read after :meth:`reset`, not in it: parsing a config
+        resets its policy, and must not cost O(T).
+        """
+        params = self.params
+        alpha = params.alpha
+        return estimators.radius_table(params.T, params.delta, None if callable(alpha) else alpha)
 
     @property
     def index_table(self):

@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from patientbandits import cli, kernel
+from patientbandits import cli, estimators, kernel
 from patientbandits.cli import (
     ConfigError,
     ExperimentConfig,
@@ -360,6 +361,27 @@ def test_parsing_allocates_no_episode():
     assert config.T == 2**61
 
 
+@pytest.mark.parametrize("policy", [
+    {"kind": "patient", "alpha": 0.3},
+    {"kind": "patient", "alpha": "loglog"},
+    {"kind": "ucb"},
+    {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5},
+    {"kind": "ducb", "m": 10, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}},
+    {"kind": "uniform"},
+], ids=lambda p: "-".join(str(v) for v in p.values() if not isinstance(v, dict)))
+def test_parsing_costs_o1_in_T_for_every_policy(policy):
+    # A radius table of 10**6 entries takes tens of MiB; one left cached by an
+    # earlier test would be reused, and hide a table built at parse time.
+    estimators.radius_table.cache_clear()
+    tracemalloc.start()
+    try:
+        ExperimentConfig.from_dict({**MINIMAL, "T": 10**6, "policy": policy})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_horizon_too_large_for_memory_exits_1(tmp_path, capsys):
     # A radius table of 2**61 slots fails its size check before anything is allocated.
     path = _write(tmp_path, {**TWO_ARM, "T": 2**61})
@@ -388,9 +410,9 @@ HUGE_T_POLICIES = [
 
 
 @pytest.mark.parametrize("T, limit_mib, fits", [
-    # Far below the limit and at once: the radius table of patient, adapt
-    # and ucb fails at parse time, the uniforms of compiled ducb and the
-    # calendar of uniform when the run allocates them.
+    # Far below the limit and at once, each when the run allocates it: the
+    # radius table of patient, adapt and ucb, the uniforms of compiled ducb
+    # and the calendar of uniform.
     pytest.param(2**61, 1536, (), id=str(2**61)),
     pytest.param(10**12, 1536, (), id=str(10**12)),
     # The calendar fits, but the Python episodes do not: the logs of an

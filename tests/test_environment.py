@@ -562,6 +562,42 @@ def test_play_index_continues_an_episode_as_select_and_pull_would(
         fused.play_index(policy.index_table, init_pulls, rng.random, [T])
 
 
+class _FailingDraw(BanditInstance):
+    """Raises ``ArithmeticError`` at the ``k``-th call of :meth:`draw`."""
+
+    def __init__(self, arms, horizon, k):
+        super().__init__(arms, horizon)
+        self.k, self.calls = k, 0
+
+    def draw(self, arm, u, v):
+        self.calls += 1
+        if self.calls == self.k:
+            raise ArithmeticError(f"draw {self.k}")
+        return super().draw(arm, u, v)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17, 59, 60])
+def test_a_draw_that_raises_leaves_play_index_as_select_and_pull_would(k):
+    arms = [(Bernoulli(0.4), Geometric(0.3)), (PointMass(0.7), ParetoCeil(0.5)),
+            (Bernoulli(0.6), Dirac(3))]
+    T = 60
+    policy = VanillaUcb()
+    policy.reset(len(arms), T)
+    ends = []
+    for fused in (True, False):
+        env, rng = DelayedBanditEnv(_FailingDraw(arms, T, k)), np.random.default_rng(11)
+        with pytest.raises(ArithmeticError, match=f"draw {k}$"):
+            if fused:
+                env.play_index(policy.index_table, policy.init_pulls, rng.random, [T])
+            else:
+                for _ in range(T):
+                    env.pull(policy.select(env.observe(), None), rng.random)
+        ends.append((env.round, env.pull_records(), env.censored_count, env._calendar,
+                     env._sums, rng.bit_generator.state))
+    assert ends[0] == ends[1]
+    assert ends[0][0] == k
+
+
 @pytest.mark.parametrize("arm", [-1, 2])
 def test_pull_rejects_an_arm_out_of_range_before_reading_the_stream(arm):
     env = DelayedBanditEnv(BanditInstance([_arm(), _arm()], horizon=5))

@@ -406,6 +406,18 @@ def test_the_kernel_source_ships_in_the_built_package(tmp_path):
     )
 
 
+def test_the_kernel_source_compiles_without_warnings():
+    # Stricter than kernel.FLAGS, which key the build cache and set how the
+    # kernel is built. The module's fixture has found a compiler.
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    done = subprocess.run(
+        [compiler, "-fsyntax-only", "-std=c99", "-Wall", "-Wextra", "-Wpedantic",
+         "-Wconversion", "-Werror", str(kernel.SOURCE)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def _assert_the_generic_loop_gives_the_same_bits_without_a_compiler(monkeypatch, specs, cls):
     """Without the library, every round of every run calls ``cls.select``, and no bit moves."""
     instance = BanditInstance(
