@@ -15,7 +15,6 @@ contribute 0 to every sum it can ask for.
 """
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -297,7 +296,7 @@ class DelayedBanditEnv:
         past the horizon. A nonzero reward arriving in time is filed in the
         calendar under its arrival round; a zero (of either sign) is not, as
         adding it to a sum that starts at +0.0 and never falls changes no bit.
-        :meth:`play_index` pulls through this method; the compiled loop of
+        Every Python episode pulls through this method; the compiled loop of
         :mod:`.kernel` files its pulls by these same rules.
         """
         s = self._round
@@ -329,48 +328,6 @@ class DelayedBanditEnv:
             sums = self._sums
             for due_arm, due_reward in due:
                 sums[due_arm] += due_reward
-
-    def play_index(self, table, init_pulls: int, uniform, checkpoints) -> tuple[list, int]:
-        """Play the rest of the episode under a table index; ``(regret, index rounds)``.
-
-        Each round is what ``pull(select(observe()), uniform)`` makes it for
-        an index policy whose index is a table lookup: while some arm has
-        fewer than ``init_pulls`` pulls, the one with fewest (the lowest index
-        on ties); after that the first argmax of ``sums[i] / n + table[n - 1]``
-        over arms pulled ``n`` times. The arm is then played by :meth:`pull`,
-        so every bit of the episode, the stream's position and the env's
-        state after it are the same, also when a draw raises. ``regret``
-        holds :meth:`true_pseudo_regret` after each round in ``checkpoints``
-        (increasing) from the current one on; the index rounds are the
-        rounds after the sweep.
-        """
-        T = self._T
-        start = self._round
-        if start > T:
-            raise EpisodeComplete(f"episode over: cannot pull at round {start} > horizon {T}")
-        counts, sums, pull = self._counts, self._sums, self.pull
-        arms = range(self._K)
-        # Fewest pulls first, the sweep ends when every arm has init_pulls.
-        first_index_round = start + sum(max(init_pulls - n, 0) for n in counts)
-        lowest = -math.inf
-        marks = iter([c for c in checkpoints if c >= start])
-        mark = next(marks, 0)
-        regret = []
-        for s in range(start, T + 1):
-            if s < first_index_round:
-                arm = counts.index(min(counts))
-            else:
-                arm, best_index = 0, lowest
-                for i in arms:
-                    n = counts[i]
-                    index = sums[i] / n + table[n - 1]
-                    if index > best_index:
-                        arm, best_index = i, index
-            pull(arm, uniform)
-            if s == mark:
-                regret.append(self.true_pseudo_regret())
-                mark = next(marks, 0)
-        return regret, max(T + 1 - max(start, first_index_round), 0)
 
     def true_pseudo_regret(self) -> float:
         """Gap-weighted suboptimal pull count over the rounds played so far.

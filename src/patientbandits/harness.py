@@ -22,7 +22,7 @@ fixed size and returns what the generator's scalar ``random()`` and
 in the same state at the end. Such a policy needs a Generator over PCG64
 (``default_rng``); ``simulate`` refuses any other with ``TypeError``.
 
-An episode runs on one of three engines, which give the same bits. Three
+An episode runs on one of two engines, which give the same bits. Three
 kinds of policy declare the shape of their whole episode. One whose index
 after its sweep is a table lookup declares the table as
 ``Policy.index_table`` (``ucb``, ``patient`` with a float α, and ``adapt``
@@ -38,23 +38,15 @@ de-biasing factor as ``Policy.window_index``.
   returns pull counts per checkpoint, and the regret row is computed from
   them by :func:`.environment.pseudo_regret`. Any other episode goes to
   ``run_episode``.
-- ``simulate``, and so ``run_episode``, never uses the kernel, since its
-  caller gets the environment the episode filled. A table episode runs in
-  :meth:`DelayedBanditEnv.play_index`, which picks each arm on the
-  environment's own state, with no view or ``select`` call, and plays it
-  through ``pull``.
-- Every other episode (``uniform``, ``adapt`` above its threshold, any
-  policy that overrides ``select``, and ``ducb`` and schedule episodes
-  outside the kernel) runs the generic loop,
-  ``env.pull(policy.select(env.observe(), rng), uniform)``.
+- ``simulate``, and so ``run_episode``, plays every episode in the generic
+  loop, ``env.pull(policy.select(env.observe(), rng), uniform)``, since its
+  caller gets the environment the episode filled.
 
 The kernel is compiled with the host's ``cc`` on the first episode that
 could use it, never at import, and cached in the package's ``__pycache__``
-(see :mod:`.kernel`). Without a compiler, or when the build fails, a table
-episode runs in ``play_index`` and a ``ducb`` or schedule episode in the
-generic loop.
-The generic loop is the reference: the tests hold the kernel and
-``play_index`` to it bit for bit. Because every engine gives the same
+(see :mod:`.kernel`). Without a compiler, or when the build fails, every
+episode runs the generic loop. The generic loop is the reference: the
+tests hold the kernel to it bit for bit. Because both engines give the same
 numbers, there is no option to choose one; only the speed would change.
 
 Worker pools live as long as the process. ``monte_carlo`` starts a pool of
@@ -79,7 +71,7 @@ import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -116,7 +108,6 @@ class RegretTrace:
     checkpoints: Tuple[int, ...]
     regret: np.ndarray
     pull_counts: Tuple[int, ...]
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -251,11 +242,8 @@ def simulate(
 ) -> tuple[DelayedBanditEnv, RegretTrace]:
     """Play one full episode; returns the environment alongside the trace.
 
-    When the freshly reset policy's ``index_table`` is not None, the episode
-    runs in :meth:`DelayedBanditEnv.play_index`, and the policy is told how
-    many rounds after its sweep were played there (``index_rounds_played``).
-    Otherwise each round is ``env.pull(policy.select(env.observe(), rng),
-    uniform)``, the reference loop (see the module docstring).
+    Each round is ``env.pull(policy.select(env.observe(), rng), uniform)``,
+    the reference loop (see the module docstring).
 
     A policy that reads the rng needs ``rng`` to be a Generator over PCG64
     (``np.random.default_rng``); any other raises ``TypeError`` before the
@@ -270,32 +258,19 @@ def simulate(
         uniform = chain.from_iterable(
             rng.random(min(_CHUNK, 2 * T - start)).tolist() for start in range(0, 2 * T, _CHUNK)
         ).__next__
+        regret = _play(env, policy, None, uniform, cps)
     else:
-        uniform = stream.random
-    table = policy.index_table
-    if stream is None:
-        regret = _play(env, policy, table, None, uniform, cps)
-    else:
-        regret = _closing(stream, _play, env, policy, table, stream, uniform, cps)
-    diagnostics = {}
-    history = getattr(policy, "alpha_bar_history", None)
-    if history:
-        diagnostics["alpha_bar"] = np.asarray(history)
+        regret = _closing(stream, _play, env, policy, stream, stream.random, cps)
     trace = RegretTrace(
         checkpoints=cps,
         regret=np.array(regret, dtype=np.float64),
         pull_counts=env.pull_counts,
-        diagnostics=diagnostics,
     )
     return env, trace
 
 
-def _play(env, policy, table, rng, uniform, checkpoints) -> list:
-    """The episode's regret at ``checkpoints``: ``play_index`` on a table, else the generic loop."""
-    if table is not None:
-        regret, index_rounds = env.play_index(table, policy.init_pulls, uniform, checkpoints)
-        policy.index_rounds_played(index_rounds)
-        return regret
+def _play(env, policy, rng, uniform, checkpoints) -> list:
+    """The episode's regret at ``checkpoints``, played in the generic loop."""
     marks = iter(checkpoints)
     mark = next(marks)
     regret = []

@@ -23,7 +23,7 @@
 Both file each pull by :meth:`.DelayedBanditEnv.pull`'s rules (delays
 clamped to T + 1, arrival at ``s + max(d, 1)``, censoring past T, no
 calendar entry for a zero reward of either sign), in one C helper: the one
-copy of those rules besides ``pull`` itself, which every Python engine
+copy of those rules besides ``pull`` itself, which the generic loop
 calls. A law's nonzero reward is one value per arm, so the order in which
 a round's arrivals are added changes no sum. The kernel returns the pull counts at
 each checkpoint; :func:`.environment.pseudo_regret` turns them into regret

@@ -34,13 +34,10 @@ class Policy:
     episode, the policy's choice is: the arm with fewest pulls while some arm
     has fewer than ``init_pulls``, then the first argmax of
     ``sums[i] / n + index_table[n - 1]``. A policy that declares a table
-    also has ``init_pulls`` and ``index_rounds_played(rounds)``, and no
-    ``select`` is called in its episode. ``monte_carlo`` plays the episode in
-    the compiled kernel (:mod:`.kernel`) when the instance's laws allow and a
-    C compiler is available, and otherwise in
-    :meth:`.DelayedBanditEnv.play_index`. ``simulate`` always uses
-    ``play_index`` and passes the number of rounds played after the sweep to
-    ``index_rounds_played``.
+    also has ``init_pulls``. ``monte_carlo`` plays the episode in the
+    compiled kernel (:mod:`.kernel`) when the instance's laws allow and a C
+    compiler is available, with no ``select`` call; otherwise, and always in
+    ``simulate``, the generic loop calls ``select`` every round.
 
     ``schedule_index``, read after ``reset``, is likewise None unless the
     policy's choice is a table policy's whose radius also carries a bias
@@ -82,12 +79,11 @@ class OptimisticIndex(Policy):
     radius table, or a schedule of the round. Subclasses whose
     exponent depends on the round override :meth:`bias_alpha`. When the
     table holds the whole radius (no schedule, no override), it is the
-    :attr:`index_table`, and ``simulate`` plays the episode in
-    :meth:`.DelayedBanditEnv.play_index` without calling :meth:`select`,
-    which computes the same index bit for bit. When the exponent is a
-    schedule and nothing is overridden, the table and the schedule are the
-    :attr:`schedule_index`, and ``monte_carlo`` plays the episode in the
-    compiled kernel when it can; ``simulate`` runs the generic loop.
+    :attr:`index_table`; when the exponent is a schedule and nothing is
+    overridden, the table and the schedule are the :attr:`schedule_index`.
+    Either way ``monte_carlo`` plays the episode in the compiled kernel when
+    it can, which computes :meth:`select`'s index bit for bit, and
+    ``simulate`` runs the generic loop.
     """
 
     init_pulls = 1
@@ -137,9 +133,6 @@ class OptimisticIndex(Policy):
             cls.select is not OptimisticIndex.select
             or cls.bias_alpha is not OptimisticIndex.bias_alpha
         )
-
-    def index_rounds_played(self, rounds: int) -> None:
-        """Told how many rounds after the sweep were played on :attr:`index_table`."""
 
     def bias_alpha(self, view: ObservationView) -> Optional[float]:
         """This round's bias exponent, or None when the table holds the whole radius."""
@@ -195,9 +188,9 @@ class AdaptPatientBandits(OptimisticIndex):
     pulls for the bound to be positive, it skips the probe: the bound is 0.
     When that count is at least T, the bound is 0 all episode and the policy
     is ``ucb`` with two sweeps and a constant bias: its :attr:`index_table`
-    is then the radius table at exponent 0, ``simulate`` plays the episode in
-    :meth:`.DelayedBanditEnv.play_index`, and :meth:`index_rounds_played`
-    records the zero bounds that :meth:`bias_alpha` would have.
+    is then the radius table at exponent 0, which the compiled kernel plays;
+    :attr:`alpha_bar_history` is only filled by :meth:`select`, so by
+    ``simulate``.
     Needs only coarse structural floors (``c``, ``alpha_floor``,
     ``mu_floor``), not the index itself.
     """
@@ -249,10 +242,6 @@ class AdaptPatientBandits(OptimisticIndex):
         ):
             return None
         return estimators.radius_table(self.params.T, self.params.delta, 0.0)
-
-    def index_rounds_played(self, rounds: int) -> None:
-        """Records the bound, 0, for each of those rounds."""
-        self.alpha_bar_history += [0.0] * rounds
 
     def bias_alpha(self, view: ObservationView) -> float:
         """The tail-index lower bound computable from this round's view, recorded.

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import patientbandits
+from patientbandits import kernel
 from patientbandits.distributions import (
     Bernoulli,
     Dirac,
@@ -115,6 +116,17 @@ def test_regret_digest_is_pinned(name):
 def test_mixed_law_regret_digest_is_pinned(name):
     spec, expected = MIXED_PINNED[name]
     assert _digest(MIXED_INSTANCE, spec) == expected
+
+
+@pytest.mark.parametrize("instance, spec, expected", [
+    *(pytest.param(INSTANCE, *PINNED[name], id=name) for name in sorted(PINNED)),
+    *(pytest.param(MIXED_INSTANCE, *MIXED_PINNED[name], id=f"mixed-{name}")
+      for name in sorted(MIXED_PINNED)),
+])
+def test_pinned_bits_hold_without_a_compiler(monkeypatch, instance, spec, expected):
+    # Without the kernel every episode runs the generic loop, the one Python engine.
+    monkeypatch.setattr(kernel, "load", lambda: None)
+    assert _digest(instance, spec) == expected
 
 
 def test_digests_hold_under_a_second_simd_dispatch():

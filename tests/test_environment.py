@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedInstance
@@ -521,47 +521,6 @@ def test_pull_past_horizon_raises():
         env.observe()
 
 
-@given(instance=instances(), seed=st.integers(0, 2**32 - 1), played=st.integers(0, 60),
-       init_pulls=st.integers(1, 2))
-# A sweep of 8 rounds in a horizon of 5: no index round.
-@example(instance=BanditInstance([_arm(0.5)] * 4, 5), seed=0, played=1, init_pulls=2)
-@settings(max_examples=100, deadline=None)
-def test_play_index_continues_an_episode_as_select_and_pull_would(
-    instance, seed, played, init_pulls
-):
-    K, T = instance.n_arms, instance.horizon
-    assume(K * T > 1)  # the default delta is 1 at K = T = 1
-    played %= T + 1
-    policy = VanillaUcb()
-    policy.init_pulls = init_pulls
-    policy.reset(K, T)
-    envs, regrets = [], []
-    for fused in (True, False):
-        env, rng = DelayedBanditEnv(instance), np.random.default_rng(seed)
-        regret = []
-        for t in range(1, T + 1):
-            if fused and t > played:
-                rest, index_rounds = env.play_index(
-                    policy.index_table, init_pulls, rng.random, range(1, T + 1)
-                )
-                assert index_rounds == max(T + 1 - max(t, K * init_pulls + 1), 0)
-                regret += rest
-                break
-            env.pull(policy.select(env.observe(), None), rng.random)
-            regret.append(env.true_pseudo_regret())
-        envs.append(env)
-        regrets.append(regret)
-    assert regrets[0] == regrets[1]
-    fused, reference = envs
-    assert fused.round == reference.round == T + 1
-    assert fused.pull_records() == reference.pull_records()
-    assert fused.censored_count == reference.censored_count
-    assert fused._sums == reference._sums
-    assert fused._calendar == reference._calendar
-    with pytest.raises(EpisodeComplete):
-        fused.play_index(policy.index_table, init_pulls, rng.random, [T])
-
-
 class _FailingDraw(BanditInstance):
     """Raises ``ArithmeticError`` at the ``k``-th call of :meth:`draw`."""
 
@@ -578,20 +537,26 @@ class _FailingDraw(BanditInstance):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 17, 59, 60])
 def test_a_draw_that_raises_leaves_play_index_as_select_and_pull_would(k):
+    # A draw raising at the k-th pull of the select-and-pull loop leaves the
+    # episode as k - 1 rounds of the same policy and seed on a draw that never
+    # fails, with the raising pull's two uniforms read from the stream.
     arms = [(Bernoulli(0.4), Geometric(0.3)), (PointMass(0.7), ParetoCeil(0.5)),
             (Bernoulli(0.6), Dirac(3))]
     T = 60
-    policy = VanillaUcb()
-    policy.reset(len(arms), T)
     ends = []
-    for fused in (True, False):
-        env, rng = DelayedBanditEnv(_FailingDraw(arms, T, k)), np.random.default_rng(11)
-        with pytest.raises(ArithmeticError, match=f"draw {k}$"):
-            if fused:
-                env.play_index(policy.index_table, policy.init_pulls, rng.random, [T])
-            else:
+    for failing in (True, False):
+        policy = VanillaUcb()
+        policy.reset(len(arms), T)
+        instance = _FailingDraw(arms, T, k) if failing else BanditInstance(arms, T)
+        env, rng = DelayedBanditEnv(instance), np.random.default_rng(11)
+        if failing:
+            with pytest.raises(ArithmeticError, match=f"draw {k}$"):
                 for _ in range(T):
                     env.pull(policy.select(env.observe(), None), rng.random)
+        else:
+            for _ in range(k - 1):
+                env.pull(policy.select(env.observe(), None), rng.random)
+            rng.random(2)
         ends.append((env.round, env.pull_records(), env.censored_count, env._calendar,
                      env._sums, rng.bit_generator.state))
     assert ends[0] == ends[1]

@@ -326,12 +326,9 @@ def test_adapt_diagnostics_recorded():
     inst = BanditInstance(
         [(Bernoulli(0.5), ParetoCeil(0.5)), (Bernoulli(0.7), ParetoCeil(0.5))], 300
     )
-    trace = run_episode(
-        inst,
-        AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=0.4),
-        seed=2,
-    )
-    bars = trace.diagnostics["alpha_bar"]
+    policy = AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=0.4)
+    run_episode(inst, policy, seed=2)
+    bars = np.asarray(policy.alpha_bar_history)
     assert bars.shape == (300 - 4,)
     assert np.all((bars >= 0.0) & (bars <= 0.5))
 
@@ -364,7 +361,8 @@ def _interleaved(instance, policy, rng, checkpoints):
 
 def _assert_matches_interleaved(make_instance, make_policy, seed, checkpoints=None):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    env, trace = simulate(make_instance(), make_policy(), rng, checkpoints)
+    policy = make_policy()
+    env, trace = simulate(make_instance(), policy, rng, checkpoints)
     reference_policy = make_policy()
     reference_env, regret = _interleaved(
         make_instance(), reference_policy, reference_rng, trace.checkpoints
@@ -376,14 +374,31 @@ def _assert_matches_interleaved(make_instance, make_policy, seed, checkpoints=No
     # Filed alike: no zero reward in the calendar, the rest in pull order.
     assert env._calendar == reference_env._calendar
     history = getattr(reference_policy, "alpha_bar_history", None)
-    assert trace.diagnostics.keys() == ({"alpha_bar"} if history else set())
-    if history:
-        assert trace.diagnostics["alpha_bar"].tobytes() == np.asarray(history).tobytes()
+    assert (getattr(policy, "alpha_bar_history", None) is None) == (history is None)
+    if history is not None:
+        assert np.array(policy.alpha_bar_history).tobytes() == np.array(history).tobytes()
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_specs_cover_every_policy_tag():
     assert set(SPECS) == set(POLICIES)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec["kind"])
+def test_simulate_calls_select_on_every_round(spec):
+    instance = BanditInstance(
+        [(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.6), ParetoCeil(0.3))], 200
+    )
+    policy = from_spec(POLICIES, spec, "policy")
+    select, calls = policy.select, []
+
+    def counted(view, rng):
+        calls.append(view.t)
+        return select(view, rng)
+
+    policy.select = counted
+    simulate(instance, policy, np.random.default_rng(3))
+    assert calls == list(range(1, 201))
 
 
 _REWARDS = st.one_of(
@@ -484,8 +499,8 @@ class _Recorded(BanditInstance):
 
 
 @pytest.mark.parametrize("spec", [
-    {"kind": "ucb"},  # play_index
-    {"kind": "ducb", "m": 20, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}},  # the generic loop
+    {"kind": "ucb"},  # a table policy
+    {"kind": "ducb", "m": 20, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}},  # a window policy
 ])
 def test_uniforms_drawn_in_chunks_equal_one_block_in_bits_and_state(spec):
     # 2T spans three chunks, the last one short.

@@ -346,13 +346,13 @@ def test_without_a_compiler_monte_carlo_gives_the_same_bits(monkeypatch):
     compiled = [_regret_bytes(instance, spec) for spec in TABLE_SPECS]
     monkeypatch.setattr(kernel, "load", lambda: None)
     in_python = []
-    play_index = DelayedBanditEnv.play_index
+    run_episode = harness.run_episode
 
-    def counted(env, *args):
-        in_python.append(env)
-        return play_index(env, *args)
+    def counted(*args):
+        in_python.append(args)
+        return run_episode(*args)
 
-    monkeypatch.setattr(DelayedBanditEnv, "play_index", counted)
+    monkeypatch.setattr(harness, "run_episode", counted)
     assert [_regret_bytes(instance, spec) for spec in TABLE_SPECS] == compiled
     assert len(in_python) == 3 * len(TABLE_SPECS)
 

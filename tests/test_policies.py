@@ -176,8 +176,8 @@ def test_adapt_alpha_bar_within_range_on_simulation():
         [(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.7), ParetoCeil(0.4))], 600
     )
     policy = AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=0.4)
-    _, trace = simulate(inst, policy, np.random.default_rng(4))
-    bars = trace.diagnostics["alpha_bar"]
+    simulate(inst, policy, np.random.default_rng(4))
+    bars = np.asarray(policy.alpha_bar_history)
     assert len(bars) == 600 - 2 * 2
     assert np.all((bars >= 0.0) & (bars <= 0.5))
 
