@@ -22,19 +22,20 @@ fixed size and returns what the generator's scalar ``random()`` and
 in the same state at the end. Such a policy needs a Generator over PCG64
 (``default_rng``); ``simulate`` refuses any other with ``TypeError``.
 
-An episode runs on one of two engines, which give the same bits. Three
-kinds of policy declare the shape of their whole episode. One whose index
-after its sweep is a table lookup declares the table as
-``Policy.index_table`` (``ucb``, ``patient`` with a float α, and ``adapt``
-when its tail-index bound is provably 0 all episode). ``patient`` with a
-schedule of the round as α (``loglog``) declares the table and the schedule
-as ``Policy.schedule_index``. ``ducb`` declares its fixed wait and
-de-biasing factor as ``Policy.window_index``.
+An episode runs on one of two engines, which give the same bits. Two
+kinds of policy declare the shape of their whole episode. An optimistic
+index whose radius is ``deviation + delay_bias`` at an exponent that is
+none, fixed or a schedule of the round declares the radius's horizon,
+``delta`` and ``alpha`` as ``Policy.radius_index`` (``ucb``, ``patient``
+with a float α or ``loglog``, and ``adapt`` when its tail-index bound is
+provably 0 all episode). ``ducb`` declares its fixed wait and de-biasing
+factor as ``Policy.window_index``.
 
-- ``monte_carlo`` plays an episode of any of these kinds in the compiled
-  kernel (:mod:`.kernel`) when the instance does not override ``draw``,
-  every law is one of the six built-in ones, the kernel's library can be
-  had, and a schedule gives a float exponent in [0, 0.5] at every round. It
+- ``monte_carlo`` plays an episode of either kind in the compiled kernel
+  (:mod:`.kernel`) when the instance does not override ``draw``, every law
+  is one of the six built-in ones, the kernel's library can be had, ``delta``
+  is a float, and the exponent, at every round for a schedule, is a float
+  in [0, 0.5]. It
   returns pull counts per checkpoint, and the regret row is computed from
   them by :func:`.environment.pseudo_regret`. Any other episode goes to
   ``run_episode``.

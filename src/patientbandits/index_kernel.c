@@ -70,26 +70,31 @@ static void record(int64_t s, int64_t K, const int64_t *counts, int64_t n_marks,
     }
 }
 
-/* Play rounds 1..T of a fresh table-index episode and return the censored
- * pull count, or -1 when memory runs out.
+/* Play rounds 1..T of a fresh optimistic-index episode and return the
+ * censored pull count, or -1 when memory runs out.
  *
  * The arm is the one with fewest pulls before round 1 + K * init_pulls, then
- * the first argmax of sums[i] / n + table[n - 1], or, when exponents is not
- * NULL, of sums[i] / n + (table[n - 1] + 2 * n ** -exponents[s]) at round s:
- * the radius is summed before the mean is added, as in the Python index, and
- * pow(n, -0.0) is 1, the flat bias of an exponent of 0. Round s reads
- * uniforms[2s - 2] and uniforms[2s - 1]. Pull counts after each round in
- * marks (increasing) go to counts_at_marks, K per mark. */
-int64_t play_table(int64_t K, int64_t T, int64_t init_pulls,
-                   const double *reward_below, const double *reward_value,
-                   const int32_t *delay_kind, const double *delay_param,
-                   const int64_t *delay0, const int64_t *delay1,
-                   const double *table, const double *exponents, const double *uniforms,
-                   int64_t n_marks, const int64_t *marks, int64_t *counts_at_marks)
+ * the first argmax of sums[i] / n + radius at n = counts[i] pulls. The radius
+ * is sqrt(2 log(2 / delta) / n) + 2 * n ** -e, summed before the mean is
+ * added, as in the Python index. e is exponent, or exponents[s] at round s
+ * when exponents is not NULL, and exponent is then negative: a negative
+ * exponent adds no bias term. Round s reads uniforms[2s - 2] and
+ * uniforms[2s - 1]. Pull counts after each round in marks (increasing) go to
+ * counts_at_marks, K per mark. */
+int64_t play_optimistic(int64_t K, int64_t T, int64_t init_pulls,
+                        const double *reward_below, const double *reward_value,
+                        const int32_t *delay_kind, const double *delay_param,
+                        const int64_t *delay0, const int64_t *delay1,
+                        double delta, double exponent, const double *exponents,
+                        const double *uniforms,
+                        int64_t n_marks, const int64_t *marks, int64_t *counts_at_marks)
 {
     Laws laws = {T, reward_below, reward_value, delay_kind, delay_param, delay0, delay1};
     int64_t *counts = calloc((size_t)K, sizeof *counts);
     double *sums = calloc((size_t)K, sizeof *sums);
+    /* Arm i's radius at counts[i] pulls, its bias included unless it varies
+     * by round; set when the arm is pulled. */
+    double *radius = calloc((size_t)K, sizeof *radius);
     /* The calendar: entries are pull rounds, each filed at the head of its
      * arrival round's list (head[r], 0 for none; then next[s]). Python adds a
      * round's arrivals in filing order, but every arrival of arm i adds the
@@ -98,9 +103,10 @@ int64_t play_table(int64_t K, int64_t T, int64_t init_pulls,
     int64_t *next = calloc((size_t)T + 1, sizeof *next);
     int32_t *arm_of = calloc((size_t)T + 1, sizeof *arm_of);
     int64_t censored = -1;
-    if (!counts || !sums || !head || !next || !arm_of)
+    if (!counts || !sums || !radius || !head || !next || !arm_of)
         goto done;
     censored = 0;
+    double spread = 2.0 * log(2.0 / delta);
     int64_t first_index_round = 1 + K * init_pulls, mark = 0;
     for (int64_t s = 1; s <= T; s++) {
         int64_t arm = 0;
@@ -111,11 +117,10 @@ int64_t play_table(int64_t K, int64_t T, int64_t init_pulls,
         } else {
             double best = -INFINITY;
             for (int64_t i = 0; i < K; i++) {
-                int64_t n = counts[i];
-                double radius = table[n - 1];
+                double n = (double)counts[i], r = radius[i];
                 if (exponents)
-                    radius = radius + 2.0 * pow((double)n, -exponents[s]);
-                double index = sums[i] / (double)n + radius;
+                    r = r + 2.0 * pow(n, -exponents[s]);
+                double index = sums[i] / n + r;
                 if (index > best) {
                     arm = i;
                     best = index;
@@ -129,7 +134,10 @@ int64_t play_table(int64_t K, int64_t T, int64_t init_pulls,
             next[s] = head[arrival];
             head[arrival] = s;
         }
-        counts[arm]++;
+        double pulls = (double)++counts[arm];
+        radius[arm] = sqrt(spread / pulls);
+        if (exponent >= 0.0)
+            radius[arm] = radius[arm] + 2.0 * pow(pulls, -exponent);
         for (int64_t e = head[s + 1]; e; e = next[e])
             sums[arm_of[e]] += reward_value[arm_of[e]];
         record(s, K, counts, n_marks, marks, &mark, counts_at_marks);
@@ -137,6 +145,7 @@ int64_t play_table(int64_t K, int64_t T, int64_t init_pulls,
 done:
     free(counts);
     free(sums);
+    free(radius);
     free(head);
     free(next);
     free(arm_of);
@@ -144,7 +153,7 @@ done:
 }
 
 /* Play rounds 1..T of a fresh ducb episode with wait m (at most T + 1) and
- * de-biasing factor tau_m; return as play_table does.
+ * de-biasing factor tau_m; return as play_optimistic does.
  *
  * Round s < m + K pulls arm s % K. Later rounds take the first argmax of
  * total / (tau_m * n) + sqrt(2 log s / (tau_m * n)), where n counts the

@@ -1,17 +1,19 @@
 """Compiled loops for index episodes, equal bit for bit to the Python ones.
 
-``index_kernel.c`` plays a whole episode of a policy of one of three shapes.
+``index_kernel.c`` plays a whole episode of a policy of one of two shapes.
 
-- A policy that declares ``Policy.index_table``: the sweep, then the first
-  argmax of ``sums[i] / n + table[n - 1]`` (``play_table``).
-- A policy that declares ``Policy.schedule_index``, ``patient`` with a
-  schedule such as ``loglog``: the same loop, with the radius
-  ``table[n - 1] + 2 * n ** -e_t`` at round ``t``, where ``e_t`` is
-  ``min(alpha(t), 0.5)`` as :func:`.estimators.delay_bias` takes it. The
-  exponents are computed in Python before the episode, for rounds 2..T
-  (round 1 is always a sweep round); an episode whose schedule raises, or
-  gives an exponent that is not a float in [0, 0.5], is not played here,
-  so the generic loop keeps its own behaviour, exception and all.
+- A policy that declares ``Policy.radius_index`` ``(T, delta, alpha)``:
+  the sweep, then the first argmax of ``sums[i] / n + radius``
+  (``play_optimistic``). The kernel computes an arm's radius when it is
+  pulled, ``deviation(n, delta) + delay_bias(n, alpha)`` in the operations
+  of :mod:`.estimators` (no bias when ``alpha`` is None), so it holds no
+  radius table. For a schedule of the round such as ``loglog``, the bias
+  ``2 * n ** -e_t`` at round ``t`` is added each round; the exponents
+  ``e_t = min(alpha(t), 0.5)`` are computed in Python before the episode,
+  for rounds 2..T (round 1 is always a sweep round). An episode whose
+  ``delta`` is not a float, or whose exponent (at any round, for a
+  schedule) raises or is not a float in [0, 0.5], is not played here, so
+  the generic loop keeps its own behaviour, exception and all.
 - A policy that declares ``Policy.window_index``, ``ducb``: round robin
   before round ``m + K``, then the first argmax of
   :func:`.policies.ducb_index` over each arm's window at the fixed wait
@@ -72,9 +74,6 @@ _FIXED, _PARETO, _TWO_POINT, _GEOMETRIC = range(4)
 
 _library = None
 _tried = False
-# The last radius table seen and its float64 copy: a table is converted once
-# per process, not per run.
-_table = (None, None)
 # The last (schedule, T) seen and its exponents, or None when the kernel
 # declines them: computed once per process, not per run or per K.
 _exponents = (None, None, None)
@@ -120,10 +119,10 @@ def _build_and_load():
                 os.unlink(tmp)
     library = ctypes.CDLL(str(path))
     count, real, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    marks = [count, pointer, pointer]
-    library.play_table.restype = library.play_ducb.restype = count
-    library.play_table.argtypes = [count] * 3 + [pointer] * 9 + marks
-    library.play_ducb.argtypes = [count] * 3 + [real] + [pointer] * 7 + marks
+    laws, marks = [pointer] * 6, [count, pointer, pointer]
+    library.play_optimistic.restype = library.play_ducb.restype = count
+    library.play_optimistic.argtypes = [count] * 3 + laws + [real] * 2 + [pointer] * 2 + marks
+    library.play_ducb.argtypes = [count] * 3 + [real] + laws + [pointer] + marks
     return library
 
 
@@ -168,8 +167,16 @@ def _encode(instance: BanditInstance):
     )
 
 
+def _exponent(alpha) -> float:
+    """``min(alpha, 0.5)`` as ``delay_bias`` takes it; ValueError unless a float in [0, 0.5]."""
+    e = 0.5 if 0.5 < alpha else alpha
+    if type(e) is not float or not 0.0 <= e <= 0.5:
+        raise ValueError(f"exponent {e!r}")
+    return e
+
+
 def _exponents_of(alpha, T: int) -> Optional[np.ndarray]:
-    """``min(alpha(t), 0.5)`` at index ``t`` for rounds 2..T (0 before), or None.
+    """``_exponent(alpha(t))`` at index ``t`` for rounds 2..T (0 before), or None.
 
     None when a call raises, or an exponent is not a float in [0, 0.5]: the
     generic loop then plays the episode, and raises what ``select`` raises
@@ -177,17 +184,10 @@ def _exponents_of(alpha, T: int) -> Optional[np.ndarray]:
     """
     global _exponents
     if _exponents[0] is not alpha or _exponents[1] != T:
-
-        def exponent(t):
-            a = alpha(t)
-            e = 0.5 if 0.5 < a else a  # as delay_bias takes it
-            if type(e) is not float or not 0.0 <= e <= 0.5:
-                raise ValueError(f"exponent {e!r} at round {t}")
-            return e
-
         try:
             exponents = np.fromiter(
-                chain((0.0, 0.0), map(exponent, range(2, T + 1))), np.float64, T + 1
+                chain((0.0, 0.0), (_exponent(alpha(t)) for t in range(2, T + 1))),
+                np.float64, T + 1,
             )
         except Exception:  # any schedule's own failure, left to the generic loop
             exponents = None
@@ -200,18 +200,16 @@ def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Opti
 
     ``counts`` is an int64 array with one row of pull counts per checkpoint.
     None means the episode is not the kernel's: the policy has no
-    ``index_table``, ``schedule_index`` or ``window_index``, its schedule
-    raises or gives an exponent outside [0, 0.5], the instance overrides
-    ``draw`` or holds a law other than the built-in six, or the library
-    cannot be had. The policy must have been reset to the instance's
-    horizon, and the checkpoints must increase within [1, T]; otherwise
-    ``ValueError``. An episode too large for memory raises ``MemoryError``.
+    ``radius_index`` or ``window_index``, its delta is not a float, its
+    exponent (or its schedule's, at some round) raises or lies outside
+    [0, 0.5], the instance overrides ``draw`` or holds a law other than the
+    built-in six, or the library cannot be had. The policy must have been
+    reset to the instance's horizon, and the checkpoints must increase
+    within [1, T]; otherwise ``ValueError``. An episode too large for memory
+    raises ``MemoryError``.
     """
-    global _table
-    table, window, schedule = policy.index_table, policy.window_index, policy.schedule_index
-    if schedule is not None:
-        table = schedule[0]
-    if (table is None and window is None) or type(instance).draw is not BanditInstance.draw:
+    radius, window = policy.radius_index, policy.window_index
+    if (radius is None and window is None) or type(instance).draw is not BanditInstance.draw:
         return None
     laws = _encode(instance)
     if laws is None:
@@ -220,17 +218,26 @@ def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Opti
     if library is None:
         return None
     K, T = instance.n_arms, instance.horizon
-    # The kernel reads table[n - 1] for n < T and writes one row per mark.
+    # The radius's default delta depends on T, and the kernel writes one row per mark.
     marks = np.array(checkpoints, dtype=np.int64)
-    if (table is not None and len(table) != T) or not (
+    if (radius is not None and radius[0] != T) or not (
         len(marks) and marks[0] >= 1 and marks[-1] <= T and (marks[1:] > marks[:-1]).all()
     ):
-        raise ValueError(f"needs a table of T={T} entries and checkpoints increasing in [1, T]")
-    exponents = None
-    if schedule is not None:
-        exponents = _exponents_of(schedule[1], T)
-        if exponents is None:
+        raise ValueError(f"needs a policy reset to T={T} and checkpoints increasing in [1, T]")
+    if radius is not None:
+        _, delta, alpha = radius
+        if type(delta) is not float:
             return None
+        exponent, exponents = -1.0, None  # no bias term
+        if callable(alpha):
+            exponents = _exponents_of(alpha, T)
+            if exponents is None:
+                return None
+        elif alpha is not None:
+            try:
+                exponent = _exponent(alpha)
+            except ValueError:
+                return None
     rng = np.random.default_rng(seed)
     try:
         uniforms = rng.random(2 * T)
@@ -239,11 +246,9 @@ def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Opti
     counts = np.empty((len(marks), K), dtype=np.int64)
     tail = (len(marks), marks.ctypes.data, counts.ctypes.data)
     pointers = [a.ctypes.data for a in laws]  # laws keeps the arrays alive
-    if table is not None:
-        if _table[0] is not table:
-            _table = (table, np.array(table, dtype=np.float64))
-        censored = library.play_table(
-            K, T, policy.init_pulls, *pointers, _table[1].ctypes.data,
+    if radius is not None:
+        censored = library.play_optimistic(
+            K, T, policy.init_pulls, *pointers, delta, exponent,
             None if exponents is None else exponents.ctypes.data, uniforms.ctypes.data, *tail,
         )
     else:

@@ -30,22 +30,16 @@ class Policy:
     false is handed ``rng=None``, and the pulls read the episode's reward and
     delay uniforms from blocks drawn ahead (see :mod:`.harness`).
 
-    ``index_table``, read after ``reset``, is None unless, for the whole
+    ``radius_index``, read after ``reset``, is None unless, for the whole
     episode, the policy's choice is: the arm with fewest pulls while some arm
-    has fewer than ``init_pulls``, then the first argmax of
-    ``sums[i] / n + index_table[n - 1]``. A policy that declares a table
-    also has ``init_pulls``. ``monte_carlo`` plays the episode in the
-    compiled kernel (:mod:`.kernel`) when the instance's laws allow and a C
-    compiler is available, with no ``select`` call; otherwise, and always in
-    ``simulate``, the generic loop calls ``select`` every round.
-
-    ``schedule_index``, read after ``reset``, is likewise None unless the
-    policy's choice is a table policy's whose radius also carries a bias
-    with a per-round exponent: after a sweep of ``init_pulls`` the first
-    argmax at round ``t`` of ``sums[i] / n + (radius_table[n - 1] +
-    delay_bias(n, alpha(t)))``. It is then ``(radius_table, alpha)``, and
-    ``monte_carlo`` plays the episode in the compiled kernel when it can,
-    and otherwise in the generic loop.
+    has fewer than ``init_pulls``, then the first argmax at round ``t`` of
+    ``sums[i] / n + (deviation(n, delta) + delay_bias(n, alpha))``, with no
+    bias when ``alpha`` is None and ``alpha(t)`` for a schedule. It is then
+    ``(T, delta, alpha)``, and the policy also has ``init_pulls``.
+    ``monte_carlo`` plays the episode in the compiled kernel (:mod:`.kernel`)
+    when the instance's laws allow and a C compiler is available, with no
+    ``select`` call; otherwise, and always in ``simulate``, the generic loop
+    calls ``select`` every round.
 
     ``window_index``, read after ``reset``, is likewise None unless the
     policy's choice is ``ducb``'s for the whole episode: ``t % K`` at round
@@ -58,8 +52,7 @@ class Policy:
 
     label = "policy"
     reads_rng = True
-    index_table = None
-    schedule_index = None
+    radius_index = None
     window_index = None
 
     def reset(self, n_arms: int, horizon: int) -> None:
@@ -77,13 +70,12 @@ class OptimisticIndex(Policy):
     again breaking ties toward the lowest index. ``alpha`` is the bias
     exponent: ``None`` for no bias term, a float folded into the shared
     radius table, or a schedule of the round. Subclasses whose
-    exponent depends on the round override :meth:`bias_alpha`. When the
-    table holds the whole radius (no schedule, no override), it is the
-    :attr:`index_table`; when the exponent is a schedule and nothing is
-    overridden, the table and the schedule are the :attr:`schedule_index`.
-    Either way ``monte_carlo`` plays the episode in the compiled kernel when
-    it can, which computes :meth:`select`'s index bit for bit, and
-    ``simulate`` runs the generic loop.
+    exponent depends on the round override :meth:`bias_alpha`. Unless a
+    subclass overrides :meth:`select` or :meth:`bias_alpha`, sweeps no pull
+    or sets its own radius table, the policy declares its
+    :attr:`radius_index`, and ``monte_carlo`` plays the episode
+    in the compiled kernel when it can, which computes :meth:`select`'s
+    index bit for bit; ``simulate`` runs the generic loop.
     """
 
     init_pulls = 1
@@ -108,31 +100,25 @@ class OptimisticIndex(Policy):
         return estimators.radius_table(params.T, params.delta, None if callable(alpha) else alpha)
 
     @property
-    def index_table(self):
-        """The radius table when it is the whole radius, else None; read after :meth:`reset`.
+    def radius_index(self):
+        """``(T, delta, alpha)`` of the radius, or None (see :meth:`_radius_index`);
+        read right after :meth:`reset`."""
+        return self._radius_index(OptimisticIndex.bias_alpha, self.params.alpha)
 
-        It is, unless the exponent is a schedule or a subclass overrides
-        :meth:`select` or :meth:`bias_alpha`.
-        """
-        return None if callable(self.alpha) or self._overridden() else self._radius_table
-
-    @property
-    def schedule_index(self):
-        """``(radius table, alpha)`` when the exponent is a schedule of the round, else None.
-
-        None also when a subclass overrides :meth:`select` or :meth:`bias_alpha`;
-        read after :meth:`reset`.
-        """
-        if not callable(self.alpha) or self._overridden():
-            return None
-        return self._radius_table, self.alpha
-
-    def _overridden(self) -> bool:
+    def _radius_index(self, bias_alpha, alpha):
+        """``(T, delta, alpha)``, or None unless ``select`` is this class's,
+        ``bias_alpha`` is the one given, every arm is swept at least once (a
+        radius at 0 pulls is undefined), and no table was set in place of
+        the one :attr:`_radius_table` builds when read."""
         cls = type(self)
-        return (
+        if (
             cls.select is not OptimisticIndex.select
-            or cls.bias_alpha is not OptimisticIndex.bias_alpha
-        )
+            or cls.bias_alpha is not bias_alpha
+            or self.init_pulls < 1
+            or "_radius_table" in vars(self)
+        ):
+            return None
+        return self.params.T, self.params.delta, alpha
 
     def bias_alpha(self, view: ObservationView) -> Optional[float]:
         """This round's bias exponent, or None when the table holds the whole radius."""
@@ -187,8 +173,8 @@ class AdaptPatientBandits(OptimisticIndex):
     bound into the patient radius. Until the most-pulled arm has enough
     pulls for the bound to be positive, it skips the probe: the bound is 0.
     When that count is at least T, the bound is 0 all episode and the policy
-    is ``ucb`` with two sweeps and a constant bias: its :attr:`index_table`
-    is then the radius table at exponent 0, which the compiled kernel plays;
+    is ``ucb`` with two sweeps and a constant bias: its :attr:`radius_index`
+    then declares exponent 0, and the compiled kernel plays it;
     :attr:`alpha_bar_history` is only filled by :meth:`select`, so by
     ``simulate``.
     Needs only coarse structural floors (``c``, ``alpha_floor``,
@@ -226,22 +212,15 @@ class AdaptPatientBandits(OptimisticIndex):
         self.alpha_bar_history = []
 
     @property
-    def index_table(self):
-        """The table of ``deviation + delay_bias(n, 0.0)`` when the bound is 0 all episode.
+    def radius_index(self):
+        """``(T, delta, 0.0)`` when the bound is 0 all episode, else None.
 
         So it is when the threshold is at least T: the leader has at most
-        T - 1 pulls. Otherwise None, as when a subclass overrides
-        :meth:`select` or :meth:`bias_alpha`. Built when asked for, not in
-        :meth:`reset`.
+        T - 1 pulls. None also as :meth:`~OptimisticIndex._radius_index` says.
         """
-        cls = type(self)
-        if (
-            self._alpha_bar_threshold < self.params.T
-            or cls.select is not OptimisticIndex.select
-            or cls.bias_alpha is not AdaptPatientBandits.bias_alpha
-        ):
+        if self._alpha_bar_threshold < self.params.T:
             return None
-        return estimators.radius_table(self.params.T, self.params.delta, 0.0)
+        return self._radius_index(AdaptPatientBandits.bias_alpha, 0.0)
 
     def bias_alpha(self, view: ObservationView) -> float:
         """The tail-index lower bound computable from this round's view, recorded.

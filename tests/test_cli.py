@@ -383,7 +383,8 @@ def test_parsing_costs_o1_in_T_for_every_policy(policy):
 
 
 def test_horizon_too_large_for_memory_exits_1(tmp_path, capsys):
-    # A radius table of 2**61 slots fails its size check before anything is allocated.
+    # The kernel's 2 T uniforms, or without a compiler the radius table of
+    # 2**61 slots, fail their size check before anything is allocated.
     path = _write(tmp_path, {**TWO_ARM, "T": 2**61})
     assert main(["run", path, "--out", str(tmp_path)]) == 1
     assert f"T={2**61} is too large for memory" in capsys.readouterr().err
@@ -411,16 +412,17 @@ HUGE_T_POLICIES = [
 
 @pytest.mark.parametrize("T, limit_mib, fits", [
     # Far below the limit and at once, each when the run allocates it: the
-    # radius table of patient, adapt and ucb, the uniforms of compiled ducb
-    # and the calendar of uniform.
+    # uniforms of the compiled patient, ucb and ducb episodes, the radius
+    # table of adapt, whose bound can turn positive within T, and the
+    # calendar of uniform.
     pytest.param(2**61, 1536, (), id=str(2**61)),
     pytest.param(10**12, 1536, (), id=str(10**12)),
     # The calendar fits, but the Python episodes do not: the logs of an
-    # interleaved run exhaust the limit after parsing, and patient's peak
-    # (about 357 MB of address space) passes it too. The compiled episodes
-    # of ucb (about 280 MB) and ducb (16 B of uniforms per round, about
-    # 145 MB) run.
-    pytest.param(2 * 10**6, 320, ("ucb", "ducb"), id=str(2 * 10**6)),
+    # interleaved run and adapt's radius table exhaust the limit after
+    # parsing. The compiled episodes, which hold no radius table, run:
+    # patient and ucb peak at about 180 MiB of address space, ducb at about
+    # 140 MiB (16 B of uniforms per round in each).
+    pytest.param(2 * 10**6, 320, ("patient", "ucb", "ducb"), id=str(2 * 10**6)),
     # No engine fits: the kernel's uniforms alone are 320 MB.
     pytest.param(2 * 10**7, 320, (), id=str(2 * 10**7)),
 ])

@@ -536,7 +536,7 @@ class _FailingDraw(BanditInstance):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 17, 59, 60])
-def test_a_draw_that_raises_leaves_play_index_as_select_and_pull_would(k):
+def test_a_draw_that_raises_leaves_the_environment_as_the_rounds_before_it(k):
     # A draw raising at the k-th pull of the select-and-pull loop leaves the
     # episode as k - 1 rounds of the same policy and seed on a draw that never
     # fails, with the raising pull's two uniforms read from the stream.

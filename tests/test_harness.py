@@ -461,11 +461,13 @@ class _AdaptWithThreshold(AdaptPatientBandits):
 @pytest.mark.parametrize("shift", [-1, 0])
 @pytest.mark.parametrize("arms", [1, 2])
 def test_adapt_takes_the_table_loop_only_when_its_leader_stays_below_the_threshold(shift, arms):
+    # The table loop is the kernel's index loop, which now computes the radius it once
+    # read from a table: adapt declares ``radius_index`` for it only below its threshold.
     # The leader has at most T - 1 pulls, which a one-arm episode reaches on its last round.
     instance = BanditInstance([(Bernoulli(0.6), ParetoCeil(0.5))] * arms, 50)
     policy = _AdaptWithThreshold(shift)
     policy.reset(arms, 50)
-    assert (policy.index_table is None) == (shift < 0)
+    assert (policy.radius_index is None) == (shift < 0)
     for seed in range(3):
         _assert_matches_interleaved(lambda: instance, lambda: _AdaptWithThreshold(shift), seed)
 

@@ -8,6 +8,8 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from patientbandits import harness, kernel
+from patientbandits import estimators, harness, kernel
 from patientbandits.distributions import (
     Bernoulli,
     Dirac,
@@ -30,9 +32,9 @@ from patientbandits.policies import POLICIES, DUcb, OptimisticIndex
 
 PACKAGE = Path(kernel.__file__).parent
 
-# Every policy whose episode has an index table: adapt's default floors keep
-# its tail-index bound at 0 far beyond these horizons.
-TABLE_SPECS = [
+# Every policy that declares a constant radius exponent, or none: adapt's
+# default floors keep its tail-index bound at 0 far beyond these horizons.
+RADIUS_SPECS = [
     {"kind": "ucb"},
     {"kind": "patient", "alpha": 0.3},
     {"kind": "patient", "alpha": 2.0, "delta": 0.5},
@@ -88,10 +90,26 @@ def _generic(instance, spec, seed, checkpoints):
     return env, regret
 
 
-@given(episode=_episodes(), spec=st.sampled_from(TABLE_SPECS), seed=st.integers(0, 2**64 - 1))
+@st.composite
+def _radius_specs(draw):
+    """One of RADIUS_SPECS' kinds, with its own delta (or the default) and alpha:
+    above 0.5, tiny down to the least positive float, or ucb's None."""
+    spec = dict(draw(st.sampled_from(RADIUS_SPECS)))
+    spec.pop("delta", None)
+    delta = draw(st.one_of(st.none(), st.floats(1e-300, 1.0, exclude_max=True)))
+    if delta is not None:
+        spec["delta"] = delta
+    if spec["kind"] == "patient":
+        spec["alpha"] = draw(st.one_of(
+            st.floats(0.0, 1e300, exclude_min=True), st.sampled_from([5e-324, 1e-300, 0.5])
+        ))
+    return spec
+
+
+@given(episode=_episodes(), spec=_radius_specs(), seed=st.integers(0, 2**64 - 1))
 @example(  # a sweep of 2 * 8 rounds in a horizon of 9: no index round
     episode=(BanditInstance([(Bernoulli(0.5), Dirac(1))] * 8, 9), (9,)),
-    spec=TABLE_SPECS[3], seed=0,
+    spec=RADIUS_SPECS[3], seed=0,
 )
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_play_index_and_the_generic_loop(episode, spec, seed):
@@ -138,6 +156,59 @@ def test_a_schedule_index_adds_the_radius_up_before_the_mean():
     assert row.tolist() == [high - low] * 3
 
 
+# One radius of each kind: no bias, a bias exponent below 0.5, one above it
+# (taken as 0.5), and adapt's exponent 0.
+_TIE_SPECS = {
+    "ucb": st.just({"kind": "ucb"}),
+    "patient-below-half": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True).map(
+        lambda alpha: {"kind": "patient", "alpha": alpha}
+    ),
+    "patient-above-half": st.floats(0.5, 1e300, exclude_min=True).map(
+        lambda alpha: {"kind": "patient", "alpha": alpha}
+    ),
+    "adapt": st.just(RADIUS_SPECS[3]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TIE_SPECS))
+@given(data=st.data(), delta=st.floats(1e-300, 1.0, exclude_max=True))
+@settings(max_examples=60, deadline=None)
+def test_the_kernel_radius_is_select_s_bit_for_bit(kind, data, delta):
+    # Arm a pays 0, so its index at 8 pulls is its radius itself; arm b pays v,
+    # chosen so that at 9 pulls its index ties that radius exactly. b leads
+    # until the counts are (8, 9), and round 18 then keeps the first of the two
+    # arms. A radius an ulp off in the kernel breaks the tie one way in one of
+    # the two orders, and the counts differ.
+    spec = dict(data.draw(_TIE_SPECS[kind]), delta=delta)
+    alpha = 0.0 if kind == "adapt" else spec.get("alpha")
+
+    def radius(n):
+        r = estimators.deviation(n, delta)
+        return r if alpha is None else r + estimators.delay_bias(n, alpha)
+
+    def index_b(v):
+        total = 0.0
+        for _ in range(9):
+            total += v
+        return estimators.mu_hat(total, 9) + radius(9)
+
+    target, lo, hi = radius(8), 0.0, 1.0  # index_b increases with v
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if index_b(mid) < target else (lo, mid)
+    assume(index_b(hi) == target)
+    a, b = (PointMass(0.0), Dirac(0)), (PointMass(hi), Dirac(0))
+    for arms, counts in [([a, b], [[8, 9], [9, 9]]), ([b, a], [[9, 8], [10, 8]])]:
+        instance = BanditInstance(arms, 18)
+        policy = from_spec(POLICIES, spec, "policy")
+        policy.reset(2, 18)
+        assert policy.radius_index is not None
+        played, _ = kernel.play_index(instance, policy, 0, (17, 18))
+        assert played.tolist() == counts
+        env, _ = _generic(instance, spec, 0, (18,))
+        assert list(env.pull_counts) == counts[1]
+
+
 def _raising_at_7(t):
     if t == 7:
         raise RuntimeError("no exponent at round 7")
@@ -165,7 +236,7 @@ def test_kernel_declines_a_schedule_outside_its_exponents(name):
     spec = {"kind": "patient", "alpha": _DECLINED_SCHEDULES[name]}
     policy = from_spec(POLICIES, spec, "policy")
     policy.reset(3, 60)
-    assert policy.schedule_index is not None
+    assert policy.radius_index is not None
     assert kernel.play_index(instance, policy, 5, (60,)) is None
     checkpoints = harness._validated_checkpoints(None, 60)
     try:
@@ -179,6 +250,62 @@ def test_kernel_declines_a_schedule_outside_its_exponents(name):
         )
 
 
+# Radius inputs the kernel declines: select computes with their own
+# arithmetic (a float32 rounds each step), which a C double would not repeat.
+_DECLINED_RADII = {
+    "float32-alpha": {"kind": "patient", "alpha": np.float32(0.3)},
+    "float32-delta": {"kind": "ucb", "delta": np.float32(0.01)},
+    "fraction-delta": {"kind": "patient", "alpha": 0.3, "delta": Fraction(1, 100)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DECLINED_RADII))
+def test_kernel_declines_a_radius_it_would_not_compute_as_select_does(name):
+    # Means 1e-9 apart tie in float32 sums but not in double ones.
+    instance = BanditInstance([(PointMass(0.3), Dirac(0)), (PointMass(0.3 + 1e-9), Dirac(1))], 80)
+    spec = _DECLINED_RADII[name]
+    policy = from_spec(POLICIES, spec, "policy")
+    policy.reset(2, 80)
+    assert policy.radius_index is not None
+    assert kernel.play_index(instance, policy, 5, (80,)) is None
+    checkpoints = harness._validated_checkpoints(None, 80)
+    _, regret = _generic(instance, spec, 5, checkpoints)
+    assert harness._replicate((instance, spec, 5, checkpoints)).tobytes() == (
+        np.array(regret).tobytes()
+    )
+
+
+class _Unswept(POLICIES["ucb"]):
+    init_pulls = 0  # select takes the mean of an arm with no pulls
+
+
+class _OwnTable(POLICIES["patient"]):
+    def reset(self, n_arms, horizon):
+        super().reset(n_arms, horizon)
+        self._radius_table = estimators.radius_table(horizon, self.params.delta, None)
+
+
+@pytest.mark.parametrize("cls", [_Unswept, _OwnTable], ids=lambda cls: cls.__name__)
+def test_kernel_declines_a_subclass_whose_select_it_would_not_repeat(cls, monkeypatch):
+    monkeypatch.setitem(POLICIES, "subclass", cls)
+    spec = {"kind": "subclass"} if cls is _Unswept else {"kind": "subclass", "alpha": 1e6}
+    instance = BanditInstance([(Bernoulli(0.4), Dirac(0)), (Bernoulli(0.6), Dirac(0))], 20)
+    policy = from_spec(POLICIES, spec, "policy")
+    policy.reset(2, 20)
+    assert policy.radius_index is None
+    assert kernel.play_index(instance, policy, 3, (20,)) is None
+    checkpoints = harness._validated_checkpoints(None, 20)
+    try:
+        _, regret = _generic(instance, spec, 3, checkpoints)
+    except Exception as error:  # then monte_carlo's episode must raise the same
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            harness._replicate((instance, spec, 3, checkpoints))
+    else:
+        assert harness._replicate((instance, spec, 3, checkpoints)).tobytes() == (
+            np.array(regret).tobytes()
+        )
+
+
 def test_a_subclass_with_its_own_exponent_is_not_a_schedule_episode():
     class OwnExponent(POLICIES["patient"]):
         def bias_alpha(self, view):
@@ -186,7 +313,7 @@ def test_a_subclass_with_its_own_exponent_is_not_a_schedule_episode():
 
     policy = OwnExponent("loglog")
     policy.reset(2, 20)
-    assert policy.schedule_index is None and policy.index_table is None
+    assert policy.radius_index is None
     instance = BanditInstance([(Bernoulli(0.5), Dirac(0)), (Bernoulli(0.6), Dirac(2))], 20)
     assert kernel.play_index(instance, policy, 0, (20,)) is None
 
@@ -327,6 +454,23 @@ def test_kernel_refuses_a_table_or_checkpoints_that_do_not_fit(horizon, checkpoi
         kernel.play_index(instance, policy, 0, checkpoints)
 
 
+@pytest.mark.parametrize("spec", RADIUS_SPECS[:2], ids=lambda spec: spec["kind"])
+def test_a_kernel_episode_builds_no_radius_table(spec):
+    # The episode's 2 T uniforms are the one allocation that scales with T on
+    # the Python side: a radius table would add a tuple of T floats.
+    T = 10**6
+    instance = BanditInstance([(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.6), Dirac(2))], T)
+    estimators.radius_table.cache_clear()  # a table cached earlier would cost nothing here
+    kernel.load()
+    tracemalloc.start()
+    try:
+        harness._replicate((instance, spec, 3, harness._validated_checkpoints(None, T)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * T + (1 << 20)
+
+
 DUCB_SPECS = [
     {"kind": "ducb", "m": 50, "cdf": {"kind": "pareto_ceil", "alpha": 0.7}},
     {"kind": "ducb", "m": 3, "cdf": {"kind": "two_point", "p": 0.3, "d0": 2, "d1": 500}},
@@ -343,7 +487,7 @@ def test_without_a_compiler_monte_carlo_gives_the_same_bits(monkeypatch):
          (Bernoulli(0.6), TwoPointMass(p=0.3, d0=2, d1=500))],
         horizon=400,
     )
-    compiled = [_regret_bytes(instance, spec) for spec in TABLE_SPECS]
+    compiled = [_regret_bytes(instance, spec) for spec in RADIUS_SPECS]
     monkeypatch.setattr(kernel, "load", lambda: None)
     in_python = []
     run_episode = harness.run_episode
@@ -353,8 +497,8 @@ def test_without_a_compiler_monte_carlo_gives_the_same_bits(monkeypatch):
         return run_episode(*args)
 
     monkeypatch.setattr(harness, "run_episode", counted)
-    assert [_regret_bytes(instance, spec) for spec in TABLE_SPECS] == compiled
-    assert len(in_python) == 3 * len(TABLE_SPECS)
+    assert [_regret_bytes(instance, spec) for spec in RADIUS_SPECS] == compiled
+    assert len(in_python) == 3 * len(RADIUS_SPECS)
 
 
 _BUILD_AND_RUN = """
