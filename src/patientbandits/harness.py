@@ -4,8 +4,8 @@ Reproducibility contract: run ``i`` of a batch uses the generator seeded
 with ``split_seed(master_seed, i)`` (a splitmix64 counter hash), and within
 a run the draw order is fixed — any policy randomness first, then one
 reward and one delay per pull. Replications are independent, so they can
-run in worker processes; results are reduced in run-index order and are
-bitwise identical to a serial pass.
+run on worker threads or in worker processes; results are reduced in
+run-index order and are bitwise identical to a serial pass.
 
 A policy whose ``select`` never draws (``Policy.reads_rng`` false: every
 index policy) leaves the pulls as the stream's only reader, so the episode's
@@ -31,14 +31,16 @@ with a float α or ``loglog``, and ``adapt`` when its tail-index bound is
 provably 0 all episode). ``ducb`` declares its fixed wait and de-biasing
 factor as ``Policy.window_index``.
 
-- ``monte_carlo`` plays an episode of either kind in the compiled kernel
+- ``monte_carlo`` plays a batch of either kind in the compiled kernel
   (:mod:`.kernel`) when the instance does not override ``draw``, every law
   is one of the six built-in ones, the kernel's library can be had, ``delta``
   is a float, and the exponent, at every round for a schedule, is a float
-  in [0, 0.5]. It
+  in [0, 0.5]. The batch's prologue (building and resetting the policy,
+  encoding the laws, loading the library, checking the checkpoints and a
+  schedule's exponents) runs once, in the calling process. Each episode
   returns pull counts per checkpoint, and the regret row is computed from
-  them by :func:`.environment.pseudo_regret`. Any other episode goes to
-  ``run_episode``.
+  them by :func:`.environment.pseudo_regret`. Any other batch runs each
+  episode through ``run_episode``.
 - ``simulate``, and so ``run_episode``, plays every episode in the generic
   loop, ``env.pull(policy.select(env.observe(), rng), uniform)``, since its
   caller gets the environment the episode filled.
@@ -50,21 +52,29 @@ episode runs the generic loop. The generic loop is the reference: the
 tests hold the kernel to it bit for bit. Because both engines give the same
 numbers, there is no option to choose one; only the speed would change.
 
-Worker pools live as long as the process. ``monte_carlo`` starts a pool of
-``n`` workers the first time it is asked for ``n`` (0 and -1 resolve to
-``os.cpu_count()``, and no count exceeds the batch's ``runs``), and every
-later call with that count reuses it, so a loop over many small configs pays
-the start-up once. Importing the package starts nothing. The workers are
-forked (the default start method on Linux) when the pool is first used, and
-keep the parent's module state as it was at that moment: a module attribute
-patched afterwards is not seen by them.
-The pools are shut down, and their workers joined, when the interpreter
-exits normally; ``os._exit`` skips that. A pool that breaks, for example
-because a worker was killed, raises ``BrokenProcessPool`` once and is
-dropped, so the next call starts a fresh one. A forked child forgets the
-pools it inherited (their manager threads do not exist in it) and starts
-its own on first use. A batch of one run, or a count of one worker, runs in
-the calling process.
+``monte_carlo``'s ``n_jobs`` resolves to a worker count (0 and -1 to
+``os.cpu_count()``, and no count exceeds the batch's ``runs``). With one
+worker the runs play in series in the calling process. With ``n``, where
+they play follows from the engine, with no option to choose it:
+
+- A kernel batch plays on the process's thread pool of ``n`` threads. The
+  C loop and numpy's fill of the uniforms run without the GIL, and nothing
+  is pickled or sent to another process.
+- Any other batch plays in the process's pool of ``n`` worker processes,
+  where each run builds its own policy.
+
+Both kinds of pool are started the first time a count is asked for and
+serve every later call with that count, so a loop over many small configs
+pays the start-up once. Importing the package starts nothing. The worker
+processes are forked (the default start method on Linux) when the pool is
+first used, and keep the parent's module state as it was at that moment: a
+module attribute patched afterwards is not seen by them. At a normal exit
+the interpreter joins the threads and the process pools are shut down, and
+their workers joined; ``os._exit`` skips that. A process pool that breaks,
+for example because a worker was killed, raises ``BrokenProcessPool`` once
+and is dropped, so the next call starts a fresh one. A forked child forgets
+the pools of both kinds it inherited (their threads do not exist in it) and
+starts its own on first use.
 """
 from __future__ import annotations
 
@@ -312,20 +322,15 @@ def run_episode(
 
 
 def _replicate(args) -> np.ndarray:
-    """One run's regret row: from the compiled kernel when it takes the episode, else Python."""
+    """One run's regret row from the generic loop; a process-pool task."""
     instance, policy_spec, seed, checkpoints = args
-    policy = from_spec(POLICIES, policy_spec, "policy")
-    policy.reset(instance.n_arms, instance.horizon)
-    played = kernel.play_index(instance, policy, seed, checkpoints)
-    if played is None:
-        # simulate resets the policy again, as it does at the start of every episode.
-        return run_episode(instance, policy, seed, checkpoints).regret
-    gaps = instance.gaps
-    return np.array([pseudo_regret(gaps, counts) for counts in played[0].tolist()])
+    return run_episode(instance, from_spec(POLICIES, policy_spec, "policy"), seed, checkpoints).regret
 
 
-# Worker pools by worker count; see the module docstring for their lifetime.
+# Process pools, and the thread pools of kernel batches, by worker count;
+# see the module docstring for their lifetime.
 _pools: dict[int, ProcessPoolExecutor] = {}
+_threads: dict = {}  # ThreadPoolExecutors; that class is imported on first use
 
 
 def _shutdown_pools() -> None:
@@ -335,20 +340,57 @@ def _shutdown_pools() -> None:
 
 atexit.register(_shutdown_pools)
 os.register_at_fork(after_in_child=_pools.clear)
+os.register_at_fork(after_in_child=_threads.clear)
 
 
-def _pooled_rows(workers: int, payloads, out: np.ndarray) -> None:
-    """``_replicate`` over ``payloads`` in the pool of ``workers``; row ``i`` into ``out[i]``."""
+def _pooled(workers: int, payloads, chunk: int):
+    """``_replicate`` over ``payloads`` in the process pool of ``workers``, rows in order."""
     pool = _pools.get(workers)
     if pool is None:
         pool = _pools.setdefault(workers, ProcessPoolExecutor(max_workers=workers))
-    chunk = max(1, len(out) // (8 * workers))
     try:
-        for i, row in enumerate(pool.map(_replicate, payloads, chunksize=chunk)):
-            out[i] = row
+        yield from pool.map(_replicate, payloads, chunksize=chunk)
     except BrokenProcessPool:
         _pools.pop(workers, None)
         raise
+
+
+def _threaded(workers: int):
+    """The process's thread pool of ``workers``, started on first use."""
+    threads = _threads.get(workers)
+    if threads is None:
+        from concurrent.futures import ThreadPoolExecutor  # only a kernel batch on threads needs it
+
+        threads = _threads.setdefault(workers, ThreadPoolExecutor(max_workers=workers))
+    return threads
+
+
+def _rows(instance, policy_spec, seeds: Sequence[int], checkpoints, workers: int):
+    """The regret rows of the runs ``seeds``, in order, on ``workers`` workers.
+
+    The policy is built and reset here, once. When the kernel takes the batch,
+    its prologue runs here too, and the episodes play in series or on the
+    thread pool; otherwise each run builds its own policy and plays the
+    generic loop, in series or in the process pool. Either pool takes the
+    runs in chunks of about an eighth of each worker's share.
+    """
+    policy = from_spec(POLICIES, policy_spec, "policy")
+    policy.reset(instance.n_arms, instance.horizon)
+    episode = kernel.index_batch(instance, policy, checkpoints)
+    chunk = max(1, len(seeds) // (8 * workers))
+    if episode is not None:
+        if workers == 1:
+            played = map(episode, seeds)
+        else:
+            chunks = (seeds[i:i + chunk] for i in range(0, len(seeds), chunk))
+            played = chain.from_iterable(
+                _threaded(workers).map(lambda part: [*map(episode, part)], chunks)
+            )
+        gaps = instance.gaps
+        return (np.array([pseudo_regret(gaps, row) for row in counts.tolist()])
+                for counts, _ in played)
+    payloads = ((instance, policy_spec, seed, checkpoints) for seed in seeds)
+    return map(_replicate, payloads) if workers == 1 else _pooled(workers, payloads, chunk)
 
 
 def monte_carlo(
@@ -361,11 +403,10 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Replicate an experiment ``runs`` times and aggregate the regret curves.
 
-    ``policy_spec`` is a config-style mapping (a fresh policy is built per
-    run, which keeps replications independent across worker processes).
-    ``n_jobs`` is the number of worker processes; 0 or -1 means one per CPU.
-    No more workers than ``runs`` are asked for. The pool is kept for later
-    calls (see the module docstring).
+    ``policy_spec`` is a config-style mapping. ``n_jobs`` is the number of
+    workers, 0 or -1 meaning one per CPU: threads for a batch the kernel
+    plays, processes otherwise. No more workers than ``runs`` are asked for,
+    and the pool is kept for later calls (see the module docstring).
     """
     check_int("runs", runs, 1)
     check_int("master_seed", master_seed)
@@ -376,13 +417,10 @@ def monte_carlo(
         regrets = np.empty((runs, len(cps)))
     except ValueError:  # more bytes than an address can span
         raise MemoryError(f"{runs} rows of {len(cps)} checkpoints do not fit in memory") from None
-    payloads = ((instance, policy_spec, split_seed(master_seed, i), cps) for i in range(runs))
+    seeds = [split_seed(master_seed, i) for i in range(runs)]
     workers = min(n_jobs if n_jobs > 0 else (os.cpu_count() or 1), runs)
-    if workers == 1:
-        for i, payload in enumerate(payloads):
-            regrets[i] = _replicate(payload)
-    else:
-        _pooled_rows(workers, payloads, regrets)
+    for i, row in enumerate(_rows(instance, policy_spec, seeds, cps, workers)):
+        regrets[i] = row
     mean = regrets.mean(axis=0)
     if runs > 1:
         stderr = regrets.std(axis=0, ddof=1) / np.sqrt(runs)

@@ -31,12 +31,23 @@ a round's arrivals are added changes no sum. The kernel returns the pull counts 
 each checkpoint; :func:`.environment.pseudo_regret` turns them into regret
 in Python, so the regret sum has one definition.
 
-It reads the episode's ``2 T`` uniforms from ``default_rng(seed).random(2 T)``
-and maps them as the laws' ``from_uniform`` do, with the C library's
-``pow``, ``log``, ``sqrt`` and ``ceil`` that CPython's ``**``,
-``math.log``, ``math.sqrt`` and ``math.ceil`` call in the same process. It
-knows the six built-in laws only; an instance that overrides ``draw``, or
-holds any other law, is not played here.
+A batch of episodes, not one episode, is the unit of work.
+:func:`index_batch` is the batch's prologue: it checks the policy's
+declaration, encodes the laws, loads the library, checks the checkpoints
+and computes a schedule's exponents, once, and returns the per-seed call,
+or None when the kernel declines the batch. The per-seed call draws the
+episode's uniforms and runs the C loop. numpy's fill of the uniforms and
+the C loop run without the GIL (the library is a ``ctypes.CDLL``, not a
+``PyDLL``), so one batch's episodes can play on threads at once, as
+``monte_carlo`` plays them.
+
+The per-seed call reads the episode's ``2 T`` uniforms from
+``default_rng(seed).random(2 T)`` and maps them as the laws'
+``from_uniform`` do, with the C library's ``pow``, ``log``, ``sqrt`` and
+``ceil`` that CPython's ``**``, ``math.log``, ``math.sqrt`` and
+``math.ceil`` call in the same process. It knows the six built-in laws
+only; an instance that overrides ``draw``, or holds any other law, is not
+played here.
 
 The library is built on first use, never at import: the host's ``cc`` (or
 ``gcc``) compiles the source with :data:`FLAGS` into the package's
@@ -55,9 +66,10 @@ import os
 import shutil
 import subprocess
 import tempfile
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -195,18 +207,24 @@ def _exponents_of(alpha, T: int) -> Optional[np.ndarray]:
     return _exponents[2]
 
 
-def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Optional[tuple]:
-    """``(counts, censored)`` of the episode run ``seed`` of the reset ``policy``, or None.
+def index_batch(instance: BanditInstance, policy, checkpoints) -> Optional[Callable[[int], tuple]]:
+    """The kernel's episodes of the reset ``policy`` on ``instance``, or None.
 
-    ``counts`` is an int64 array with one row of pull counts per checkpoint.
-    None means the episode is not the kernel's: the policy has no
+    The batch's prologue: it checks the declaration, encodes the laws, loads
+    the library, checks the checkpoints and computes a schedule's exponents,
+    once. It returns ``episode``, where ``episode(seed)`` is ``(counts,
+    censored)`` of the episode run ``seed``, and ``counts`` is an int64 array
+    with one row of pull counts per checkpoint. ``episode`` reads no policy
+    and no module state, so a batch's episodes can play on threads at once.
+
+    None means the batch is not the kernel's: the policy has no
     ``radius_index`` or ``window_index``, its delta is not a float, its
     exponent (or its schedule's, at some round) raises or lies outside
     [0, 0.5], the instance overrides ``draw`` or holds a law other than the
     built-in six, or the library cannot be had. The policy must have been
     reset to the instance's horizon, and the checkpoints must increase
     within [1, T]; otherwise ``ValueError``. An episode too large for memory
-    raises ``MemoryError``.
+    raises ``MemoryError`` when it is played.
     """
     radius, window = policy.radius_index, policy.window_index
     if (radius is None and window is None) or type(instance).draw is not BanditInstance.draw:
@@ -224,11 +242,13 @@ def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Opti
         len(marks) and marks[0] >= 1 and marks[-1] <= T and (marks[1:] > marks[:-1]).all()
     ):
         raise ValueError(f"needs a policy reset to T={T} and checkpoints increasing in [1, T]")
+    pointers = [a.ctypes.data for a in laws]
+    exponents = None
     if radius is not None:
         _, delta, alpha = radius
         if type(delta) is not float:
             return None
-        exponent, exponents = -1.0, None  # no bias term
+        exponent = -1.0  # no bias term
         if callable(alpha):
             exponents = _exponents_of(alpha, T)
             if exponents is None:
@@ -238,26 +258,29 @@ def play_index(instance: BanditInstance, policy, seed: int, checkpoints) -> Opti
                 exponent = _exponent(alpha)
             except ValueError:
                 return None
-    rng = np.random.default_rng(seed)
-    try:
-        uniforms = rng.random(2 * T)
-    except ValueError:  # more bytes than an address can span
-        raise MemoryError(f"the {2 * T} uniforms of T={T} do not fit in memory") from None
-    counts = np.empty((len(marks), K), dtype=np.int64)
-    tail = (len(marks), marks.ctypes.data, counts.ctypes.data)
-    pointers = [a.ctypes.data for a in laws]  # laws keeps the arrays alive
-    if radius is not None:
-        censored = library.play_optimistic(
-            K, T, policy.init_pulls, *pointers, delta, exponent,
-            None if exponents is None else exponents.ctypes.data, uniforms.ctypes.data, *tail,
-        )
+        play = library.play_optimistic
+        head = (K, T, policy.init_pulls, *pointers, delta, exponent,
+                None if exponents is None else exponents.ctypes.data)
     else:
         m, tau_m = window
         # Any m past T makes every round round robin; ctypes would silently
         # wrap an m past the int64 range.
-        censored = library.play_ducb(
-            K, T, min(m, T + 1), tau_m, *pointers, uniforms.ctypes.data, *tail
-        )
+        play, head = library.play_ducb, (K, T, min(m, T + 1), tau_m, *pointers)
+    return partial(_episode, play, head, (laws, exponents), marks, K, T)
+
+
+def _episode(play, head, arrays, marks, K: int, T: int, seed: int) -> tuple:
+    """``(counts, censored)`` of ``play(*head, ...)`` on run ``seed``'s ``2 T`` uniforms.
+
+    ``arrays`` holds the arrays that ``head``'s addresses point into, so
+    they live as long as the batch.
+    """
+    try:
+        uniforms = np.random.default_rng(seed).random(2 * T)
+    except ValueError:  # more bytes than an address can span
+        raise MemoryError(f"the {2 * T} uniforms of T={T} do not fit in memory") from None
+    counts = np.empty((len(marks), K), dtype=np.int64)
+    censored = play(*head, uniforms.ctypes.data, len(marks), marks.ctypes.data, counts.ctypes.data)
     if censored < 0:
         raise MemoryError(f"an index episode of T={T} does not fit in memory")
     return counts, censored

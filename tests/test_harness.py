@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedInstance
-from patientbandits import harness
+from patientbandits import harness, kernel
 from patientbandits.distributions import (
     Bernoulli,
     Dirac,
@@ -191,8 +191,8 @@ def test_no_more_workers_than_runs(monkeypatch, n_jobs):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(harness, "_pools", {})
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    serial = monte_carlo(GAP_INSTANCE, {"kind": "ucb"}, runs=2, master_seed=6)
-    capped = monte_carlo(GAP_INSTANCE, {"kind": "ucb"}, runs=2, master_seed=6, n_jobs=n_jobs)
+    serial = monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=2, master_seed=6)
+    capped = monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=2, master_seed=6, n_jobs=n_jobs)
     assert asked == [2] and list(harness._pools) == [2]
     assert capped.regrets.tobytes() == serial.regrets.tobytes()
 
@@ -204,7 +204,7 @@ def test_a_single_run_starts_no_pool(pool_starts):
 
 
 def test_a_broken_pool_is_replaced(pool_starts):
-    instance, spec = POOLED_CONFIGS[1]
+    instance, spec = POOLED_CONFIGS[0]
     serial = monte_carlo(instance, spec, runs=6, master_seed=8)
     monte_carlo(instance, spec, runs=6, master_seed=8, n_jobs=2)
     pool = harness._pools[2]
@@ -242,17 +242,84 @@ def test_a_forked_child_starts_its_own_pool():
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
+def test_a_forked_child_starts_its_own_process_pool():
+    # uniform runs the generic loop, so the child's batch goes to a process pool.
+    instance, spec = POOLED_CONFIGS[0]
+    serial = monte_carlo(instance, spec, runs=6, master_seed=5)
+    monte_carlo(instance, spec, runs=6, master_seed=5, n_jobs=2)
+    inherited = harness._pools[2]
+    pid = os.fork()
+    if pid == 0:  # the child: never return into the test runner
+        try:
+            child = monte_carlo(instance, spec, runs=6, master_seed=5, n_jobs=2)
+            started = harness._pools[2] is not inherited
+            harness._shutdown_pools()
+            os._exit(0 if started and child.regrets.tobytes() == serial.regrets.tobytes() else 2)
+        finally:
+            os._exit(1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("monte_carlo hung in a child forked after the process pool started")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+# One config of each shape the kernel plays.
+KERNEL_CONFIGS = {
+    "patient": (GAP_INSTANCE, {"kind": "patient", "alpha": 0.3}),
+    "loglog": (POOLED_CONFIGS[1][0], {"kind": "patient", "alpha": "loglog"}),
+    "ucb": (POOLED_CONFIGS[2][0], {"kind": "ucb"}),
+    "ducb": POOLED_CONFIGS[2],
+    "adapt": POOLED_CONFIGS[1],  # below its threshold
+}
+
+
+@pytest.mark.parametrize("shape", sorted(KERNEL_CONFIGS))
+def test_a_kernel_batch_runs_on_threads_and_starts_no_process_pool(pool_starts, shape):
+    if kernel.load() is None:
+        pytest.skip("no C compiler on this host: the kernel cannot be built")
+    instance, spec = KERNEL_CONFIGS[shape]
+    serial = monte_carlo(instance, spec, runs=6, master_seed=12)
+    threaded = monte_carlo(instance, spec, runs=6, master_seed=12, n_jobs=2)
+    assert threaded.regrets.tobytes() == serial.regrets.tobytes()
+    assert pool_starts == [] and harness._pools == {} and 2 in harness._threads
+
+
+def test_oversubscribed_kernel_threads_give_the_serial_bits():
+    # More threads than cores, switching as often as the interpreter allows:
+    # a run that read another run's uniforms or counts would move a bit.
+    if kernel.load() is None:
+        pytest.skip("no C compiler on this host: the kernel cannot be built")
+    instance, spec = KERNEL_CONFIGS["ducb"]
+    serial = monte_carlo(instance, spec, runs=48, master_seed=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = monte_carlo(instance, spec, runs=48, master_seed=2, n_jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.regrets.tobytes() == serial.regrets.tobytes()
+
+
 _LEAVES_NOTHING_RUNNING = """
-import multiprocessing, threading
+import atexit, multiprocessing, threading
 import patientbandits
-from patientbandits import harness
+from patientbandits import harness, kernel
 assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
 assert not multiprocessing.active_children() and not harness._pools
 instance = patientbandits.BanditInstance(
     [(patientbandits.Bernoulli(0.7), patientbandits.Dirac(0)),
      (patientbandits.Bernoulli(0.5), patientbandits.Dirac(0))], 100)
 harness.monte_carlo(instance, {"kind": "ucb"}, runs=4, master_seed=1, n_jobs=2)
+assert not multiprocessing.active_children() and not harness._pools
+assert (len(threading.enumerate()) > 1) == (kernel.load() is not None)
+harness.monte_carlo(instance, {"kind": "uniform"}, runs=4, master_seed=1, n_jobs=2)
 print(*harness._pools[2]._processes)
+# Runs at exit, after the interpreter has joined the threads it waits for.
+atexit.register(lambda: print("threads", *threading.enumerate()[1:]))
 """
 
 
@@ -263,7 +330,9 @@ def test_import_is_lazy_and_exit_leaves_no_worker_running():
     done = subprocess.run([sys.executable, "-c", _LEAVES_NOTHING_RUNNING], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    pids = [int(p) for p in done.stdout.split()]
+    workers, threads = done.stdout.splitlines()
+    assert threads == "threads"
+    pids = [int(p) for p in workers.split()]
     assert len(pids) == 2
     for pid in pids:
         with pytest.raises(ProcessLookupError):

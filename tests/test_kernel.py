@@ -1,6 +1,7 @@
 """The compiled index loop: equal bit for bit to both Python loops, built once, shipped."""
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -73,6 +74,12 @@ def compiled():
         pytest.skip("no C compiler on this host: the kernel cannot be built")
 
 
+def _row(instance, spec, seed, checkpoints):
+    """``monte_carlo``'s regret row of run ``seed``: the kernel's when it takes the batch."""
+    (row,) = harness._rows(instance, spec, [seed], checkpoints, 1)
+    return row
+
+
 def _generic(instance, spec, seed, checkpoints):
     """The reference loop, ``pull(select(observe()))`` each round; ``(env, regret)``.
 
@@ -116,8 +123,8 @@ def test_kernel_matches_play_index_and_the_generic_loop(episode, spec, seed):
     instance, checkpoints = episode
     policy = from_spec(POLICIES, spec, "policy")
     policy.reset(instance.n_arms, instance.horizon)
-    (counts,), censored = kernel.play_index(instance, policy, seed, (instance.horizon,))
-    row = harness._replicate((instance, spec, seed, checkpoints))
+    (counts,), censored = kernel.index_batch(instance, policy, (instance.horizon,))(seed)
+    row = _row(instance, spec, seed, checkpoints)
     python_row = harness.run_episode(
         instance, from_spec(POLICIES, spec, "policy"), seed, checkpoints
     ).regret
@@ -125,6 +132,33 @@ def test_kernel_matches_play_index_and_the_generic_loop(episode, spec, seed):
     assert row.tobytes() == python_row.tobytes() == np.array(regret).tobytes()
     assert tuple(counts.tolist()) == env.pull_counts
     assert censored == env.censored_count
+
+
+def test_the_library_is_called_without_the_gil():
+    # ctypes releases the GIL around a CDLL call, not a PyDLL one; kernel
+    # batches on threads rely on it.
+    assert type(kernel.load()) is ctypes.CDLL
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_the_prologue_runs_once_per_batch(monkeypatch, n_jobs):
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(kernel, "_encode", counted(kernel._encode))
+    monkeypatch.setattr(kernel, "load", counted(kernel.load))
+    instance = BanditInstance([(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.6), Dirac(2))], 200)
+    serial = harness.monte_carlo(instance, {"kind": "ucb"}, runs=6, master_seed=4, n_jobs=n_jobs)
+    assert sorted(calls) == ["_encode", "load"]
+    monkeypatch.undo()
+    rows = [_generic(instance, {"kind": "ucb"}, harness.split_seed(4, i), serial.checkpoints)[1]
+            for i in range(6)]
+    assert serial.regrets.tobytes() == np.array(rows).tobytes()
 
 
 # Every policy whose episode has a schedule of bias exponents: loglog at two
@@ -203,7 +237,7 @@ def test_the_kernel_radius_is_select_s_bit_for_bit(kind, data, delta):
         policy = from_spec(POLICIES, spec, "policy")
         policy.reset(2, 18)
         assert policy.radius_index is not None
-        played, _ = kernel.play_index(instance, policy, 0, (17, 18))
+        played, _ = kernel.index_batch(instance, policy, (17, 18))(0)
         assert played.tolist() == counts
         env, _ = _generic(instance, spec, 0, (18,))
         assert list(env.pull_counts) == counts[1]
@@ -237,15 +271,15 @@ def test_kernel_declines_a_schedule_outside_its_exponents(name):
     policy = from_spec(POLICIES, spec, "policy")
     policy.reset(3, 60)
     assert policy.radius_index is not None
-    assert kernel.play_index(instance, policy, 5, (60,)) is None
+    assert kernel.index_batch(instance, policy, (60,)) is None
     checkpoints = harness._validated_checkpoints(None, 60)
     try:
         _, regret = _generic(instance, spec, 5, checkpoints)
     except Exception as error:  # then monte_carlo's episode must raise the same
         with pytest.raises(type(error), match=re.escape(str(error))):
-            harness._replicate((instance, spec, 5, checkpoints))
+            _row(instance, spec, 5, checkpoints)
     else:
-        assert harness._replicate((instance, spec, 5, checkpoints)).tobytes() == (
+        assert _row(instance, spec, 5, checkpoints).tobytes() == (
             np.array(regret).tobytes()
         )
 
@@ -267,10 +301,10 @@ def test_kernel_declines_a_radius_it_would_not_compute_as_select_does(name):
     policy = from_spec(POLICIES, spec, "policy")
     policy.reset(2, 80)
     assert policy.radius_index is not None
-    assert kernel.play_index(instance, policy, 5, (80,)) is None
+    assert kernel.index_batch(instance, policy, (80,)) is None
     checkpoints = harness._validated_checkpoints(None, 80)
     _, regret = _generic(instance, spec, 5, checkpoints)
-    assert harness._replicate((instance, spec, 5, checkpoints)).tobytes() == (
+    assert _row(instance, spec, 5, checkpoints).tobytes() == (
         np.array(regret).tobytes()
     )
 
@@ -293,15 +327,15 @@ def test_kernel_declines_a_subclass_whose_select_it_would_not_repeat(cls, monkey
     policy = from_spec(POLICIES, spec, "policy")
     policy.reset(2, 20)
     assert policy.radius_index is None
-    assert kernel.play_index(instance, policy, 3, (20,)) is None
+    assert kernel.index_batch(instance, policy, (20,)) is None
     checkpoints = harness._validated_checkpoints(None, 20)
     try:
         _, regret = _generic(instance, spec, 3, checkpoints)
     except Exception as error:  # then monte_carlo's episode must raise the same
         with pytest.raises(type(error), match=re.escape(str(error))):
-            harness._replicate((instance, spec, 3, checkpoints))
+            _row(instance, spec, 3, checkpoints)
     else:
-        assert harness._replicate((instance, spec, 3, checkpoints)).tobytes() == (
+        assert _row(instance, spec, 3, checkpoints).tobytes() == (
             np.array(regret).tobytes()
         )
 
@@ -315,7 +349,7 @@ def test_a_subclass_with_its_own_exponent_is_not_a_schedule_episode():
     policy.reset(2, 20)
     assert policy.radius_index is None
     instance = BanditInstance([(Bernoulli(0.5), Dirac(0)), (Bernoulli(0.6), Dirac(2))], 20)
-    assert kernel.play_index(instance, policy, 0, (20,)) is None
+    assert kernel.index_batch(instance, policy, (20,)) is None
 
 
 def test_the_exponents_are_computed_once_per_schedule_and_horizon():
@@ -329,7 +363,7 @@ def test_the_exponents_are_computed_once_per_schedule_and_horizon():
         policy = POLICIES["patient"](schedule)
         policy.reset(K, 50)
         instance = BanditInstance([(Bernoulli(0.5), Dirac(1))] * K, 50)
-        assert kernel.play_index(instance, policy, K, (50,)) is not None
+        assert kernel.index_batch(instance, policy, (50,)) is not None
     assert calls == list(range(2, 51))
 
 
@@ -362,8 +396,8 @@ def _ducb_episodes(draw):
 def _assert_kernel_matches_the_generic_loop(instance, spec, seed, checkpoints):
     policy = from_spec(POLICIES, spec, "policy")
     policy.reset(instance.n_arms, instance.horizon)
-    (counts,), censored = kernel.play_index(instance, policy, seed, (instance.horizon,))
-    row = harness._replicate((instance, spec, seed, checkpoints))
+    (counts,), censored = kernel.index_batch(instance, policy, (instance.horizon,))(seed)
+    row = _row(instance, spec, seed, checkpoints)
     env, regret = _generic(instance, spec, seed, checkpoints)
     assert row.tobytes() == np.array(regret).tobytes()
     assert tuple(counts.tolist()) == env.pull_counts
@@ -399,11 +433,11 @@ def test_a_ducb_wait_past_the_int64_range_is_round_robin_all_episode():
     checkpoints = harness._validated_checkpoints(None, 300)
     spec = {"kind": "ducb", "m": 2**64 + 5, "cdf": {"kind": "dirac", "d": 3}}
     row = _assert_kernel_matches_the_generic_loop(instance, spec, 9, checkpoints)
-    wrapped = harness._replicate((instance, {**spec, "m": 5}, 9, checkpoints))
+    wrapped = _row(instance, {**spec, "m": 5}, 9, checkpoints)
     assert row.tobytes() != wrapped.tobytes()
     policy = from_spec(POLICIES, spec, "policy")
     policy.reset(3, 300)
-    assert kernel.play_index(instance, policy, 9, (300,))[0].tolist() == [[100, 100, 100]]
+    assert kernel.index_batch(instance, policy, (300,))(9)[0].tolist() == [[100, 100, 100]]
 
 
 def test_a_ducb_horizon_past_numpys_array_size_is_a_memory_error():
@@ -411,7 +445,7 @@ def test_a_ducb_horizon_past_numpys_array_size_is_a_memory_error():
     policy = DUcb(10, Dirac(0))
     instance = BanditInstance([(Bernoulli(0.5), Dirac(0))] * 2, 2**61)
     with pytest.raises(MemoryError):
-        kernel.play_index(instance, policy, 0, (2**61,))
+        kernel.index_batch(instance, policy, (2**61,))(0)
 
 
 def test_kernel_plays_only_plain_instances_and_table_policies():
@@ -435,11 +469,11 @@ def test_kernel_plays_only_plain_instances_and_table_policies():
         (BanditInstance([(Subclassed(0.5), Dirac(0))] + arms, 20), POLICIES["ucb"]()),
     ]:
         policy.reset(instance.n_arms, instance.horizon)
-        assert kernel.play_index(instance, policy, 0, (20,)) is None
+        assert kernel.index_batch(instance, policy, (20,)) is None
     for spec in [{"kind": "ucb"}, {"kind": "patient", "alpha": "loglog"}, ducb]:
         policy = from_spec(POLICIES, spec, "policy")
         policy.reset(2, 20)
-        assert kernel.play_index(BanditInstance(arms, 20), policy, 0, (20,)) is not None
+        assert kernel.index_batch(BanditInstance(arms, 20), policy, (20,)) is not None
 
 
 @pytest.mark.parametrize("horizon, checkpoints", [
@@ -451,7 +485,7 @@ def test_kernel_refuses_a_table_or_checkpoints_that_do_not_fit(horizon, checkpoi
     policy.reset(2, horizon)
     instance = BanditInstance([(Bernoulli(0.5), Dirac(0))] * 2, 20)
     with pytest.raises(ValueError, match="checkpoints"):
-        kernel.play_index(instance, policy, 0, checkpoints)
+        kernel.index_batch(instance, policy, checkpoints)
 
 
 @pytest.mark.parametrize("spec", RADIUS_SPECS[:2], ids=lambda spec: spec["kind"])
@@ -464,7 +498,7 @@ def test_a_kernel_episode_builds_no_radius_table(spec):
     kernel.load()
     tracemalloc.start()
     try:
-        harness._replicate((instance, spec, 3, harness._validated_checkpoints(None, T)))
+        _row(instance, spec, 3, harness._validated_checkpoints(None, T))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
