@@ -22,25 +22,27 @@ fixed size and returns what the generator's scalar ``random()`` and
 in the same state at the end. Such a policy needs a Generator over PCG64
 (``default_rng``); ``simulate`` refuses any other with ``TypeError``.
 
-An episode runs on one of two engines, which give the same bits. Two
+An episode runs on one of two engines, which give the same bits. Three
 kinds of policy declare the shape of their whole episode. An optimistic
 index whose radius is ``deviation + delay_bias`` at an exponent that is
 none, fixed or a schedule of the round declares the radius's horizon,
 ``delta`` and ``alpha`` as ``Policy.radius_index`` (``ucb``, ``patient``
 with a float α or ``loglog``, and ``adapt`` when its tail-index bound is
 provably 0 all episode). ``ducb`` declares its fixed wait and de-biasing
-factor as ``Policy.window_index``.
+factor as ``Policy.window_index``. ``uniform``, whose arm is the stream's
+``integers(K)`` each round, declares ``Policy.uniform_index``.
 
-- ``monte_carlo`` plays a batch of either kind in the compiled kernel
-  (:mod:`.kernel`) when the instance does not override ``draw``, every law
-  is one of the six built-in ones, the kernel's library can be had, ``delta``
-  is a float, and the exponent, at every round for a schedule, is a float
-  in [0, 0.5]. The batch's prologue (building and resetting the policy,
-  encoding the laws, loading the library, checking the checkpoints and a
-  schedule's exponents) runs once, in the calling process. Each episode
-  returns pull counts per checkpoint, and the regret row is computed from
-  them by :func:`.environment.pseudo_regret`. Any other batch runs each
-  episode through ``run_episode``.
+- ``monte_carlo`` plays a batch of any of these kinds in the compiled
+  kernel (:mod:`.kernel`) when the instance does not override ``draw``,
+  every law is one of the six built-in ones, the kernel's library can be
+  had, and, for a radius, ``delta`` is a float and the exponent, at every
+  round for a schedule, is a float in [0, 0.5]. The batch's prologue
+  (building and resetting the policy, encoding the laws, loading the
+  library, checking the checkpoints and a schedule's exponents) runs once,
+  in the calling process. Each episode returns pull counts per checkpoint,
+  and the regret row is computed from them by
+  :func:`.environment.pseudo_regret`. Any other batch runs each episode
+  through ``run_episode``.
 - ``simulate``, and so ``run_episode``, plays every episode in the generic
   loop, ``env.pull(policy.select(env.observe(), rng), uniform)``, since its
   caller gets the environment the episode filled.
@@ -57,11 +59,14 @@ numbers, there is no option to choose one; only the speed would change.
 worker the runs play in series in the calling process. With ``n``, where
 they play follows from the engine, with no option to choose it:
 
-- A kernel batch plays on the process's thread pool of ``n`` threads. The
-  C loop and numpy's fill of the uniforms run without the GIL, and nothing
-  is pickled or sent to another process.
-- Any other batch plays in the process's pool of ``n`` worker processes,
-  where each run builds its own policy.
+- A kernel batch, ``uniform`` included, plays on the process's thread pool
+  of ``n`` threads. The C loop and numpy's fill of the uniforms or raw
+  outputs run without the GIL, and nothing is pickled or sent to another
+  process.
+- Any other batch (``adapt`` above its threshold, a policy that overrides
+  ``select``, an instance that overrides ``draw``, or any batch on a host
+  without a compiler) plays in the process's pool of ``n`` worker
+  processes, where each run builds its own policy.
 
 Both kinds of pool are started the first time a count is asked for and
 serve every later call with that count, so a loop over many small configs

@@ -1,4 +1,4 @@
-/* Whole index episodes in C, one loop per policy shape: see kernel.py for the contract.
+/* Whole episodes in C, one loop per policy shape: see kernel.py for the contract.
  *
  * Built with -ffp-contract=off and never -ffast-math, so every operation is
  * the IEEE one CPython's float arithmetic performs, and pow, log, sqrt, ceil
@@ -216,5 +216,68 @@ done:
     free(window);
     free(counted);
     free(ring);
+    return censored;
+}
+
+/* Play rounds 1..T of a fresh uniform episode on the generator's raw outputs
+ * raws[0..n_raws) and return as play_optimistic does, or -2 when the episode
+ * would read past raws[n_raws - 1].
+ *
+ * Each round reads the stream as harness._Stream does. The arm is numpy's
+ * integers(K): Lemire's bounded multiply m = x * K on a 32-bit half x,
+ * redrawn while m's low word is below (2**32 - K) % K, and m's high word
+ * taken; K = 1 draws nothing. The halves come as numpy deals them: a fresh
+ * raw output's low word, its high word kept for the next draw. Then the
+ * reward uniform and the delay uniform are the next two raw outputs, each
+ * (raw >> 11) * 2**-53. The arm never depends on a reward, so the reward
+ * uniform is skipped and the delay is filed for the censored count only. Pull
+ * counts after each round in marks go to counts_at_marks, K per mark. */
+int64_t play_uniform(int64_t K, int64_t T,
+                     const double *reward_below, const double *reward_value,
+                     const int32_t *delay_kind, const double *delay_param,
+                     const int64_t *delay0, const int64_t *delay1,
+                     const uint64_t *raws, int64_t n_raws,
+                     int64_t n_marks, const int64_t *marks, int64_t *counts_at_marks)
+{
+    Laws laws = {T, reward_below, reward_value, delay_kind, delay_param, delay0, delay1};
+    int64_t *counts = calloc((size_t)K, sizeof *counts);
+    if (!counts)
+        return -1;
+    uint32_t bound = (uint32_t)K, threshold = (0u - bound) % bound, half = 0;
+    int has_half = 0;
+    int64_t censored = 0, mark = 0, next = 0;
+    for (int64_t s = 1; s <= T; s++) {
+        int64_t arm = 0;
+        if (K > 1) {
+            uint64_t m;
+            do {
+                uint32_t x = half;
+                if (has_half) {
+                    has_half = 0;
+                } else {
+                    if (next == n_raws) {
+                        censored = -2;
+                        goto done;
+                    }
+                    x = (uint32_t)raws[next];
+                    half = (uint32_t)(raws[next++] >> 32);
+                    has_half = 1;
+                }
+                m = (uint64_t)x * bound;
+            } while ((uint32_t)m < threshold);
+            arm = (int64_t)(m >> 32);
+        }
+        if (n_raws - next < 2) {
+            censored = -2;
+            goto done;
+        }
+        double v = (double)(raws[next + 1] >> 11) * 0x1.0p-53;
+        next += 2;
+        arrival_of(&laws, arm, s, v, &censored);
+        counts[arm]++;
+        record(s, K, counts, n_marks, marks, &mark, counts_at_marks);
+    }
+done:
+    free(counts);
     return censored;
 }

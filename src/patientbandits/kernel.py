@@ -1,6 +1,6 @@
-"""Compiled loops for index episodes, equal bit for bit to the Python ones.
+"""Compiled episode loops, equal bit for bit to the Python ones.
 
-``index_kernel.c`` plays a whole episode of a policy of one of two shapes.
+``index_kernel.c`` plays a whole episode of a policy of one of three shapes.
 
 - A policy that declares ``Policy.radius_index`` ``(T, delta, alpha)``:
   the sweep, then the first argmax of ``sums[i] / n + radius``
@@ -21,8 +21,13 @@
   arm's nonzero rewards are one value ``v``, so a window of ``k`` of them
   totals ``k * v`` rounded once, the exact sum that
   :meth:`.ObservationView.windowed` rounds once.
+- A policy that declares ``Policy.uniform_index``, ``uniform``: each round
+  the arm from the generator's ``integers(K)``, then the pull's two
+  uniforms (``play_uniform``). The arm never depends on a reward, so the
+  loop keeps no calendar and no sums, only the pull counts and the
+  censored count.
 
-Both file each pull by :meth:`.DelayedBanditEnv.pull`'s rules (delays
+All three file each pull by :meth:`.DelayedBanditEnv.pull`'s rules (delays
 clamped to T + 1, arrival at ``s + max(d, 1)``, censoring past T, no
 calendar entry for a zero reward of either sign), in one C helper: the one
 copy of those rules besides ``pull`` itself, which the generic loop
@@ -36,13 +41,21 @@ A batch of episodes, not one episode, is the unit of work.
 declaration, encodes the laws, loads the library, checks the checkpoints
 and computes a schedule's exponents, once, and returns the per-seed call,
 or None when the kernel declines the batch. The per-seed call draws the
-episode's uniforms and runs the C loop. numpy's fill of the uniforms and
-the C loop run without the GIL (the library is a ``ctypes.CDLL``, not a
-``PyDLL``), so one batch's episodes can play on threads at once, as
-``monte_carlo`` plays them.
+episode's uniforms or raw outputs and runs the C loop. numpy's fill of the
+buffer and the C loop run without the GIL (the library is a
+``ctypes.CDLL``, not a ``PyDLL``), so one batch's episodes can play on
+threads at once, as ``monte_carlo`` plays them.
 
-The per-seed call reads the episode's ``2 T`` uniforms from
-``default_rng(seed).random(2 T)`` and maps them as the laws'
+The per-seed call of an index episode reads its ``2 T`` uniforms from
+``default_rng(seed).random(2 T)``. That of a ``uniform`` episode passes
+``default_rng(seed).bit_generator.random_raw(n)``, numpy's raw PCG64
+outputs, and the C loop reads them as :class:`.harness._Stream` does: the
+arm by Lemire's bounded multiply on 32-bit halves, low word first, and each
+uniform as ``(raw >> 11) * 2**-53``. ``n`` covers the episode when no draw
+is rejected, plus a few; a rejection is rare (never for a power-of-2 K),
+and when the loop would read past the buffer it says so, and the episode is
+played again from a fresh generator with twice as many. PCG64 itself is not
+compiled: numpy draws the outputs. The laws map the uniforms as their
 ``from_uniform`` do, with the C library's ``pow``, ``log``, ``sqrt`` and
 ``ceil`` that CPython's ``**``, ``math.log``, ``math.sqrt`` and
 ``math.ceil`` call in the same process. It knows the six built-in laws
@@ -83,6 +96,10 @@ CACHE = Path(__file__).with_name("__pycache__")
 
 # Delay kinds of index_kernel.c.
 _FIXED, _PARETO, _TWO_POINT, _GEOMETRIC = range(4)
+# play_uniform's return when the episode needs more raw outputs than it was given.
+_SHORT = -2
+# Raw outputs a uniform episode draws beyond those it needs without a rejection.
+_SLACK = 64
 
 _library = None
 _tried = False
@@ -133,8 +150,10 @@ def _build_and_load():
     count, real, pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     laws, marks = [pointer] * 6, [count, pointer, pointer]
     library.play_optimistic.restype = library.play_ducb.restype = count
+    library.play_uniform.restype = count
     library.play_optimistic.argtypes = [count] * 3 + laws + [real] * 2 + [pointer] * 2 + marks
     library.play_ducb.argtypes = [count] * 3 + [real] + laws + [pointer] + marks
+    library.play_uniform.argtypes = [count] * 2 + laws + [pointer, count] + marks
     return library
 
 
@@ -218,16 +237,18 @@ def index_batch(instance: BanditInstance, policy, checkpoints) -> Optional[Calla
     and no module state, so a batch's episodes can play on threads at once.
 
     None means the batch is not the kernel's: the policy has no
-    ``radius_index`` or ``window_index``, its delta is not a float, its
-    exponent (or its schedule's, at some round) raises or lies outside
-    [0, 0.5], the instance overrides ``draw`` or holds a law other than the
-    built-in six, or the library cannot be had. The policy must have been
-    reset to the instance's horizon, and the checkpoints must increase
-    within [1, T]; otherwise ``ValueError``. An episode too large for memory
-    raises ``MemoryError`` when it is played.
+    ``radius_index``, ``window_index`` or ``uniform_index``, its delta is
+    not a float, its exponent (or its schedule's, at some round) raises or
+    lies outside [0, 0.5], the instance overrides ``draw`` or holds a law
+    other than the built-in six, or the library cannot be had. The policy
+    must have been reset to the instance's horizon, and the checkpoints must
+    increase within [1, T]; otherwise ``ValueError``. An episode too large
+    for memory raises ``MemoryError`` when it is played.
     """
-    radius, window = policy.radius_index, policy.window_index
-    if (radius is None and window is None) or type(instance).draw is not BanditInstance.draw:
+    radius, window, uniform = policy.radius_index, policy.window_index, policy.uniform_index
+    if (radius is None and window is None and uniform is None) or (
+        type(instance).draw is not BanditInstance.draw
+    ):
         return None
     laws = _encode(instance)
     if laws is None:
@@ -243,6 +264,8 @@ def index_batch(instance: BanditInstance, policy, checkpoints) -> Optional[Calla
     ):
         raise ValueError(f"needs a policy reset to T={T} and checkpoints increasing in [1, T]")
     pointers = [a.ctypes.data for a in laws]
+    if uniform is not None:
+        return partial(_uniform_episode, library.play_uniform, (K, T, *pointers), laws, marks, K, T)
     exponents = None
     if radius is not None:
         _, delta, alpha = radius
@@ -279,8 +302,33 @@ def _episode(play, head, arrays, marks, K: int, T: int, seed: int) -> tuple:
         uniforms = np.random.default_rng(seed).random(2 * T)
     except ValueError:  # more bytes than an address can span
         raise MemoryError(f"the {2 * T} uniforms of T={T} do not fit in memory") from None
+    return _played(play, (*head, uniforms.ctypes.data), marks, K, T)
+
+
+def _uniform_episode(play, head, arrays, marks, K: int, T: int, seed: int) -> tuple:
+    """``(counts, censored)`` of ``play_uniform(*head, ...)`` on run ``seed``'s raw outputs.
+
+    ``2 T`` raw outputs give the uniforms and ``ceil(T / 2)`` the arms'
+    32-bit halves when no draw is rejected; ``_SLACK`` more cover a few
+    rejections. When the episode needs more than it was given, it is played
+    again from a fresh generator with twice as many.
+    """
+    size = 2 * T + (T + 1) // 2 + _SLACK
+    while True:
+        try:
+            raws = np.random.default_rng(seed).bit_generator.random_raw(size)
+        except ValueError:  # more bytes than an address can span
+            raise MemoryError(f"the {size} raw outputs of T={T} do not fit in memory") from None
+        counts, censored = _played(play, (*head, raws.ctypes.data, size), marks, K, T)
+        if censored != _SHORT:
+            return counts, censored
+        size *= 2
+
+
+def _played(play, args, marks, K: int, T: int) -> tuple:
+    """``(counts, censored)`` of ``play(*args, ...)``, the pull counts at ``marks``."""
     counts = np.empty((len(marks), K), dtype=np.int64)
-    censored = play(*head, uniforms.ctypes.data, len(marks), marks.ctypes.data, counts.ctypes.data)
-    if censored < 0:
-        raise MemoryError(f"an index episode of T={T} does not fit in memory")
+    censored = play(*args, len(marks), marks.ctypes.data, counts.ctypes.data)
+    if censored == -1:
+        raise MemoryError(f"an episode of T={T} does not fit in memory")
     return counts, censored

@@ -46,14 +46,24 @@ class Policy:
     ``t < m + K``, then the first argmax of :func:`ducb_index` over each
     arm's ``windowed(i, m)``, infinite for an empty window. It is then
     ``(m, tau_m)``, and ``monte_carlo`` plays the episode in the compiled
-    kernel when it can, and otherwise in the generic loop. Every engine gives
-    the generic loop's bits (see :mod:`.harness`).
+    kernel when it can, and otherwise in the generic loop.
+
+    ``uniform_index`` is likewise None unless the policy's choice is
+    ``uniform``'s for the whole episode: ``rng.integers(K)`` each round,
+    drawn before the round's pull. It is then True, and ``monte_carlo``
+    plays the episode in the compiled kernel, on the generator's raw
+    outputs, when it can. Only ``adapt`` above its threshold, a policy that
+    overrides ``select``, an instance that overrides ``draw`` and a host
+    without a compiler still leave ``monte_carlo`` to the generic loop, and
+    so, with several workers, to worker processes. Every engine gives the
+    generic loop's bits (see :mod:`.harness`).
     """
 
     label = "policy"
     reads_rng = True
     radius_index = None
     window_index = None
+    uniform_index = None
 
     def reset(self, n_arms: int, horizon: int) -> None:
         raise NotImplementedError
@@ -317,13 +327,23 @@ class UniformRandom(Policy):
     """Pulls a uniformly random arm every round; the no-learning floor.
 
     The arm is ``rng.integers(K)`` on the episode's stream, drawn before the
-    round's pull reads its two uniforms; at K = 1 it draws nothing.
+    round's pull reads its two uniforms; at K = 1 it draws nothing. Unless a
+    subclass overrides :meth:`select`, the policy declares its
+    :attr:`uniform_index`, and ``monte_carlo`` plays its episodes in the
+    compiled kernel, on threads when there are several workers, reading the
+    generator's raw outputs as the stream does; ``simulate`` runs the
+    generic loop.
     """
 
     label = "uniform"
 
     def reset(self, n_arms: int, horizon: int) -> None:
         pass
+
+    @property
+    def uniform_index(self):
+        """True, or None when a subclass overrides :meth:`select`."""
+        return None if type(self).select is not UniformRandom.select else True
 
     def select(self, view: ObservationView, rng) -> int:
         return int(rng.integers(len(view.counts)))

@@ -412,18 +412,19 @@ HUGE_T_POLICIES = [
 
 @pytest.mark.parametrize("T, limit_mib, fits", [
     # Far below the limit and at once, each when the run allocates it: the
-    # uniforms of the compiled patient, ucb and ducb episodes, the radius
-    # table of adapt, whose bound can turn positive within T, and the
-    # calendar of uniform.
+    # uniforms of the compiled patient, ucb and ducb episodes, the raw
+    # outputs of the compiled uniform episode, and the radius table of adapt,
+    # whose bound can turn positive within T.
     pytest.param(2**61, 1536, (), id=str(2**61)),
     pytest.param(10**12, 1536, (), id=str(10**12)),
-    # The calendar fits, but the Python episodes do not: the logs of an
-    # interleaved run and adapt's radius table exhaust the limit after
-    # parsing. The compiled episodes, which hold no radius table, run:
-    # patient and ucb peak at about 180 MiB of address space, ducb at about
-    # 140 MiB (16 B of uniforms per round in each).
-    pytest.param(2 * 10**6, 320, ("patient", "ucb", "ducb"), id=str(2 * 10**6)),
-    # No engine fits: the kernel's uniforms alone are 320 MB.
+    # The Python episode does not fit: adapt's radius table exhausts the
+    # limit after parsing. The compiled episodes, which hold no radius
+    # table, run: patient and ucb peak at about 180 MiB of address space,
+    # ducb at about 140 MiB (16 B of uniforms per round in each), uniform at
+    # about 150 MiB (20 B of raw outputs per round).
+    pytest.param(2 * 10**6, 320, ("patient", "ucb", "ducb", "uniform"), id=str(2 * 10**6)),
+    # No engine fits: the kernel's uniforms alone are 320 MB, uniform's raw
+    # outputs 400 MB.
     pytest.param(2 * 10**7, 320, (), id=str(2 * 10**7)),
 ])
 def test_horizon_too_large_for_memory_exits_1_for_every_policy(tmp_path, T, limit_mib, fits):

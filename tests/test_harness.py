@@ -139,9 +139,19 @@ def test_parallel_matches_serial_bitwise():
     assert serial.stderr.tobytes() == parallel.stderr.tobytes()
 
 
+class _OwnDraw(BanditInstance):
+    """A plain instance with a ``draw`` of its own, which the kernel declines: its
+    batches play the generic loop, in the process pool when there are workers.
+    At module level, so that a pool task can pickle it."""
+
+    def draw(self, arm, u, v):
+        return super().draw(arm, u, v)
+
+
 # Configs run one after another in one process, as a preset does.
 POOLED_CONFIGS = [
-    (GAP_INSTANCE, {"kind": "uniform"}),  # draws its arms from the generator
+    # Draws its arms from the generator; its instance keeps it in the generic loop.
+    (_OwnDraw(GAP_INSTANCE.arms, GAP_INSTANCE.horizon), {"kind": "uniform"}),
     (BanditInstance([(Bernoulli(0.4), ParetoCeil(0.5)), (Bernoulli(0.6), Geometric(0.3)),
                      (Bernoulli(0.5), Dirac(2))], 300),
      {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.4}),
@@ -191,8 +201,9 @@ def test_no_more_workers_than_runs(monkeypatch, n_jobs):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(harness, "_pools", {})
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    serial = monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=2, master_seed=6)
-    capped = monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=2, master_seed=6, n_jobs=n_jobs)
+    instance, spec = POOLED_CONFIGS[0]
+    serial = monte_carlo(instance, spec, runs=2, master_seed=6)
+    capped = monte_carlo(instance, spec, runs=2, master_seed=6, n_jobs=n_jobs)
     assert asked == [2] and list(harness._pools) == [2]
     assert capped.regrets.tobytes() == serial.regrets.tobytes()
 
@@ -243,7 +254,7 @@ def test_a_forked_child_starts_its_own_pool():
 
 
 def test_a_forked_child_starts_its_own_process_pool():
-    # uniform runs the generic loop, so the child's batch goes to a process pool.
+    # The config runs the generic loop, so the child's batch goes to a process pool.
     instance, spec = POOLED_CONFIGS[0]
     serial = monte_carlo(instance, spec, runs=6, master_seed=5)
     monte_carlo(instance, spec, runs=6, master_seed=5, n_jobs=2)
@@ -274,6 +285,7 @@ KERNEL_CONFIGS = {
     "ucb": (POOLED_CONFIGS[2][0], {"kind": "ucb"}),
     "ducb": POOLED_CONFIGS[2],
     "adapt": POOLED_CONFIGS[1],  # below its threshold
+    "uniform": (GAP_INSTANCE, {"kind": "uniform"}),
 }
 
 
@@ -316,7 +328,9 @@ instance = patientbandits.BanditInstance(
 harness.monte_carlo(instance, {"kind": "ucb"}, runs=4, master_seed=1, n_jobs=2)
 assert not multiprocessing.active_children() and not harness._pools
 assert (len(threading.enumerate()) > 1) == (kernel.load() is not None)
-harness.monte_carlo(instance, {"kind": "uniform"}, runs=4, master_seed=1, n_jobs=2)
+# Its tail-index bound can turn positive at 6 leader pulls: the generic loop plays it.
+adapt = {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 8.0, "delta": 0.5}
+harness.monte_carlo(instance, adapt, runs=4, master_seed=1, n_jobs=2)
 print(*harness._pools[2]._processes)
 # Runs at exit, after the interpreter has joined the threads it waits for.
 atexit.register(lambda: print("threads", *threading.enumerate()[1:]))

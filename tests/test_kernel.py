@@ -83,15 +83,18 @@ def _row(instance, spec, seed, checkpoints):
 def _generic(instance, spec, seed, checkpoints):
     """The reference loop, ``pull(select(observe()))`` each round; ``(env, regret)``.
 
-    It raises what ``select`` raises, at the same round.
+    The pulls read the generator's scalar ``random()``, and a policy that
+    reads the rng draws from the same generator between them. It raises what
+    ``select`` raises, at the same round.
     """
     policy = from_spec(POLICIES, spec, "policy")
     policy.reset(instance.n_arms, instance.horizon)
     env = DelayedBanditEnv(instance)
-    uniform = iter(np.random.default_rng(seed).random(2 * instance.horizon).tolist()).__next__
+    rng = np.random.default_rng(seed)
+    handed = rng if policy.reads_rng else None
     regret = []
     for t in range(1, instance.horizon + 1):
-        env.pull(policy.select(env.observe(), None), uniform)
+        env.pull(policy.select(env.observe(), handed), rng.random)
         if t in checkpoints:
             regret.append(env.true_pseudo_regret())
     return env, regret
@@ -448,6 +451,130 @@ def test_a_ducb_horizon_past_numpys_array_size_is_a_memory_error():
         kernel.index_batch(instance, policy, (2**61,))(0)
 
 
+@given(episode=_episodes(), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_kernel_plays_uniform_as_the_generic_loop(episode, seed):
+    instance, checkpoints = episode
+    _assert_kernel_matches_the_generic_loop(instance, {"kind": "uniform"}, seed, checkpoints)
+
+
+def _uniform_oracle(instance, raws):
+    """``(env, rejected, used)`` of a uniform episode read from ``raws`` by the definitions.
+
+    The arm is the high word of ``x * K`` for the first 32-bit half ``x``
+    whose product has a low word of at least ``2**32 % K``; the halves are
+    taken low word first, one raw output for two. The reward and delay
+    uniforms are the next two raw outputs, each ``(raw >> 11) * 2**-53``, and
+    the environment files the pull. ``rejected`` counts the halves redrawn
+    and ``used`` the raw outputs read; ``IndexError`` when ``raws`` run out.
+    """
+    K = instance.n_arms
+    env = DelayedBanditEnv(instance)
+    position, pending, rejected = 0, None, 0
+
+    def raw():
+        nonlocal position
+        position += 1
+        return raws[position - 1]
+
+    def half():
+        nonlocal pending
+        if pending is None:
+            value = raw()
+            pending = value >> 32
+            return value & 0xFFFFFFFF
+        value, pending = pending, None
+        return value
+
+    for _ in range(instance.horizon):
+        arm = 0
+        if K > 1:
+            x = half()
+            while x * K % 2**32 < 2**32 % K:
+                rejected += 1
+                x = half()
+            arm = x * K >> 32
+        env.pull(arm, lambda: (raw() >> 11) * 2.0**-53)
+    return env, rejected, position
+
+
+def _play_uniform(instance, raws, marks):
+    """``(counts, censored)`` of the library's ``play_uniform`` on exactly ``raws``."""
+    laws = kernel._encode(instance)
+    raws = np.array(raws, dtype=np.uint64)
+    marks = np.array(marks, dtype=np.int64)
+    counts = np.zeros((len(marks), instance.n_arms), dtype=np.int64)
+    censored = kernel.load().play_uniform(
+        instance.n_arms, instance.horizon, *[a.ctypes.data for a in laws],
+        raws.ctypes.data, len(raws), len(marks), marks.ctypes.data, counts.ctypes.data,
+    )
+    return counts, censored
+
+
+@pytest.mark.parametrize("K", [3, 5, 6, 7])
+def test_play_uniform_redraws_where_lemire_rejects(K):
+    # No seed reaches the redraw in practice: each draw is rejected with
+    # probability (2**32 % K) / 2**32, and never for a power of 2. Here every
+    # third raw output has a low word of 0, which rejects, a few are 0, which
+    # rejects both halves, and every fifth has both halves at the least
+    # product low word that is kept, 2**32 % K.
+    instance = BanditInstance(
+        [(Bernoulli(0.3 + 0.05 * i), [Dirac(1), ParetoCeil(0.3), Geometric(0.1),
+                                      TwoPointMass(p=0.4, d0=2, d1=150)][i % 4])
+         for i in range(K)],
+        horizon=200,
+    )
+    raws = np.random.default_rng(K).integers(0, 2**64, size=600, dtype=np.uint64)
+    edge = ((K - 1) * 2**32 + 2**32 % K) // K  # edge * K % 2**32 == 2**32 % K
+    raws[2::5] = np.uint64(edge << 32 | edge)
+    raws[::3] &= np.uint64(0xFFFFFFFF00000000)
+    raws[1::50] = 0
+    raws = raws.tolist()
+    env, rejected, used = _uniform_oracle(instance, raws)
+    assert rejected > 20
+    counts, censored = _play_uniform(instance, raws, (50, 200))
+    assert counts[-1].tolist() == list(env.pull_counts)
+    assert censored == env.censored_count > 0
+    with pytest.raises(IndexError):
+        _uniform_oracle(instance, raws[:used - 1])
+    # Exactly the raw outputs the episode reads suffice; one fewer gives the sentinel.
+    assert _play_uniform(instance, raws[:used], (200,))[1] == censored
+    assert _play_uniform(instance, raws[:used - 1], (200,))[1] == kernel._SHORT
+
+
+def test_a_short_raw_buffer_replays_the_episode_with_the_same_bits(monkeypatch):
+    # 2 * 300 uniforms and 150 raw outputs of halves: a buffer of 350 is short,
+    # then one of 700, and one of 1400 is not.
+    instance = BanditInstance(
+        [(Bernoulli(0.5), ParetoCeil(0.3)), (PointMass(0.3), Geometric(0.2)),
+         (Bernoulli(0.6), TwoPointMass(p=0.3, d0=2, d1=500))],
+        horizon=300,
+    )
+    checkpoints = harness._validated_checkpoints(None, 300)
+    expected = [_row(instance, {"kind": "uniform"}, seed, checkpoints) for seed in range(4)]
+    played, play = [], kernel._played
+
+    def counted(*args):
+        played.append(args[0])
+        return play(*args)
+
+    monkeypatch.setattr(kernel, "_SLACK", -400)
+    monkeypatch.setattr(kernel, "_played", counted)
+    for seed in range(4):
+        row = _row(instance, {"kind": "uniform"}, seed, checkpoints)
+        assert row.tobytes() == expected[seed].tobytes()
+    assert len(played) == 3 * 4
+
+
+def test_a_uniform_horizon_past_numpys_array_size_is_a_memory_error():
+    # random_raw(n) raises ValueError there, not MemoryError.
+    policy = POLICIES["uniform"]()
+    policy.reset(2, 2**61)
+    instance = BanditInstance([(Bernoulli(0.5), Dirac(0))] * 2, 2**61)
+    with pytest.raises(MemoryError):
+        kernel.index_batch(instance, policy, (2**61,))(0)
+
+
 def test_kernel_plays_only_plain_instances_and_table_policies():
     class Overridden(BanditInstance):
         def draw(self, arm, u, v):
@@ -460,17 +587,24 @@ def test_kernel_plays_only_plain_instances_and_table_policies():
         def select(self, view, rng):
             return super().select(view, rng)
 
+    class Redrawing(POLICIES["uniform"]):
+        def select(self, view, rng):
+            return super().select(view, rng)
+
     arms = [(Bernoulli(0.5), Dirac(0)), (Bernoulli(0.6), Dirac(2))]
     ducb = {"kind": "ducb", "m": 2, "cdf": {"kind": "dirac", "d": 0}}
     for instance, policy in [
         (BanditInstance(arms, 20), Reselecting(2, Dirac(0))),
+        (BanditInstance(arms, 20), Redrawing()),
         (Overridden(arms, 20), POLICIES["ucb"]()),
         (Overridden(arms, 20), from_spec(POLICIES, ducb, "policy")),
+        (Overridden(arms, 20), POLICIES["uniform"]()),
         (BanditInstance([(Subclassed(0.5), Dirac(0))] + arms, 20), POLICIES["ucb"]()),
     ]:
         policy.reset(instance.n_arms, instance.horizon)
         assert kernel.index_batch(instance, policy, (20,)) is None
-    for spec in [{"kind": "ucb"}, {"kind": "patient", "alpha": "loglog"}, ducb]:
+    plain = [{"kind": "ucb"}, {"kind": "patient", "alpha": "loglog"}, ducb, {"kind": "uniform"}]
+    for spec in plain:
         policy = from_spec(POLICIES, spec, "policy")
         policy.reset(2, 20)
         assert kernel.index_batch(BanditInstance(arms, 20), policy, (20,)) is not None
@@ -619,6 +753,12 @@ def _assert_the_generic_loop_gives_the_same_bits_without_a_compiler(monkeypatch,
 
 def test_without_a_compiler_ducb_gives_the_same_bits_in_the_generic_loop(monkeypatch):
     _assert_the_generic_loop_gives_the_same_bits_without_a_compiler(monkeypatch, DUCB_SPECS, DUcb)
+
+
+def test_without_a_compiler_uniform_gives_the_same_bits_in_the_generic_loop(monkeypatch):
+    _assert_the_generic_loop_gives_the_same_bits_without_a_compiler(
+        monkeypatch, [{"kind": "uniform"}], POLICIES["uniform"]
+    )
 
 
 def test_without_a_compiler_loglog_gives_the_same_bits_in_the_generic_loop(monkeypatch):
