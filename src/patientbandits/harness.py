@@ -59,10 +59,15 @@ numbers, there is no option to choose one; only the speed would change.
 worker the runs play in series in the calling process. With ``n``, where
 they play follows from the engine, with no option to choose it:
 
-- A kernel batch, ``uniform`` included, plays on the process's thread pool
-  of ``n`` threads. The C loop and numpy's fill of the uniforms or raw
-  outputs run without the GIL, and nothing is pickled or sent to another
-  process.
+- A kernel batch, ``uniform`` included, of at least ``THREAD_ROUNDS``
+  rounds (``runs * T``) plays on the process's thread pool of ``n``
+  threads. The C loop and numpy's fill of the uniforms or raw outputs run
+  without the GIL, and nothing is pickled or sent to another process. A
+  smaller kernel batch plays in series in the calling thread. It takes
+  at most a few milliseconds there, a hand-off to the threads costs about
+  0.1 ms on an idle host, and how long it takes depends on when the host
+  schedules the threads: on threads such a batch ran no faster, and its
+  time varied from one run of a program to the next.
 - Any other batch (``adapt`` above its threshold, a policy that overrides
   ``select``, an instance that overrides ``draw``, or any batch on a host
   without a compiler) plays in the process's pool of ``n`` worker
@@ -332,6 +337,11 @@ def _replicate(args) -> np.ndarray:
     return run_episode(instance, from_spec(POLICIES, policy_spec, "policy"), seed, checkpoints).regret
 
 
+# Fewest rounds (runs * T) of a kernel batch that plays on threads; see the
+# module docstring. At 2**15 rounds two threads about halved an index batch
+# on a 2-vCPU host and broke even on a uniform one.
+THREAD_ROUNDS = 2**15
+
 # Process pools, and the thread pools of kernel batches, by worker count;
 # see the module docstring for their lifetime.
 _pools: dict[int, ProcessPoolExecutor] = {}
@@ -374,8 +384,8 @@ def _rows(instance, policy_spec, seeds: Sequence[int], checkpoints, workers: int
     """The regret rows of the runs ``seeds``, in order, on ``workers`` workers.
 
     The policy is built and reset here, once. When the kernel takes the batch,
-    its prologue runs here too, and the episodes play in series or on the
-    thread pool; otherwise each run builds its own policy and plays the
+    its prologue runs here too, and the episodes play in series, or on the
+    thread pool when the batch holds ``THREAD_ROUNDS`` rounds; otherwise each run builds its own policy and plays the
     generic loop, in series or in the process pool. Either pool takes the
     runs in chunks of about an eighth of each worker's share.
     """
@@ -384,7 +394,7 @@ def _rows(instance, policy_spec, seeds: Sequence[int], checkpoints, workers: int
     episode = kernel.index_batch(instance, policy, checkpoints)
     chunk = max(1, len(seeds) // (8 * workers))
     if episode is not None:
-        if workers == 1:
+        if workers == 1 or len(seeds) * instance.horizon < THREAD_ROUNDS:
             played = map(episode, seeds)
         else:
             chunks = (seeds[i:i + chunk] for i in range(0, len(seeds), chunk))
@@ -410,7 +420,7 @@ def monte_carlo(
 
     ``policy_spec`` is a config-style mapping. ``n_jobs`` is the number of
     workers, 0 or -1 meaning one per CPU: threads for a batch the kernel
-    plays, processes otherwise. No more workers than ``runs`` are asked for,
+    plays (in series below ``THREAD_ROUNDS`` rounds), processes otherwise. No more workers than ``runs`` are asked for,
     and the pool is kept for later calls (see the module docstring).
     """
     check_int("runs", runs, 1)

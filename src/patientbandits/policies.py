@@ -330,9 +330,9 @@ class UniformRandom(Policy):
     round's pull reads its two uniforms; at K = 1 it draws nothing. Unless a
     subclass overrides :meth:`select`, the policy declares its
     :attr:`uniform_index`, and ``monte_carlo`` plays its episodes in the
-    compiled kernel, on threads when there are several workers, reading the
-    generator's raw outputs as the stream does; ``simulate`` runs the
-    generic loop.
+    compiled kernel, on threads when there are several workers and enough
+    rounds (``harness.THREAD_ROUNDS``), reading the generator's raw outputs
+    as the stream does; ``simulate`` runs the generic loop.
     """
 
     label = "uniform"

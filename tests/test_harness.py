@@ -129,10 +129,16 @@ def test_monte_carlo_rows_match_individual_runs():
         assert np.array_equal(res.regrets[i], trace.regret)
 
 
+def threaded_runs(instance) -> int:
+    """Fewest runs of a kernel batch on ``instance`` that play on threads."""
+    return -(-harness.THREAD_ROUNDS // instance.horizon)
+
+
 def test_parallel_matches_serial_bitwise():
-    serial = monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=12, master_seed=13)
+    runs = threaded_runs(GAP_INSTANCE)
+    serial = monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=runs, master_seed=13)
     parallel = monte_carlo(
-        GAP_INSTANCE, {"kind": "uniform"}, runs=12, master_seed=13, n_jobs=2
+        GAP_INSTANCE, {"kind": "uniform"}, runs=runs, master_seed=13, n_jobs=2
     )
     assert np.array_equal(serial.regrets, parallel.regrets)
     assert serial.mean.tobytes() == parallel.mean.tobytes()
@@ -290,14 +296,31 @@ KERNEL_CONFIGS = {
 
 
 @pytest.mark.parametrize("shape", sorted(KERNEL_CONFIGS))
-def test_a_kernel_batch_runs_on_threads_and_starts_no_process_pool(pool_starts, shape):
+def test_a_kernel_batch_runs_on_threads_and_starts_no_process_pool(
+    monkeypatch, pool_starts, shape
+):
     if kernel.load() is None:
         pytest.skip("no C compiler on this host: the kernel cannot be built")
+    monkeypatch.setattr(harness, "_threads", {})
     instance, spec = KERNEL_CONFIGS[shape]
-    serial = monte_carlo(instance, spec, runs=6, master_seed=12)
-    threaded = monte_carlo(instance, spec, runs=6, master_seed=12, n_jobs=2)
+    runs = threaded_runs(instance)
+    serial = monte_carlo(instance, spec, runs=runs, master_seed=12)
+    threaded = monte_carlo(instance, spec, runs=runs, master_seed=12, n_jobs=2)
     assert threaded.regrets.tobytes() == serial.regrets.tobytes()
     assert pool_starts == [] and harness._pools == {} and 2 in harness._threads
+
+
+@pytest.mark.parametrize("shape", sorted(KERNEL_CONFIGS))
+def test_a_small_kernel_batch_plays_in_series(monkeypatch, pool_starts, shape):
+    if kernel.load() is None:
+        pytest.skip("no C compiler on this host: the kernel cannot be built")
+    monkeypatch.setattr(harness, "_threads", {})
+    instance, spec = KERNEL_CONFIGS[shape]
+    runs = threaded_runs(instance) - 1
+    serial = monte_carlo(instance, spec, runs=runs, master_seed=12)
+    small = monte_carlo(instance, spec, runs=runs, master_seed=12, n_jobs=2)
+    assert small.regrets.tobytes() == serial.regrets.tobytes()
+    assert pool_starts == [] and harness._pools == {} and harness._threads == {}
 
 
 def test_oversubscribed_kernel_threads_give_the_serial_bits():
@@ -306,11 +329,12 @@ def test_oversubscribed_kernel_threads_give_the_serial_bits():
     if kernel.load() is None:
         pytest.skip("no C compiler on this host: the kernel cannot be built")
     instance, spec = KERNEL_CONFIGS["ducb"]
-    serial = monte_carlo(instance, spec, runs=48, master_seed=2)
+    runs = max(48, threaded_runs(instance))
+    serial = monte_carlo(instance, spec, runs=runs, master_seed=2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = monte_carlo(instance, spec, runs=48, master_seed=2, n_jobs=8)
+        threaded = monte_carlo(instance, spec, runs=runs, master_seed=2, n_jobs=8)
     finally:
         sys.setswitchinterval(interval)
     assert threaded.regrets.tobytes() == serial.regrets.tobytes()
@@ -325,7 +349,9 @@ assert not multiprocessing.active_children() and not harness._pools
 instance = patientbandits.BanditInstance(
     [(patientbandits.Bernoulli(0.7), patientbandits.Dirac(0)),
      (patientbandits.Bernoulli(0.5), patientbandits.Dirac(0))], 100)
-harness.monte_carlo(instance, {"kind": "ucb"}, runs=4, master_seed=1, n_jobs=2)
+# Enough rounds for the kernel batch to play on threads.
+longer = patientbandits.BanditInstance(instance.arms, harness.THREAD_ROUNDS // 4)
+harness.monte_carlo(longer, {"kind": "ucb"}, runs=4, master_seed=1, n_jobs=2)
 assert not multiprocessing.active_children() and not harness._pools
 assert (len(threading.enumerate()) > 1) == (kernel.load() is not None)
 # Its tail-index bound can turn positive at 6 leader pulls: the generic loop plays it.

@@ -156,11 +156,13 @@ def test_the_prologue_runs_once_per_batch(monkeypatch, n_jobs):
     monkeypatch.setattr(kernel, "_encode", counted(kernel._encode))
     monkeypatch.setattr(kernel, "load", counted(kernel.load))
     instance = BanditInstance([(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.6), Dirac(2))], 200)
-    serial = harness.monte_carlo(instance, {"kind": "ucb"}, runs=6, master_seed=4, n_jobs=n_jobs)
+    runs = -(-harness.THREAD_ROUNDS // instance.horizon)  # on threads when n_jobs is 2
+    serial = harness.monte_carlo(instance, {"kind": "ucb"}, runs=runs, master_seed=4,
+                                 n_jobs=n_jobs)
     assert sorted(calls) == ["_encode", "load"]
     monkeypatch.undo()
     rows = [_generic(instance, {"kind": "ucb"}, harness.split_seed(4, i), serial.checkpoints)[1]
-            for i in range(6)]
+            for i in range(runs)]
     assert serial.regrets.tobytes() == np.array(rows).tobytes()
 
 
