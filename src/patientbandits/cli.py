@@ -429,7 +429,8 @@ def _build_parser() -> _Parser:
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--jobs", type=worker_count, default=1,
-                       help="workers: threads for a kernel batch, else processes (default 1)")
+                       help="workers, at most one per core: threads for a kernel batch, else "
+                       "processes (default 1)")
 
     p_preset = sub.add_parser("preset", help="execute a bundled figure preset")
     p_preset.add_argument("name", choices=PRESET_NAMES)
@@ -438,7 +439,8 @@ def _build_parser() -> _Parser:
     p_preset.add_argument("--out", default=None, help="output directory")
     p_preset.add_argument("--seed", type=int, default=None, help="override master seed")
     p_preset.add_argument("--jobs", type=worker_count, default=1,
-                          help="workers: threads for a kernel batch, else processes (default 1)")
+                          help="workers, at most one per core: threads for a kernel batch, else "
+                          "processes (default 1)")
 
     p_lb = sub.add_parser("lowerbound", help="print the censored hard-instance pair")
     p_lb.add_argument("--T", type=int, required=True, help="horizon")

@@ -15,12 +15,10 @@ from the blocks' chained iterator. The blocks hold the same values in the
 same order as ``2 T`` scalar calls and leave the generator in the same
 state, so no regret bit changes; the episode holds one block as a list,
 about 2 MB, whatever its horizon. A policy that reads the rng (``uniform``)
-draws its arm between pulls, so ``select`` and the pulls share one
-``_Stream``: it reads the generator's PCG64 raw outputs in blocks of a
-fixed size and returns what the generator's scalar ``random()`` and
-``integers(n)`` calls would, in the same order, and it leaves the generator
-in the same state at the end. Such a policy needs a Generator over PCG64
-(``default_rng``); ``simulate`` refuses any other with ``TypeError``.
+draws its arm between pulls, so ``select`` is handed the episode's
+Generator itself and the pulls read its scalar ``random()``: the reference
+for ``uniform`` is numpy's own ``integers(K)`` and ``random()`` calls, on
+any bit generator.
 
 An episode runs on one of two engines, which give the same bits. Three
 kinds of policy declare the shape of their whole episode. An optimistic
@@ -29,8 +27,8 @@ none, fixed or a schedule of the round declares the radius's horizon,
 ``delta`` and ``alpha`` as ``Policy.radius_index`` (``ucb``, ``patient``
 with a float α or ``loglog``, and ``adapt`` when its tail-index bound is
 provably 0 all episode). ``ducb`` declares its fixed wait and de-biasing
-factor as ``Policy.window_index``. ``uniform``, whose arm is the stream's
-``integers(K)`` each round, declares ``Policy.uniform_index``.
+factor as ``Policy.window_index``. ``uniform``, whose arm is the
+Generator's ``integers(K)`` each round, declares ``Policy.uniform_index``.
 
 - ``monte_carlo`` plays a batch of any of these kinds in the compiled
   kernel (:mod:`.kernel`) when the instance does not override ``draw``,
@@ -54,10 +52,12 @@ episode runs the generic loop. The generic loop is the reference: the
 tests hold the kernel to it bit for bit. Because both engines give the same
 numbers, there is no option to choose one; only the speed would change.
 
-``monte_carlo``'s ``n_jobs`` resolves to a worker count (0 and -1 to
-``os.cpu_count()``, and no count exceeds the batch's ``runs``). With one
-worker the runs play in series in the calling process. With ``n``, where
-they play follows from the engine, with no option to choose it:
+``monte_carlo``'s ``n_jobs`` resolves to a worker count: 0 and -1 to
+``os.cpu_count()``, and no count exceeds that core count or the batch's
+``runs``, so a large request starts no more threads or processes than the
+host has cores. With one worker the runs play in series in the calling
+process. With ``n``, where they play follows from the engine, with no
+option to choose it:
 
 - A kernel batch, ``uniform`` included, of at least ``THREAD_ROUNDS``
   rounds (``runs * T``) plays on the process's thread pool of ``n``
@@ -168,91 +168,8 @@ def _validated_checkpoints(checkpoints, horizon) -> Tuple[int, ...]:
     return cps
 
 
-# Raw outputs a ``_Stream`` draws from its generator at a time.
-_BLOCK = 1024
 # Uniforms ``simulate`` draws at a time for a policy that does not read the rng.
 _CHUNK = 65536
-
-
-class _Stream:
-    """The episode's PCG64 generator, for a policy that reads it, read in raw blocks.
-
-    ``random()`` and ``integers(n)`` return what the generator's own
-    ``random()`` and ``integers(n)`` would, bit for bit and in the same
-    order. A double is ``(raw >> 11) * 2**-53``. An integer below ``n`` is
-    Lemire's bounded multiply on a 32-bit half: ``m = u * n``, redrawn while
-    ``m``'s low word is below ``(2**32 - n) % n`` (a bound computed only when
-    that word is below ``n``), and its high word returned; ``n == 1`` draws
-    nothing. The halves come as numpy deals them: the low word of a fresh raw
-    output, its high word kept for the next call (PCG64's
-    ``has_uint32``/``uinteger``, read from the generator's state at the start).
-
-    Raw outputs are drawn ``_BLOCK`` at a time with ``random_raw``, so an
-    episode holds one block whatever its horizon. :meth:`close` sets the
-    generator to its start state advanced by the raw outputs used, with the
-    stream's buffer, which is where the scalar calls would have left it.
-    """
-
-    def __init__(self, rng):
-        bit_generator = getattr(rng, "bit_generator", None)
-        if type(bit_generator) is not np.random.PCG64:
-            raise TypeError(
-                "a policy that reads the rng needs a Generator over PCG64 "
-                f"(such as numpy.random.default_rng), got {rng!r}"
-            )
-        self._bit_generator = bit_generator
-        self._start = bit_generator.state
-        self._has_uint32 = self._start["has_uint32"]
-        self._uinteger = self._start["uinteger"]
-        self._drawn = 0
-        self._raws = iter(())
-        self._next = self._raws.__next__
-
-    def _refill(self) -> int:
-        self._raws = iter(self._bit_generator.random_raw(_BLOCK).tolist())
-        self._next = self._raws.__next__
-        self._drawn += _BLOCK
-        return self._next()
-
-    def _uint32(self) -> int:
-        if self._has_uint32:
-            self._has_uint32 = 0
-            return self._uinteger
-        try:
-            raw = self._next()
-        except StopIteration:
-            raw = self._refill()
-        self._has_uint32 = 1
-        self._uinteger = raw >> 32
-        return raw & 0xFFFFFFFF
-
-    def random(self) -> float:
-        try:
-            raw = self._next()
-        except StopIteration:
-            raw = self._refill()
-        return (raw >> 11) * 2.0**-53
-
-    def integers(self, n: int) -> int:
-        if not 1 < n < 1 << 32:
-            if n == 1:
-                return 0
-            raise ValueError(f"integers(n) needs an integer n in [1, 2**32), got {n!r}")
-        m = self._uint32() * n
-        if m & 0xFFFFFFFF < n:
-            threshold = ((1 << 32) - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * n
-        return m >> 32
-
-    def close(self) -> None:
-        """Leave the generator where the scalar calls would have left it."""
-        bit_generator = self._bit_generator
-        bit_generator.state = self._start
-        bit_generator.advance(self._drawn - self._raws.__length_hint__())
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = self._has_uint32, self._uinteger
-        bit_generator.state = state
 
 
 def simulate(
@@ -266,22 +183,20 @@ def simulate(
     Each round is ``env.pull(policy.select(env.observe(), rng), uniform)``,
     the reference loop (see the module docstring).
 
-    A policy that reads the rng needs ``rng`` to be a Generator over PCG64
-    (``np.random.default_rng``); any other raises ``TypeError`` before the
-    episode starts.
+    A policy that reads the rng is handed ``rng`` itself, and its pulls
+    read ``rng.random``.
     """
     cps = _validated_checkpoints(checkpoints, instance.horizon)
-    stream = _Stream(rng) if policy.reads_rng else None
     K, T = instance.n_arms, instance.horizon
     policy.reset(K, T)
     env = DelayedBanditEnv(instance)
-    if stream is None:
+    if policy.reads_rng:
+        regret = _play(env, policy, rng, rng.random, cps)
+    else:
         uniform = chain.from_iterable(
             rng.random(min(_CHUNK, 2 * T - start)).tolist() for start in range(0, 2 * T, _CHUNK)
         ).__next__
         regret = _play(env, policy, None, uniform, cps)
-    else:
-        regret = _closing(stream, _play, env, policy, stream, stream.random, cps)
     trace = RegretTrace(
         checkpoints=cps,
         regret=np.array(regret, dtype=np.float64),
@@ -303,22 +218,6 @@ def _play(env, policy, rng, uniform, checkpoints) -> list:
     return regret
 
 
-def _closing(stream: _Stream, play, *args):
-    """``play(*args)``, then ``stream.close()``, also when ``play`` raises.
-
-    A function of its own so that its ``finally`` stays among the first
-    bytecode offsets. Entering a ``finally``, CPython 3.11 boxes the offset
-    of the raising instruction as an int; past the cached small ints that
-    allocates, and when memory is exhausted the failed allocation re-enters
-    the same handler, so an episode that ran out of memory spun there at
-    full CPU instead of raising ``MemoryError``.
-    """
-    try:
-        return play(*args)
-    finally:
-        stream.close()
-
-
 def run_episode(
     instance: BanditInstance,
     policy: Policy,
@@ -334,7 +233,8 @@ def run_episode(
 def _replicate(args) -> np.ndarray:
     """One run's regret row from the generic loop; a process-pool task."""
     instance, policy_spec, seed, checkpoints = args
-    return run_episode(instance, from_spec(POLICIES, policy_spec, "policy"), seed, checkpoints).regret
+    policy = from_spec(POLICIES, policy_spec, "policy")
+    return run_episode(instance, policy, seed, checkpoints).regret
 
 
 # Fewest rounds (runs * T) of a kernel batch that plays on threads; see the
@@ -385,9 +285,10 @@ def _rows(instance, policy_spec, seeds: Sequence[int], checkpoints, workers: int
 
     The policy is built and reset here, once. When the kernel takes the batch,
     its prologue runs here too, and the episodes play in series, or on the
-    thread pool when the batch holds ``THREAD_ROUNDS`` rounds; otherwise each run builds its own policy and plays the
-    generic loop, in series or in the process pool. Either pool takes the
-    runs in chunks of about an eighth of each worker's share.
+    thread pool when the batch holds ``THREAD_ROUNDS`` rounds; otherwise
+    each run builds its own policy and plays the generic loop, in series or
+    in the process pool. Either pool takes the runs in chunks of about an
+    eighth of each worker's share.
     """
     policy = from_spec(POLICIES, policy_spec, "policy")
     policy.reset(instance.n_arms, instance.horizon)
@@ -420,8 +321,9 @@ def monte_carlo(
 
     ``policy_spec`` is a config-style mapping. ``n_jobs`` is the number of
     workers, 0 or -1 meaning one per CPU: threads for a batch the kernel
-    plays (in series below ``THREAD_ROUNDS`` rounds), processes otherwise. No more workers than ``runs`` are asked for,
-    and the pool is kept for later calls (see the module docstring).
+    plays (in series below ``THREAD_ROUNDS`` rounds), processes otherwise.
+    No more workers are asked for than ``os.cpu_count()`` or ``runs``, and
+    the pool is kept for later calls (see the module docstring).
     """
     check_int("runs", runs, 1)
     check_int("master_seed", master_seed)
@@ -433,7 +335,8 @@ def monte_carlo(
     except ValueError:  # more bytes than an address can span
         raise MemoryError(f"{runs} rows of {len(cps)} checkpoints do not fit in memory") from None
     seeds = [split_seed(master_seed, i) for i in range(runs)]
-    workers = min(n_jobs if n_jobs > 0 else (os.cpu_count() or 1), runs)
+    cores = os.cpu_count() or 1
+    workers = min(n_jobs if n_jobs > 0 else cores, cores, runs)
     for i, row in enumerate(_rows(instance, policy_spec, seeds, cps, workers)):
         regrets[i] = row
     mean = regrets.mean(axis=0)

@@ -223,10 +223,10 @@ done:
  * raws[0..n_raws) and return as play_optimistic does, or -2 when the episode
  * would read past raws[n_raws - 1].
  *
- * Each round reads the stream as harness._Stream does. The arm is numpy's
- * integers(K): Lemire's bounded multiply m = x * K on a 32-bit half x,
- * redrawn while m's low word is below (2**32 - K) % K, and m's high word
- * taken; K = 1 draws nothing. The halves come as numpy deals them: a fresh
+ * Each round reads the raw outputs as numpy's integers(K) and random() do.
+ * The arm is integers(K): Lemire's bounded multiply m = x * K on a 32-bit
+ * half x, redrawn while m's low word is below (2**32 - K) % K, and m's high
+ * word taken; K = 1 draws nothing. The halves come as numpy deals them: a fresh
  * raw output's low word, its high word kept for the next draw. Then the
  * reward uniform and the delay uniform are the next two raw outputs, each
  * (raw >> 11) * 2**-53. The arm never depends on a reward, so the reward

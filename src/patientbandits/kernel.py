@@ -49,18 +49,18 @@ threads at once, as ``monte_carlo`` plays them.
 The per-seed call of an index episode reads its ``2 T`` uniforms from
 ``default_rng(seed).random(2 T)``. That of a ``uniform`` episode passes
 ``default_rng(seed).bit_generator.random_raw(n)``, numpy's raw PCG64
-outputs, and the C loop reads them as :class:`.harness._Stream` does: the
-arm by Lemire's bounded multiply on 32-bit halves, low word first, and each
-uniform as ``(raw >> 11) * 2**-53``. ``n`` covers the episode when no draw
-is rejected, plus a few; a rejection is rare (never for a power-of-2 K),
-and when the loop would read past the buffer it says so, and the episode is
-played again from a fresh generator with twice as many. PCG64 itself is not
-compiled: numpy draws the outputs. The laws map the uniforms as their
-``from_uniform`` do, with the C library's ``pow``, ``log``, ``sqrt`` and
-``ceil`` that CPython's ``**``, ``math.log``, ``math.sqrt`` and
-``math.ceil`` call in the same process. It knows the six built-in laws
-only; an instance that overrides ``draw``, or holds any other law, is not
-played here.
+outputs, and the C loop reads them as numpy's ``integers(K)`` and
+``random()`` do: the arm by Lemire's bounded multiply on 32-bit halves,
+low word first, and each uniform as ``(raw >> 11) * 2**-53``. ``n``
+covers the episode when no draw is rejected, plus a few; a rejection is
+rare (never for a power-of-2 K), and when the loop would read past the
+buffer it says so, and the episode is played again from a fresh generator
+with twice as many. PCG64 itself is not compiled: numpy draws the outputs.
+The laws map the uniforms as their ``from_uniform`` do, with the C
+library's ``pow``, ``log``, ``sqrt`` and ``ceil`` that CPython's ``**``,
+``math.log``, ``math.sqrt`` and ``math.ceil`` call in the same process. It
+knows the six built-in laws only; an instance that overrides ``draw``, or
+holds any other law, is not played here.
 
 The library is built on first use, never at import: the host's ``cc`` (or
 ``gcc``) compiles the source with :data:`FLAGS` into the package's

@@ -24,9 +24,8 @@ class Policy:
     """Contract: ``reset(n_arms, horizon)`` once, then ``select`` each round.
 
     ``reads_rng`` says whether ``select`` may draw from its ``rng``. If so,
-    it is handed the episode's stream, which offers ``random()`` and
-    ``integers(n)`` with the values of the generator's own calls, and its
-    draws interleave with the pulls' on that stream. A policy that sets it
+    it is handed the episode's Generator, and its draws interleave with the
+    pulls', which read that Generator's ``random()``. A policy that sets it
     false is handed ``rng=None``, and the pulls read the episode's reward and
     delay uniforms from blocks drawn ahead (see :mod:`.harness`).
 
@@ -326,13 +325,14 @@ class VanillaUcb(OptimisticIndex):
 class UniformRandom(Policy):
     """Pulls a uniformly random arm every round; the no-learning floor.
 
-    The arm is ``rng.integers(K)`` on the episode's stream, drawn before the
-    round's pull reads its two uniforms; at K = 1 it draws nothing. Unless a
+    The arm is ``rng.integers(K)`` on the episode's Generator, drawn before
+    the round's pull reads its two uniforms; at K = 1 it draws nothing. Unless a
     subclass overrides :meth:`select`, the policy declares its
     :attr:`uniform_index`, and ``monte_carlo`` plays its episodes in the
     compiled kernel, on threads when there are several workers and enough
     rounds (``harness.THREAD_ROUNDS``), reading the generator's raw outputs
-    as the stream does; ``simulate`` runs the generic loop.
+    as numpy's ``integers(K)`` and ``random()`` do; ``simulate`` runs the
+    generic loop.
     """
 
     label = "uniform"

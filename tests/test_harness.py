@@ -134,7 +134,13 @@ def threaded_runs(instance) -> int:
     return -(-harness.THREAD_ROUNDS // instance.horizon)
 
 
-def test_parallel_matches_serial_bitwise():
+@pytest.fixture
+def two_cores(monkeypatch):
+    """A host of two cores, whatever this one has: the core count caps the workers."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_parallel_matches_serial_bitwise(two_cores):
     runs = threaded_runs(GAP_INSTANCE)
     serial = monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=runs, master_seed=13)
     parallel = monte_carlo(
@@ -181,15 +187,14 @@ def pool_starts(monkeypatch):
     return starts
 
 
-def test_one_pool_serves_a_sequence_of_configs(pool_starts):
+def test_one_pool_serves_a_sequence_of_configs(two_cores, pool_starts):
     for n_jobs in (2, 0):
         for instance, spec in POOLED_CONFIGS:
             serial = monte_carlo(instance, spec, runs=5, master_seed=3)
             pooled = monte_carlo(instance, spec, runs=5, master_seed=3, n_jobs=n_jobs)
             assert pooled.regrets.tobytes() == serial.regrets.tobytes()
-    # n_jobs=0 means one worker per CPU, but no more than the 5 runs: the
-    # 2-worker pool again on a 2-CPU host.
-    assert pool_starts == sorted({2, min(os.cpu_count() or 1, 5)} - {1})
+    # n_jobs=0 means one worker per CPU: the 2-worker pool again.
+    assert pool_starts == [2]
 
 
 @pytest.mark.parametrize("n_jobs", [64, 0, -1])
@@ -214,13 +219,30 @@ def test_no_more_workers_than_runs(monkeypatch, n_jobs):
     assert capped.regrets.tobytes() == serial.regrets.tobytes()
 
 
+def test_no_more_workers_than_cores(monkeypatch, two_cores, pool_starts):
+    instance, spec = POOLED_CONFIGS[0]  # the generic loop: a process pool
+    serial = monte_carlo(instance, spec, runs=3, master_seed=9)
+    capped = monte_carlo(instance, spec, runs=3, master_seed=9, n_jobs=10**6)
+    assert list(harness._pools) == [2] and pool_starts == [2]
+    assert capped.regrets.tobytes() == serial.regrets.tobytes()
+    if kernel.load() is None:
+        return
+    # A kernel batch of THREAD_ROUNDS rounds or more: a thread pool.
+    monkeypatch.setattr(harness, "_threads", {})
+    longer = BanditInstance(GAP_INSTANCE.arms, harness.THREAD_ROUNDS // 2)
+    serial = monte_carlo(longer, {"kind": "uniform"}, runs=3, master_seed=9)
+    capped = monte_carlo(longer, {"kind": "uniform"}, runs=3, master_seed=9, n_jobs=10**6)
+    assert list(harness._threads) == [2]
+    assert capped.regrets.tobytes() == serial.regrets.tobytes()
+
+
 def test_a_single_run_starts_no_pool(pool_starts):
     res = monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=1, master_seed=4, n_jobs=2)
     assert res.regrets.shape[0] == 1
     assert pool_starts == [] and harness._pools == {}
 
 
-def test_a_broken_pool_is_replaced(pool_starts):
+def test_a_broken_pool_is_replaced(two_cores, pool_starts):
     instance, spec = POOLED_CONFIGS[0]
     serial = monte_carlo(instance, spec, runs=6, master_seed=8)
     monte_carlo(instance, spec, runs=6, master_seed=8, n_jobs=2)
@@ -259,7 +281,7 @@ def test_a_forked_child_starts_its_own_pool():
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def test_a_forked_child_starts_its_own_process_pool():
+def test_a_forked_child_starts_its_own_process_pool(two_cores):
     # The config runs the generic loop, so the child's batch goes to a process pool.
     instance, spec = POOLED_CONFIGS[0]
     serial = monte_carlo(instance, spec, runs=6, master_seed=5)
@@ -297,7 +319,7 @@ KERNEL_CONFIGS = {
 
 @pytest.mark.parametrize("shape", sorted(KERNEL_CONFIGS))
 def test_a_kernel_batch_runs_on_threads_and_starts_no_process_pool(
-    monkeypatch, pool_starts, shape
+    monkeypatch, two_cores, pool_starts, shape
 ):
     if kernel.load() is None:
         pytest.skip("no C compiler on this host: the kernel cannot be built")
@@ -311,7 +333,7 @@ def test_a_kernel_batch_runs_on_threads_and_starts_no_process_pool(
 
 
 @pytest.mark.parametrize("shape", sorted(KERNEL_CONFIGS))
-def test_a_small_kernel_batch_plays_in_series(monkeypatch, pool_starts, shape):
+def test_a_small_kernel_batch_plays_in_series(monkeypatch, two_cores, pool_starts, shape):
     if kernel.load() is None:
         pytest.skip("no C compiler on this host: the kernel cannot be built")
     monkeypatch.setattr(harness, "_threads", {})
@@ -323,11 +345,13 @@ def test_a_small_kernel_batch_plays_in_series(monkeypatch, pool_starts, shape):
     assert pool_starts == [] and harness._pools == {} and harness._threads == {}
 
 
-def test_oversubscribed_kernel_threads_give_the_serial_bits():
+def test_oversubscribed_kernel_threads_give_the_serial_bits(monkeypatch):
     # More threads than cores, switching as often as the interpreter allows:
-    # a run that read another run's uniforms or counts would move a bit.
+    # a run that read another run's uniforms or counts would move a bit. The
+    # core count caps the threads, so it is made to read 8.
     if kernel.load() is None:
         pytest.skip("no C compiler on this host: the kernel cannot be built")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     instance, spec = KERNEL_CONFIGS["ducb"]
     runs = max(48, threaded_runs(instance))
     serial = monte_carlo(instance, spec, runs=runs, master_seed=2)
@@ -341,9 +365,10 @@ def test_oversubscribed_kernel_threads_give_the_serial_bits():
 
 
 _LEAVES_NOTHING_RUNNING = """
-import atexit, multiprocessing, threading
+import atexit, multiprocessing, os, threading
 import patientbandits
 from patientbandits import harness, kernel
+os.cpu_count = lambda: 2  # two workers, whatever the host's core count
 assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
 assert not multiprocessing.active_children() and not harness._pools
 instance = patientbandits.BanditInstance(
@@ -633,67 +658,6 @@ def test_block_policy_is_handed_no_generator():
         run_episode(GAP_INSTANCE, SecretlyRandom(), seed=0)
 
 
-# One draw of the stream oracle: None is random(), an int n is integers(n).
-# n near 3 * 2**30 has a rejection bound of 2**30, so a quarter of its
-# draws are redrawn.
-_STREAM_DRAWS = st.lists(
-    st.one_of(
-        st.none(),
-        st.integers(1, 8),
-        st.integers(1, 2**32 - 1),
-        st.integers(3 * 2**30 - 2**10, 3 * 2**30 + 2**10),
-    ),
-    max_size=40,
-)
-
-
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    pre_draws=st.integers(0, 3),
-    block=st.integers(1, 3),
-    draws=_STREAM_DRAWS,
-)
-@settings(max_examples=300, deadline=None)
-def test_stream_matches_the_generator_bit_for_bit(seed, pre_draws, block, draws):
-    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(pre_draws):  # integers(2) never redraws: odd counts leave a half pending
-        rng.integers(2)
-        reference.integers(2)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_BLOCK", block)  # block boundaries fall mid-episode
-        stream = harness._Stream(rng)
-        for n in draws:
-            if n is None:
-                assert stream.random().hex() == reference.random().hex()
-            else:
-                assert stream.integers(n) == int(reference.integers(n))
-        stream.close()
-    assert rng.bit_generator.state == reference.bit_generator.state
-
-
-def test_stream_redraws_where_lemire_rejects():
-    rng, reference = np.random.default_rng(4), np.random.default_rng(4)
-    stream = harness._Stream(rng)
-    n = 3 * 2**30
-    assert [stream.integers(n) for _ in range(200)] == reference.integers(n, size=200).tolist()
-    stream.close()
-    assert rng.bit_generator.state == reference.bit_generator.state
-    # 200 draws without a redraw would take 100 raw outputs.
-    used = np.random.default_rng(4).bit_generator
-    used.advance(100)
-    assert rng.bit_generator.state["state"] != used.state["state"]
-
-
-@pytest.mark.parametrize("n", [0, -1, 2**32])
-def test_stream_refuses_a_bound_outside_32_bits(n):
-    rng = np.random.default_rng(1)
-    stream = harness._Stream(rng)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
-        stream.integers(n)
-    stream.close()
-    assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
-
-
 @st.composite
 def _uniform_instances(draw):
     arms = draw(st.lists(st.tuples(_REWARDS, _DELAYS), min_size=1, max_size=8))
@@ -730,10 +694,14 @@ def test_policy_that_reads_the_rng_needs_pcg64():
 
     pulls = []
     instance = Recorded(GAP_INSTANCE.arms, 50)
-    rng = mersenne()
-    with pytest.raises(TypeError, match="PCG64"):
-        simulate(instance, UniformRandom(), rng)
-    assert pulls == [] and next_raws(rng) == next_raws(mersenne())
+    # uniform is handed the generator itself, whatever its bit generator.
+    rng, reference_rng = mersenne(), mersenne()
+    env, trace = simulate(instance, UniformRandom(), rng)
+    reference_env, regret = _interleaved(instance, UniformRandom(), reference_rng, trace.checkpoints)
+    assert trace.regret.tolist() == regret
+    assert env.pull_records() == reference_env.pull_records()
+    assert next_raws(rng) == next_raws(reference_rng)
+    assert sorted(set(pulls)) == [0, 1]  # the arms came from the generator
     # The block of an index policy is read from any generator.
     rng, reference_rng = mersenne(), mersenne()
     env, trace = simulate(instance, VanillaUcb(), rng)

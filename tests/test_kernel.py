@@ -155,6 +155,7 @@ def test_the_prologue_runs_once_per_batch(monkeypatch, n_jobs):
 
     monkeypatch.setattr(kernel, "_encode", counted(kernel._encode))
     monkeypatch.setattr(kernel, "load", counted(kernel.load))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the core count caps the workers
     instance = BanditInstance([(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.6), Dirac(2))], 200)
     runs = -(-harness.THREAD_ROUNDS // instance.horizon)  # on threads when n_jobs is 2
     serial = harness.monte_carlo(instance, {"kind": "ucb"}, runs=runs, master_seed=4,
