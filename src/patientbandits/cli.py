@@ -245,8 +245,9 @@ def dump_config(config: ExperimentConfig) -> str:
 
 def execute(config: ExperimentConfig, n_jobs: int = 1) -> MonteCarloResult:
     # Parsing allocates nothing that scales with T: a horizon too large for
-    # the radius table, the calendar or the rest of the episode fails here,
-    # and so does a run count too large for the regret matrix, before any run.
+    # the kernel's uniforms, the calendar or the rest of the episode fails
+    # here, and so does a run count too large for the regret matrix, before
+    # any run.
     try:
         return monte_carlo(
             config.build_instance(),

@@ -10,12 +10,12 @@ conversions that have not arrived yet, assuming delay tails decay at least
 as fast as ``m ** -alpha``. The default confidence level is
 ``delta = 1 / (K * T**3)``, which folds the union bound over arms, rounds
 and sample sizes into the radius. Both terms are scalar C-library math on
-Python numbers, so :func:`radius_table` holds the bits a round computes;
-the compiled kernel (:mod:`.kernel`) repeats the same operations in C.
+Python numbers. An index policy's ``select`` computes an arm's radius from
+them when the arm's pull count moves, and the compiled kernel
+(:mod:`.kernel`) repeats the same operations in C when the arm is pulled.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -150,17 +150,6 @@ def confidence_radius(pulls: int, params: UcbParams, round_: Optional[int] = Non
         alpha = alpha(round_)
     dev = deviation(pulls, params.delta)
     return dev if alpha is None else dev + delay_bias(pulls, alpha)
-
-
-@functools.lru_cache(maxsize=8)  # for generic-loop episodes; T = 1e5 takes ~3 MB
-def radius_table(T: int, delta: float, alpha: Optional[float]) -> tuple[float, ...]:
-    """Entry ``n - 1`` is ``deviation(n, delta)``, plus ``delay_bias(n, alpha)``
-    unless ``alpha`` is None; a tuple, as every episode with the key shares it."""
-    table = [0.0] * T  # an impossible T fails here, not after the loop
-    for n in range(1, T + 1):
-        radius = deviation(n, delta)
-        table[n - 1] = radius if alpha is None else radius + delay_bias(n, alpha)
-    return tuple(table)
 
 
 class BiasBound(NamedTuple):

@@ -6,8 +6,9 @@
   the sweep, then the first argmax of ``sums[i] / n + radius``
   (``play_optimistic``). The kernel computes an arm's radius when it is
   pulled, ``deviation(n, delta) + delay_bias(n, alpha)`` in the operations
-  of :mod:`.estimators` (no bias when ``alpha`` is None), so it holds no
-  radius table. For a schedule of the round such as ``loglog``, the bias
+  of :mod:`.estimators` (no bias when ``alpha`` is None), as
+  :meth:`.OptimisticIndex.select` does when an arm's count moves. For a
+  schedule of the round such as ``loglog``, the bias
   ``2 * n ** -e_t`` at round ``t`` is added each round; the exponents
   ``e_t = min(alpha(t), 0.5)`` are computed in Python before the episode,
   for rounds 2..T (round 1 is always a sweep round). An episode whose

@@ -10,14 +10,13 @@ Config tags: ``patient``, ``adapt``, ``ducb``, ``ucb``, ``uniform``
 """
 from __future__ import annotations
 
-import functools
 import math
 from typing import Mapping, Optional
 
 from . import estimators
 from .distributions import DELAY_LAWS, DelayLaw, check_int, check_real, from_spec
 from .environment import ObservationView
-from .estimators import AdaptParams, AlphaInput, UcbParams, mu_hat
+from .estimators import AdaptParams, AlphaInput, UcbParams, delay_bias, deviation, mu_hat
 
 
 class Policy:
@@ -77,14 +76,16 @@ class OptimisticIndex(Policy):
     Every arm is first swept ``init_pulls`` times, fewest pulls first and
     the lowest index on ties; afterwards the argmax of the index is taken,
     again breaking ties toward the lowest index. ``alpha`` is the bias
-    exponent: ``None`` for no bias term, a float folded into the shared
-    radius table, or a schedule of the round. Subclasses whose
-    exponent depends on the round override :meth:`bias_alpha`. Unless a
-    subclass overrides :meth:`select` or :meth:`bias_alpha`, sweeps no pull
-    or sets its own radius table, the policy declares its
-    :attr:`radius_index`, and ``monte_carlo`` plays the episode
-    in the compiled kernel when it can, which computes :meth:`select`'s
-    index bit for bit; ``simulate`` runs the generic loop.
+    exponent: ``None`` for no bias term, a float, or a schedule of the
+    round. As in the compiled kernel, an arm's radius (the deviation, plus
+    the bias at a float exponent) is recomputed only when its pull count
+    moves, and a schedule's bias is added per arm each round. Subclasses
+    whose exponent depends on the round override :meth:`bias_alpha`.
+    Unless a subclass overrides :meth:`select` or :meth:`bias_alpha`, or
+    sweeps no pull, the policy declares its :attr:`radius_index` from the
+    :attr:`params` that :meth:`select` reads, and ``monte_carlo`` plays the
+    episode in the compiled kernel when it can, which computes
+    :meth:`select`'s index bit for bit; ``simulate`` runs the generic loop.
     """
 
     init_pulls = 1
@@ -93,20 +94,9 @@ class OptimisticIndex(Policy):
 
     def reset(self, n_arms: int, horizon: int) -> None:
         self.params = UcbParams(alpha=self.alpha, K=n_arms, T=horizon, delta=self.delta)
-        self.__dict__.pop("_radius_table", None)  # the next episode's is built when read
-        # delay_bias(n, 0.0) is 2 * n ** -0.0, the same at every n (and at -0.0).
-        self._flat_bias = estimators.delay_bias(1, 0.0)
-
-    @functools.cached_property
-    def _radius_table(self) -> tuple[float, ...]:
-        """Entry ``n - 1`` is the radius at ``n`` pulls, bias included for a float alpha.
-
-        Built on first read after :meth:`reset`, not in it: parsing a config
-        resets its policy, and must not cost O(T).
-        """
-        params = self.params
-        alpha = params.alpha
-        return estimators.radius_table(params.T, params.delta, None if callable(alpha) else alpha)
+        # Arm i's radius at _seen[i] pulls; no arm has 0 pulls past the sweep.
+        self._seen = [0] * n_arms
+        self._radius = [0.0] * n_arms
 
     @property
     def radius_index(self):
@@ -116,22 +106,21 @@ class OptimisticIndex(Policy):
 
     def _radius_index(self, bias_alpha, alpha):
         """``(T, delta, alpha)``, or None unless ``select`` is this class's,
-        ``bias_alpha`` is the one given, every arm is swept at least once (a
-        radius at 0 pulls is undefined), and no table was set in place of
-        the one :attr:`_radius_table` builds when read."""
+        ``bias_alpha`` is the one given and every arm is swept at least once
+        (a radius at 0 pulls is undefined)."""
         cls = type(self)
         if (
             cls.select is not OptimisticIndex.select
             or cls.bias_alpha is not bias_alpha
             or self.init_pulls < 1
-            or "_radius_table" in vars(self)
         ):
             return None
         return self.params.T, self.params.delta, alpha
 
     def bias_alpha(self, view: ObservationView) -> Optional[float]:
-        """This round's bias exponent, or None when the table holds the whole radius."""
-        return self.alpha(view.t) if callable(self.alpha) else None
+        """This round's bias exponent, or None when the radius at the count is the whole radius."""
+        alpha = self.params.alpha
+        return alpha(view.t) if callable(alpha) else None
 
     def select(self, view: ObservationView, rng) -> int:
         counts = view.counts
@@ -139,14 +128,19 @@ class OptimisticIndex(Policy):
         if fewest < self.init_pulls:
             return counts.index(fewest)
         sums = view.sums
-        table = self._radius_table
+        seen, radii = self._seen, self._radius
         best, best_index, i = 0, -math.inf, 0
         alpha = self.bias_alpha(view)
-        flat = self._flat_bias if alpha == 0.0 else None
         for n in counts:
-            radius = table[n - 1]
+            if n != seen[i]:  # in an episode, one arm's count moves each round
+                params = self.params
+                radius = deviation(n, params.delta)
+                if not (params.alpha is None or callable(params.alpha)):
+                    radius = radius + delay_bias(n, params.alpha)
+                radii[i], seen[i] = radius, n
+            radius = radii[i]
             if alpha is not None:
-                radius = radius + (flat if flat is not None else estimators.delay_bias(n, alpha))
+                radius = radius + delay_bias(n, alpha)
             index = mu_hat(sums[i], n) + radius
             if index > best_index:
                 best, best_index = i, index

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from patientbandits import cli, estimators, kernel
+from patientbandits import cli, kernel
 from patientbandits.cli import (
     ConfigError,
     ExperimentConfig,
@@ -370,9 +370,8 @@ def test_parsing_allocates_no_episode():
     {"kind": "uniform"},
 ], ids=lambda p: "-".join(str(v) for v in p.values() if not isinstance(v, dict)))
 def test_parsing_costs_o1_in_T_for_every_policy(policy):
-    # A radius table of 10**6 entries takes tens of MiB; one left cached by an
-    # earlier test would be reused, and hide a table built at parse time.
-    estimators.radius_table.cache_clear()
+    # Parsing resets the policy, which keeps one radius per arm, not one per
+    # count up to T: 10**6 of them would take tens of MiB.
     tracemalloc.start()
     try:
         ExperimentConfig.from_dict({**MINIMAL, "T": 10**6, "policy": policy})
@@ -383,8 +382,8 @@ def test_parsing_costs_o1_in_T_for_every_policy(policy):
 
 
 def test_horizon_too_large_for_memory_exits_1(tmp_path, capsys):
-    # The kernel's 2 T uniforms, or without a compiler the radius table of
-    # 2**61 slots, fail their size check before anything is allocated.
+    # The kernel's 2 T uniforms, or without a compiler the calendar of
+    # 2**61 + 2 slots, fail their size check before anything is allocated.
     path = _write(tmp_path, {**TWO_ARM, "T": 2**61})
     assert main(["run", path, "--out", str(tmp_path)]) == 1
     assert f"T={2**61} is too large for memory" in capsys.readouterr().err
@@ -413,15 +412,16 @@ HUGE_T_POLICIES = [
 @pytest.mark.parametrize("T, limit_mib, fits", [
     # Far below the limit and at once, each when the run allocates it: the
     # uniforms of the compiled patient, ucb and ducb episodes, the raw
-    # outputs of the compiled uniform episode, and the radius table of adapt,
-    # whose bound can turn positive within T.
+    # outputs of the compiled uniform episode, and the calendar of adapt's
+    # Python episode, as its bound can turn positive within T.
     pytest.param(2**61, 1536, (), id=str(2**61)),
     pytest.param(10**12, 1536, (), id=str(10**12)),
-    # The Python episode does not fit: adapt's radius table exhausts the
-    # limit after parsing. The compiled episodes, which hold no radius
-    # table, run: patient and ucb peak at about 180 MiB of address space,
-    # ducb at about 140 MiB (16 B of uniforms per round in each), uniform at
-    # about 150 MiB (20 B of raw outputs per round).
+    # The Python episode does not fit: adapt's generic-loop episode state
+    # (its calendar, pull logs and uniform blocks) exhausts the limit some
+    # seconds into the episode. The compiled episodes run: patient and ucb
+    # peak at about 180 MiB of address space, ducb at about 140 MiB (16 B of
+    # uniforms per round in each), uniform at about 150 MiB (20 B of raw
+    # outputs per round).
     pytest.param(2 * 10**6, 320, ("patient", "ucb", "ducb", "uniform"), id=str(2 * 10**6)),
     # No engine fits: the kernel's uniforms alone are 320 MB, uniform's raw
     # outputs 400 MB.

@@ -594,10 +594,10 @@ class _AdaptWithThreshold(AdaptPatientBandits):
 
 @pytest.mark.parametrize("shift", [-1, 0])
 @pytest.mark.parametrize("arms", [1, 2])
-def test_adapt_takes_the_table_loop_only_when_its_leader_stays_below_the_threshold(shift, arms):
-    # The table loop is the kernel's index loop, which now computes the radius it once
-    # read from a table: adapt declares ``radius_index`` for it only below its threshold.
-    # The leader has at most T - 1 pulls, which a one-arm episode reaches on its last round.
+def test_adapt_plays_in_the_kernel_only_when_its_leader_stays_below_the_threshold(shift, arms):
+    # adapt declares ``radius_index``, which lets the kernel play it, only below its
+    # threshold. The leader has at most T - 1 pulls, which a one-arm episode reaches on
+    # its last round.
     instance = BanditInstance([(Bernoulli(0.6), ParetoCeil(0.5))] * arms, 50)
     policy = _AdaptWithThreshold(shift)
     policy.reset(arms, 50)
@@ -680,7 +680,7 @@ def test_uniform_episode_matches_the_brute_force_loop(instance, seed):
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
-def test_policy_that_reads_the_rng_needs_pcg64():
+def test_the_generic_loop_runs_on_any_bit_generator():
     class Recorded(BanditInstance):
         def draw(self, arm, u, v):
             pulls.append(arm)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -319,16 +320,10 @@ class _Unswept(POLICIES["ucb"]):
     init_pulls = 0  # select takes the mean of an arm with no pulls
 
 
-class _OwnTable(POLICIES["patient"]):
-    def reset(self, n_arms, horizon):
-        super().reset(n_arms, horizon)
-        self._radius_table = estimators.radius_table(horizon, self.params.delta, None)
-
-
-@pytest.mark.parametrize("cls", [_Unswept, _OwnTable], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", [_Unswept], ids=lambda cls: cls.__name__)
 def test_kernel_declines_a_subclass_whose_select_it_would_not_repeat(cls, monkeypatch):
     monkeypatch.setitem(POLICIES, "subclass", cls)
-    spec = {"kind": "subclass"} if cls is _Unswept else {"kind": "subclass", "alpha": 1e6}
+    spec = {"kind": "subclass"}
     instance = BanditInstance([(Bernoulli(0.4), Dirac(0)), (Bernoulli(0.6), Dirac(0))], 20)
     policy = from_spec(POLICIES, spec, "policy")
     policy.reset(2, 20)
@@ -344,6 +339,37 @@ def test_kernel_declines_a_subclass_whose_select_it_would_not_repeat(cls, monkey
         assert _row(instance, spec, 3, checkpoints).tobytes() == (
             np.array(regret).tobytes()
         )
+
+
+class _NoBias(POLICIES["patient"]):
+    """A patient policy whose reset drops the bias term from its params."""
+
+    def reset(self, n_arms, horizon):
+        super().reset(n_arms, horizon)
+        self.params = dataclasses.replace(self.params, alpha=None)
+
+
+def test_the_kernel_plays_a_subclass_with_the_params_its_reset_sets(monkeypatch):
+    # select and radius_index read the same params, so the kernel takes the batch
+    # and plays it without the bias term, as the generic loop does.
+    monkeypatch.setitem(POLICIES, "subclass", _NoBias)
+    spec, T = {"kind": "subclass", "alpha": 1e6}, 300
+    instance = BanditInstance([(Bernoulli(0.4), ParetoCeil(1.0)), (Bernoulli(0.6), Dirac(3))], T)
+    policy = from_spec(POLICIES, spec, "policy")
+    policy.reset(2, T)
+    assert policy.radius_index == (T, policy.params.delta, None)
+    assert kernel.index_batch(instance, policy, (T,)) is not None
+    result = harness.monte_carlo(instance, spec, runs=4, master_seed=21)
+    generic = [
+        harness.run_episode(instance, _NoBias(1e6), harness.split_seed(21, i)).regret
+        for i in range(4)
+    ]
+    assert result.regrets.tobytes() == np.array(generic).tobytes()
+    # With the bias term the rows differ, so these rows show that it was dropped.
+    biased = harness.monte_carlo(
+        instance, {"kind": "patient", "alpha": 1e6}, runs=4, master_seed=21
+    )
+    assert biased.regrets.tobytes() != result.regrets.tobytes()
 
 
 def test_a_subclass_with_its_own_exponent_is_not_a_schedule_episode():
@@ -628,10 +654,9 @@ def test_kernel_refuses_a_table_or_checkpoints_that_do_not_fit(horizon, checkpoi
 @pytest.mark.parametrize("spec", RADIUS_SPECS[:2], ids=lambda spec: spec["kind"])
 def test_a_kernel_episode_builds_no_radius_table(spec):
     # The episode's 2 T uniforms are the one allocation that scales with T on
-    # the Python side: a radius table would add a tuple of T floats.
+    # the Python side: a radius for every count would add T floats.
     T = 10**6
     instance = BanditInstance([(Bernoulli(0.5), ParetoCeil(1.0)), (Bernoulli(0.6), Dirac(2))], T)
-    estimators.radius_table.cache_clear()  # a table cached earlier would cost nothing here
     kernel.load()
     tracemalloc.start()
     try:

@@ -1,7 +1,9 @@
 """Policies: pinned index arithmetic, tie-breaking, information hygiene."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,38 +109,13 @@ def test_patient_without_bias_term_tracks_vanilla_exactly():
     class PatientNoBias(PatientBandits):
         def reset(self, n_arms, horizon):
             super().reset(n_arms, horizon)
-            n = np.arange(1, horizon + 1, dtype=np.float64)
-            self._radius_table = np.sqrt(
-                2.0 * math.log(2.0 / self.params.delta) / n
-            )
+            self.params = dataclasses.replace(self.params, alpha=None)
 
     inst = BanditInstance([(Bernoulli(0.4), Dirac(0)), (Bernoulli(0.6), Dirac(0))], 300)
     env_a, trace_a = simulate(inst, PatientNoBias(alpha=1e6), np.random.default_rng(9))
     env_b, trace_b = simulate(inst, VanillaUcb(), np.random.default_rng(9))
     assert env_a.pull_records() == env_b.pull_records()
     assert np.array_equal(trace_a.regret, trace_b.regret)
-
-
-@pytest.mark.parametrize("alpha", [None, 0.1, 0.3, 0.5, 0.7])
-@pytest.mark.parametrize("K", [2, 3])
-@pytest.mark.parametrize("T", [400, 3000])
-def test_radius_table_is_the_scalar_radius(T, K, alpha):
-    # Bit for bit the radius the per-round path computes on Python ints; an
-    # array pow may round differently on some CPUs.
-    policy = _ready(VanillaUcb() if alpha is None else PatientBandits(alpha), K=K, T=T)
-    delta = policy.params.delta
-    expected = [
-        deviation(n, delta) if alpha is None else deviation(n, delta) + delay_bias(n, alpha)
-        for n in range(1, T + 1)
-    ]
-    assert list(policy._radius_table) == expected
-
-
-def test_resets_with_the_same_key_share_one_table():
-    a, b = _ready(PatientBandits(0.3), K=3, T=500), _ready(PatientBandits(0.3), K=3, T=500)
-    assert a._radius_table is b._radius_table
-    assert _ready(PatientBandits(0.4), K=3, T=500)._radius_table is not a._radius_table
-    assert _ready(PatientBandits(0.3), K=2, T=500)._radius_table is not a._radius_table
 
 
 def test_adapt_initialization_two_sweeps():
@@ -322,6 +299,9 @@ _ORACLE_CASES = {
 }
 
 
+_FRACTIONS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
 @st.composite
 def _arm_states(draw, leader_at_least):
     """Counts and sums of up to 8 arms drawn with replacement from a few states, so ties are common.
@@ -329,11 +309,22 @@ def _arm_states(draw, leader_at_least):
     Counts fall on both sides of every ``init_pulls``.
     """
     counts = st.one_of(st.integers(0, 3), st.integers(0, _ORACLE_T - 1000))
-    fractions = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
-    states = draw(st.lists(st.tuples(counts, fractions), min_size=1, max_size=8))
+    states = draw(st.lists(st.tuples(counts, _FRACTIONS), min_size=1, max_size=8))
     arms = draw(st.lists(st.sampled_from(states), min_size=1, max_size=8))
+    return _with_leader(draw, arms, leader_at_least)
+
+
+@st.composite
+def _moved_arm_states(draw, counts, leader_at_least):
+    """Counts and sums of the same arms, each count one more, the same, one less or far off."""
+    step = st.one_of(st.sampled_from([1, 0, -1]), st.integers(-2000, 2000))
+    arms = [(min(max(n + draw(step), 0), _ORACLE_T - 1000), draw(_FRACTIONS)) for n in counts]
+    return _with_leader(draw, arms, leader_at_least)
+
+
+def _with_leader(draw, arms, leader_at_least):
     if max(n for n, _ in arms) < leader_at_least:
-        leader = (draw(st.integers(leader_at_least, _ORACLE_T - 1000)), draw(fractions))
+        leader = (draw(st.integers(leader_at_least, _ORACLE_T - 1000)), draw(_FRACTIONS))
         arms[draw(st.integers(0, len(arms) - 1))] = leader
     return [n for n, _ in arms], [fraction * n for n, fraction in arms]
 
@@ -359,39 +350,71 @@ def test_select_is_the_first_argmax_of_the_scalar_index(case, data):
     counts, sums = data.draw(_arm_states(leader_at_least))
     K = len(counts)
     policy = _ready(make(), K=K, T=_ORACLE_T)
-    windows = {}
-    if isinstance(policy, AdaptPatientBandits) and max(counts) >= 2:
-        leader_pulls = max(counts)
-        for wait in estimators.window_pair(leader_pulls, policy.tail_params):
-            n = data.draw(st.integers(0, leader_pulls))
-            windows[(counts.index(leader_pulls), wait)] = (n, n * data.draw(st.floats(0.0, 1.0)))
-    if min(counts) < policy.init_pulls:
-        view = FakeView(counts, sums, t=sum(counts) + 1)
-        assert policy.select(view, None) == counts.index(min(counts))
-        return
-    # The round's exponent depends on the counts, the round and the windows, not on the sums.
-    alpha_t = oracle_alpha(policy, FakeView(counts, sums, t=sum(counts) + 1, windows=windows))
     delta = policy.delta if policy.delta is not None else 1.0 / (K * _ORACLE_T**3)
-    table_alpha = policy.alpha if isinstance(policy.alpha, float) else None
+    fixed_alpha = policy.alpha if isinstance(policy.alpha, float) else None
+    # One reset policy answers a few states in turn, as it would stored views in
+    # any order: from one state to the next, each count rises, repeats or falls.
+    alpha_bars = []
+    for step in range(data.draw(st.integers(1, 4))):
+        if step:
+            counts, sums = data.draw(_moved_arm_states(counts, leader_at_least))
+        windows = {}
+        if isinstance(policy, AdaptPatientBandits) and max(counts) >= 2:
+            leader_pulls = max(counts)
+            for wait in estimators.window_pair(leader_pulls, policy.tail_params):
+                n = data.draw(st.integers(0, leader_pulls))
+                windows[(counts.index(leader_pulls), wait)] = (
+                    n, n * data.draw(st.floats(0.0, 1.0))
+                )
+        if min(counts) < policy.init_pulls:
+            view = FakeView(counts, sums, t=sum(counts) + 1)
+            assert policy.select(view, None) == counts.index(min(counts))
+            continue
+        # The round's exponent depends on the counts, the round and the windows, not on the sums.
+        alpha_t = oracle_alpha(policy, FakeView(counts, sums, t=sum(counts) + 1, windows=windows))
+        alpha_bars.append(alpha_t)
 
-    def index(n, total):
-        radius = deviation(n, delta)
-        if table_alpha is not None:
-            radius = radius + delay_bias(n, table_alpha)
-        if alpha_t is not None:
-            radius = radius + delay_bias(n, alpha_t)
-        return estimators.mu_hat(total, n) + radius
+        def index(n, total, alpha_t=alpha_t):
+            radius = deviation(n, delta)
+            if fixed_alpha is not None:
+                radius = radius + delay_bias(n, fixed_alpha)
+            if alpha_t is not None:
+                radius = radius + delay_bias(n, alpha_t)
+            return estimators.mu_hat(total, n) + radius
 
-    if K >= 2 and data.draw(st.booleans()):
-        # A near tie: one arm's index is the least at or above arm 0's, so a
-        # last-bit change in either index can move the argmax.
-        j = data.draw(st.integers(1, K - 1))
-        sums[j] = _least_total_reaching(index, counts[j], index(counts[0], sums[0]))
-    view = FakeView(counts, sums, t=sum(counts) + 1, windows=windows)
-    indices = [index(n, total) for n, total in zip(counts, sums)]
-    assert policy.select(view, None) == indices.index(max(indices))
+        if K >= 2 and data.draw(st.booleans()):
+            # A near tie: one arm's index is the least at or above arm 0's, so a
+            # last-bit change in either index can move the argmax.
+            j = data.draw(st.integers(1, K - 1))
+            sums[j] = _least_total_reaching(index, counts[j], index(counts[0], sums[0]))
+        view = FakeView(counts, sums, t=sum(counts) + 1, windows=windows)
+        indices = [index(n, total) for n, total in zip(counts, sums)]
+        assert policy.select(view, None) == indices.index(max(indices))
     if isinstance(policy, AdaptPatientBandits):
-        assert policy.alpha_bar_history == [alpha_t]
+        assert policy.alpha_bar_history == alpha_bars
+
+
+_HUGE_T_SPECS = {
+    "patient(0.3)": {"kind": "patient", "alpha": 0.3},
+    "patient(loglog)": {"kind": "patient", "alpha": "loglog"},
+    "ucb": {"kind": "ucb"},
+    "adapt": {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 0.5},
+}
+
+
+@pytest.mark.parametrize("spec", list(_HUGE_T_SPECS.values()), ids=list(_HUGE_T_SPECS))
+def test_select_allocates_nothing_of_order_T(spec):
+    # The policy keeps one radius per arm, set when the arm's count moves; a
+    # radius for each of the horizon's 10**6 counts would take tens of MiB.
+    T = 10**6
+    tracemalloc.start()
+    try:
+        policy = _ready(make_policy(spec), K=2, T=T)
+        assert policy.select(FakeView([700, 900], [300.0, 500.0], t=1601), None) in (0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ducb_warm_up_is_round_robin():
