@@ -594,9 +594,9 @@ class _AdaptWithThreshold(AdaptPatientBandits):
 
 @pytest.mark.parametrize("shift", [-1, 0])
 @pytest.mark.parametrize("arms", [1, 2])
-def test_adapt_plays_in_the_kernel_only_when_its_leader_stays_below_the_threshold(shift, arms):
+def test_adapt_takes_the_table_loop_only_when_its_leader_stays_below_the_threshold(shift, arms):
     # adapt declares ``radius_index``, which lets the kernel play it, only below its
-    # threshold. The leader has at most T - 1 pulls, which a one-arm episode reaches on
+    # threshold ("the table loop" of the name is the kernel's index loop). The leader has at most T - 1 pulls, which a one-arm episode reaches on
     # its last round.
     instance = BanditInstance([(Bernoulli(0.6), ParetoCeil(0.5))] * arms, 50)
     policy = _AdaptWithThreshold(shift)

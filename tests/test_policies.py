@@ -118,6 +118,20 @@ def test_patient_without_bias_term_tracks_vanilla_exactly():
     assert np.array_equal(trace_a.regret, trace_b.regret)
 
 
+@pytest.mark.parametrize("alpha", [None, 0.1, 0.3, 0.5, 0.7])
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("T", [400, 3000])
+def test_radius_table_is_the_scalar_radius(T, K, alpha):
+    # At every count from 1 to T, the radius select keeps for an arm is bit for
+    # bit the scalar radius on Python ints; an array pow may round differently.
+    policy = _ready(VanillaUcb() if alpha is None else PatientBandits(alpha), K=K, T=T)
+    delta = policy.params.delta
+    for n in range(1, T + 1):
+        policy.select(FakeView([n] * K, [0.0] * K, t=K * n + 1), None)
+        expected = deviation(n, delta) if alpha is None else deviation(n, delta) + delay_bias(n, alpha)
+        assert policy._radius == [expected] * K
+
+
 def test_adapt_initialization_two_sweeps():
     policy = _ready(AdaptPatientBandits(c=1.0, alpha_floor=0.2, mu_floor=0.4), K=2, T=100)
     assert policy.select(FakeView([0, 0], [0.0, 0.0], t=1), None) == 0
