@@ -60,39 +60,33 @@ process. With ``n``, where they play follows from the engine, with no
 option to choose it:
 
 - A kernel batch, ``uniform`` included, of at least ``THREAD_ROUNDS``
-  rounds (``runs * T``) plays on the process's thread pool of ``n``
-  threads. The C loop and numpy's fill of the uniforms or raw outputs run
-  without the GIL, and nothing is pickled or sent to another process. A
-  smaller kernel batch plays in series in the calling thread. It takes
-  at most a few milliseconds there, a hand-off to the threads costs about
-  0.1 ms on an idle host, and how long it takes depends on when the host
-  schedules the threads: on threads such a batch ran no faster, and its
-  time varied from one run of a program to the next.
+  rounds (``runs * T``) plays on a pool of ``n`` threads. The C loop and
+  numpy's fill of the uniforms or raw outputs run without the GIL, and
+  nothing is pickled or sent to another process. A smaller kernel batch
+  plays in series in the calling thread. It takes at most a few
+  milliseconds there, starting and joining the threads costs 0.1-1 ms on
+  a 2-core host, and how long it takes depends on when the host schedules
+  the threads: on threads such a batch ran no faster, and its time varied
+  from one run of a program to the next.
 - Any other batch (``adapt`` above its threshold, a policy that overrides
   ``select``, an instance that overrides ``draw``, or any batch on a host
-  without a compiler) plays in the process's pool of ``n`` worker
-  processes, where each run builds its own policy.
+  without a compiler) plays in a pool of ``n`` worker processes, where
+  each run builds its own policy.
 
-Both kinds of pool are started the first time a count is asked for and
-serve every later call with that count, so a loop over many small configs
-pays the start-up once. Importing the package starts nothing. The worker
-processes are forked (the default start method on Linux) when the pool is
-first used, and keep the parent's module state as it was at that moment: a
-module attribute patched afterwards is not seen by them. At a normal exit
-the interpreter joins the threads and the process pools are shut down, and
-their workers joined; ``os._exit`` skips that. A process pool that breaks,
-for example because a worker was killed, raises ``BrokenProcessPool`` once
-and is dropped, so the next call starts a fresh one. A forked child forgets
-the pools of both kinds it inherited (their threads do not exist in it) and
-starts its own on first use.
+Each pool lives for the one ``monte_carlo`` call that starts it: the call
+takes the runs in chunks, fills the rows as they arrive, and shuts the pool
+down before it returns. A run that raises cancels the chunks not yet
+started, and the exception leaves the call once every worker is joined. So
+importing the package starts nothing, and no thread or process outlives
+the call that started it. On a 2-core host, starting and joining 2 worker
+processes costs a call about 7-9 ms, and 2 threads 0.1-1 ms (README).
 """
 from __future__ import annotations
 
-import atexit
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -230,11 +224,18 @@ def run_episode(
     return trace
 
 
-def _replicate(args) -> np.ndarray:
-    """One run's regret row from the generic loop; a process-pool task."""
-    instance, policy_spec, seed, checkpoints = args
-    policy = from_spec(POLICIES, policy_spec, "policy")
-    return run_episode(instance, policy, seed, checkpoints).regret
+def _generic_rows(instance, policy_spec, checkpoints, seeds) -> list:
+    """The regret rows of the runs ``seeds`` in the generic loop; a process-pool task."""
+    return [
+        run_episode(instance, from_spec(POLICIES, policy_spec, "policy"), seed, checkpoints).regret
+        for seed in seeds
+    ]
+
+
+def _kernel_rows(episode, gaps, seeds) -> list:
+    """The regret rows of the runs ``seeds`` from the kernel's ``episode``."""
+    return [[pseudo_regret(gaps, row) for row in counts.tolist()]
+            for counts, _ in map(episode, seeds)]
 
 
 # Fewest rounds (runs * T) of a kernel batch that plays on threads; see the
@@ -242,71 +243,38 @@ def _replicate(args) -> np.ndarray:
 # on a 2-vCPU host and broke even on a uniform one.
 THREAD_ROUNDS = 2**15
 
-# Process pools, and the thread pools of kernel batches, by worker count;
-# see the module docstring for their lifetime.
-_pools: dict[int, ProcessPoolExecutor] = {}
-_threads: dict = {}  # ThreadPoolExecutors; that class is imported on first use
 
-
-def _shutdown_pools() -> None:
-    while _pools:
-        _pools.popitem()[1].shutdown()
-
-
-atexit.register(_shutdown_pools)
-os.register_at_fork(after_in_child=_pools.clear)
-os.register_at_fork(after_in_child=_threads.clear)
-
-
-def _pooled(workers: int, payloads, chunk: int):
-    """``_replicate`` over ``payloads`` in the process pool of ``workers``, rows in order."""
-    pool = _pools.get(workers)
-    if pool is None:
-        pool = _pools.setdefault(workers, ProcessPoolExecutor(max_workers=workers))
-    try:
-        yield from pool.map(_replicate, payloads, chunksize=chunk)
-    except BrokenProcessPool:
-        _pools.pop(workers, None)
-        raise
-
-
-def _threaded(workers: int):
-    """The process's thread pool of ``workers``, started on first use."""
-    threads = _threads.get(workers)
-    if threads is None:
-        from concurrent.futures import ThreadPoolExecutor  # only a kernel batch on threads needs it
-
-        threads = _threads.setdefault(workers, ThreadPoolExecutor(max_workers=workers))
-    return threads
-
-
-def _rows(instance, policy_spec, seeds: Sequence[int], checkpoints, workers: int):
-    """The regret rows of the runs ``seeds``, in order, on ``workers`` workers.
+def _fill_rows(regrets, instance, policy_spec, seeds: Sequence[int], checkpoints, workers: int):
+    """Fill ``regrets`` with the rows of the runs ``seeds``, in order, on ``workers`` workers.
 
     The policy is built and reset here, once. When the kernel takes the batch,
-    its prologue runs here too, and the episodes play in series, or on the
-    thread pool when the batch holds ``THREAD_ROUNDS`` rounds; otherwise
-    each run builds its own policy and plays the generic loop, in series or
-    in the process pool. Either pool takes the runs in chunks of about an
-    eighth of each worker's share.
+    its prologue runs here too, and the episodes play in series, or on
+    threads when the batch holds ``THREAD_ROUNDS`` rounds; otherwise each
+    run builds its own policy and plays the generic loop, in series or in
+    worker processes. A pool takes the runs in chunks of about an eighth of
+    each worker's share and is shut down before this returns.
     """
     policy = from_spec(POLICIES, policy_spec, "policy")
     policy.reset(instance.n_arms, instance.horizon)
     episode = kernel.index_batch(instance, policy, checkpoints)
+    if episode is None:
+        Pool = ProcessPoolExecutor
+        task = partial(_generic_rows, instance, policy_spec, checkpoints)
+    else:
+        Pool = ThreadPoolExecutor
+        task = partial(_kernel_rows, episode, instance.gaps)
+    if workers == 1 or (episode is not None and len(seeds) * instance.horizon < THREAD_ROUNDS):
+        regrets[:] = task(seeds)
+        return
     chunk = max(1, len(seeds) // (8 * workers))
-    if episode is not None:
-        if workers == 1 or len(seeds) * instance.horizon < THREAD_ROUNDS:
-            played = map(episode, seeds)
-        else:
-            chunks = (seeds[i:i + chunk] for i in range(0, len(seeds), chunk))
-            played = chain.from_iterable(
-                _threaded(workers).map(lambda part: [*map(episode, part)], chunks)
-            )
-        gaps = instance.gaps
-        return (np.array([pseudo_regret(gaps, row) for row in counts.tolist()])
-                for counts, _ in played)
-    payloads = ((instance, policy_spec, seed, checkpoints) for seed in seeds)
-    return map(_replicate, payloads) if workers == 1 else _pooled(workers, payloads, chunk)
+    with Pool(workers) as pool:
+        try:
+            parts = pool.map(task, [seeds[i:i + chunk] for i in range(0, len(seeds), chunk)])
+            for i, row in enumerate(chain.from_iterable(parts)):
+                regrets[i] = row
+        except BaseException:  # the with's exit would wait for every queued chunk
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def monte_carlo(
@@ -323,7 +291,7 @@ def monte_carlo(
     workers, 0 or -1 meaning one per CPU: threads for a batch the kernel
     plays (in series below ``THREAD_ROUNDS`` rounds), processes otherwise.
     No more workers are asked for than ``os.cpu_count()`` or ``runs``, and
-    the pool is kept for later calls (see the module docstring).
+    the pool is shut down before the call returns (see the module docstring).
     """
     check_int("runs", runs, 1)
     check_int("master_seed", master_seed)
@@ -337,8 +305,7 @@ def monte_carlo(
     seeds = [split_seed(master_seed, i) for i in range(runs)]
     cores = os.cpu_count() or 1
     workers = min(n_jobs if n_jobs > 0 else cores, cores, runs)
-    for i, row in enumerate(_rows(instance, policy_spec, seeds, cps, workers)):
-        regrets[i] = row
+    _fill_rows(regrets, instance, policy_spec, seeds, cps, workers)
     mean = regrets.mean(axis=0)
     if runs > 1:
         stderr = regrets.std(axis=0, ddof=1) / np.sqrt(runs)

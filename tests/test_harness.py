@@ -1,14 +1,13 @@
 """Harness: seeding, checkpoints, aggregation, determinism, parallel equality."""
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -172,29 +171,41 @@ POOLED_CONFIGS = [
 ]
 
 
-@pytest.fixture
-def pool_starts(monkeypatch):
-    """Shut the process's pools down, then list the worker count of each pool started."""
-    harness._shutdown_pools()
+def _count_starts(monkeypatch, name) -> list:
+    """Wrap ``harness``'s executor class ``name``; list the worker count of each it starts."""
     starts = []
 
-    class Counted(ProcessPoolExecutor):
+    class Counted(getattr(harness, name)):
         def __init__(self, max_workers):
             starts.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(harness, name, Counted)
     return starts
 
 
-def test_one_pool_serves_a_sequence_of_configs(two_cores, pool_starts):
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """The worker count of each process pool started, in order."""
+    return _count_starts(monkeypatch, "ProcessPoolExecutor")
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The worker count of each thread pool started, in order."""
+    return _count_starts(monkeypatch, "ThreadPoolExecutor")
+
+
+def test_each_pooled_call_starts_its_own_pool(two_cores, pool_starts):
     for n_jobs in (2, 0):
         for instance, spec in POOLED_CONFIGS:
             serial = monte_carlo(instance, spec, runs=5, master_seed=3)
             pooled = monte_carlo(instance, spec, runs=5, master_seed=3, n_jobs=n_jobs)
             assert pooled.regrets.tobytes() == serial.regrets.tobytes()
-    # n_jobs=0 means one worker per CPU: the 2-worker pool again.
-    assert pool_starts == [2]
+    # n_jobs=0 means one worker per CPU: 2 again. The kernel plays the last two
+    # configs in series; without a compiler they play the generic loop too.
+    generic = 1 if kernel.load() is not None else len(POOLED_CONFIGS)
+    assert pool_starts == [2] * (2 * generic)
 
 
 @pytest.mark.parametrize("n_jobs", [64, 0, -1])
@@ -206,69 +217,90 @@ def test_no_more_workers_than_runs(monkeypatch, n_jobs):
         def __init__(self, max_workers):
             asked.append(max_workers)
 
-        def map(self, fn, payloads, chunksize):
-            return map(fn, payloads)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.shutdown()
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
-    monkeypatch.setattr(harness, "_pools", {})
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     instance, spec = POOLED_CONFIGS[0]
     serial = monte_carlo(instance, spec, runs=2, master_seed=6)
     capped = monte_carlo(instance, spec, runs=2, master_seed=6, n_jobs=n_jobs)
-    assert asked == [2] and list(harness._pools) == [2]
+    assert asked == [2]
     assert capped.regrets.tobytes() == serial.regrets.tobytes()
 
 
-def test_no_more_workers_than_cores(monkeypatch, two_cores, pool_starts):
+def test_no_more_workers_than_cores(two_cores, pool_starts, thread_starts):
     instance, spec = POOLED_CONFIGS[0]  # the generic loop: a process pool
     serial = monte_carlo(instance, spec, runs=3, master_seed=9)
     capped = monte_carlo(instance, spec, runs=3, master_seed=9, n_jobs=10**6)
-    assert list(harness._pools) == [2] and pool_starts == [2]
+    assert pool_starts == [2] and thread_starts == []
     assert capped.regrets.tobytes() == serial.regrets.tobytes()
     if kernel.load() is None:
         return
     # A kernel batch of THREAD_ROUNDS rounds or more: a thread pool.
-    monkeypatch.setattr(harness, "_threads", {})
     longer = BanditInstance(GAP_INSTANCE.arms, harness.THREAD_ROUNDS // 2)
     serial = monte_carlo(longer, {"kind": "uniform"}, runs=3, master_seed=9)
     capped = monte_carlo(longer, {"kind": "uniform"}, runs=3, master_seed=9, n_jobs=10**6)
-    assert list(harness._threads) == [2]
+    assert thread_starts == [2]
     assert capped.regrets.tobytes() == serial.regrets.tobytes()
 
 
-def test_a_single_run_starts_no_pool(pool_starts):
+def test_a_single_run_starts_no_pool(pool_starts, thread_starts):
     res = monte_carlo(GAP_INSTANCE, {"kind": "uniform"}, runs=1, master_seed=4, n_jobs=2)
     assert res.regrets.shape[0] == 1
-    assert pool_starts == [] and harness._pools == {}
+    assert pool_starts == [] and thread_starts == []
 
 
-def test_a_broken_pool_is_replaced(two_cores, pool_starts):
-    instance, spec = POOLED_CONFIGS[0]
-    serial = monte_carlo(instance, spec, runs=6, master_seed=8)
-    monte_carlo(instance, spec, runs=6, master_seed=8, n_jobs=2)
-    pool = harness._pools[2]
-    pid, worker = next(iter(pool._processes.items()))
-    os.kill(pid, signal.SIGKILL)
-    assert wait([worker.sentinel], timeout=30)
-    with pytest.raises(BrokenProcessPool):
-        monte_carlo(instance, spec, runs=6, master_seed=8, n_jobs=2)
-    assert 2 not in harness._pools
-    again = monte_carlo(instance, spec, runs=6, master_seed=8, n_jobs=2)
-    assert harness._pools[2] is not pool
-    assert again.regrets.tobytes() == serial.regrets.tobytes()
-    assert pool_starts == [2, 2]
+class _RaisesAt(BanditInstance):
+    """A plain instance whose ``draw`` raises at round ``at`` of the first episode
+    each copy of it plays. At module level, so that a pool task can pickle it."""
+
+    def __init__(self, arms, horizon, at):
+        super().__init__(arms, horizon)
+        self.at, self.draws = at, 0
+
+    def draw(self, arm, u, v):
+        self.draws += 1
+        if self.draws == self.at:
+            raise RuntimeError(f"draw at round {self.at}")
+        return super().draw(arm, u, v)
 
 
-def test_a_forked_child_starts_its_own_pool():
-    instance, spec = POOLED_CONFIGS[2]
-    serial = monte_carlo(instance, spec, runs=6, master_seed=5)
-    monte_carlo(instance, spec, runs=6, master_seed=5, n_jobs=2)  # the parent's pool exists
+def test_a_failing_run_stops_the_batch(two_cores, pool_starts):
+    instance = _RaisesAt(GAP_INSTANCE.arms, GAP_INSTANCE.horizon, at=50)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw at round 50"):
+        monte_carlo(instance, {"kind": "ucb"}, runs=6, master_seed=7, n_jobs=2)
+    # The batch played in a process pool, and was shut down before the exception arrived.
+    assert pool_starts == [2]
+    assert threading.active_count() == threads and not multiprocessing.active_children()
+
+
+def test_a_forked_child_starts_its_own_pool(two_cores):
+    # A kernel batch on threads and a generic-loop batch in a process pool.
+    batches = [(GAP_INSTANCE, {"kind": "patient", "alpha": 0.3}, threaded_runs(GAP_INSTANCE)),
+               (*POOLED_CONFIGS[0], 6)]
+    serial = [monte_carlo(instance, spec, runs=runs, master_seed=5).regrets.tobytes()
+              for instance, spec, runs in batches]
+    for instance, spec, runs in batches:  # the parent's pooled calls
+        monte_carlo(instance, spec, runs=runs, master_seed=5, n_jobs=2)
     pid = os.fork()
     if pid == 0:  # the child: never return into the test runner
         try:
-            child = monte_carlo(instance, spec, runs=6, master_seed=5, n_jobs=2)
-            harness._shutdown_pools()
-            os._exit(0 if child.regrets.tobytes() == serial.regrets.tobytes() else 2)
+            child = [
+                monte_carlo(instance, spec, runs=runs, master_seed=5, n_jobs=2).regrets.tobytes()
+                for instance, spec, runs in batches
+            ]
+            os._exit(0 if child == serial else 2)
         finally:
             os._exit(1)
     deadline = time.monotonic() + 60
@@ -277,32 +309,7 @@ def test_a_forked_child_starts_its_own_pool():
     if done[0] == 0:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        pytest.fail("monte_carlo hung in a child forked after the pool started")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
-
-
-def test_a_forked_child_starts_its_own_process_pool(two_cores):
-    # The config runs the generic loop, so the child's batch goes to a process pool.
-    instance, spec = POOLED_CONFIGS[0]
-    serial = monte_carlo(instance, spec, runs=6, master_seed=5)
-    monte_carlo(instance, spec, runs=6, master_seed=5, n_jobs=2)
-    inherited = harness._pools[2]
-    pid = os.fork()
-    if pid == 0:  # the child: never return into the test runner
-        try:
-            child = monte_carlo(instance, spec, runs=6, master_seed=5, n_jobs=2)
-            started = harness._pools[2] is not inherited
-            harness._shutdown_pools()
-            os._exit(0 if started and child.regrets.tobytes() == serial.regrets.tobytes() else 2)
-        finally:
-            os._exit(1)
-    deadline = time.monotonic() + 60
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.05)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("monte_carlo hung in a child forked after the process pool started")
+        pytest.fail("monte_carlo hung in a child forked after the pooled calls")
     assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
@@ -319,30 +326,28 @@ KERNEL_CONFIGS = {
 
 @pytest.mark.parametrize("shape", sorted(KERNEL_CONFIGS))
 def test_a_kernel_batch_runs_on_threads_and_starts_no_process_pool(
-    monkeypatch, two_cores, pool_starts, shape
+    two_cores, pool_starts, thread_starts, shape
 ):
     if kernel.load() is None:
         pytest.skip("no C compiler on this host: the kernel cannot be built")
-    monkeypatch.setattr(harness, "_threads", {})
     instance, spec = KERNEL_CONFIGS[shape]
     runs = threaded_runs(instance)
     serial = monte_carlo(instance, spec, runs=runs, master_seed=12)
     threaded = monte_carlo(instance, spec, runs=runs, master_seed=12, n_jobs=2)
     assert threaded.regrets.tobytes() == serial.regrets.tobytes()
-    assert pool_starts == [] and harness._pools == {} and 2 in harness._threads
+    assert pool_starts == [] and thread_starts == [2]
 
 
 @pytest.mark.parametrize("shape", sorted(KERNEL_CONFIGS))
-def test_a_small_kernel_batch_plays_in_series(monkeypatch, two_cores, pool_starts, shape):
+def test_a_small_kernel_batch_plays_in_series(two_cores, pool_starts, thread_starts, shape):
     if kernel.load() is None:
         pytest.skip("no C compiler on this host: the kernel cannot be built")
-    monkeypatch.setattr(harness, "_threads", {})
     instance, spec = KERNEL_CONFIGS[shape]
     runs = threaded_runs(instance) - 1
     serial = monte_carlo(instance, spec, runs=runs, master_seed=12)
     small = monte_carlo(instance, spec, runs=runs, master_seed=12, n_jobs=2)
     assert small.regrets.tobytes() == serial.regrets.tobytes()
-    assert pool_starts == [] and harness._pools == {} and harness._threads == {}
+    assert pool_starts == [] and thread_starts == []
 
 
 def test_oversubscribed_kernel_threads_give_the_serial_bits(monkeypatch):
@@ -365,43 +370,48 @@ def test_oversubscribed_kernel_threads_give_the_serial_bits(monkeypatch):
 
 
 _LEAVES_NOTHING_RUNNING = """
-import atexit, multiprocessing, os, threading
+import multiprocessing, os, threading
 import patientbandits
 from patientbandits import harness, kernel
 os.cpu_count = lambda: 2  # two workers, whatever the host's core count
 assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
-assert not multiprocessing.active_children() and not harness._pools
-instance = patientbandits.BanditInstance(
-    [(patientbandits.Bernoulli(0.7), patientbandits.Dirac(0)),
-     (patientbandits.Bernoulli(0.5), patientbandits.Dirac(0))], 100)
+assert not multiprocessing.active_children()
+
+class OwnDraw(patientbandits.BanditInstance):  # the kernel declines it: the generic loop
+    def draw(self, arm, u, v):
+        return super().draw(arm, u, v)
+
+arms = [(patientbandits.Bernoulli(0.7), patientbandits.Dirac(0)),
+        (patientbandits.Bernoulli(0.5), patientbandits.Dirac(0))]
 # Enough rounds for the kernel batch to play on threads.
-longer = patientbandits.BanditInstance(instance.arms, harness.THREAD_ROUNDS // 4)
-harness.monte_carlo(longer, {"kind": "ucb"}, runs=4, master_seed=1, n_jobs=2)
-assert not multiprocessing.active_children() and not harness._pools
-assert (len(threading.enumerate()) > 1) == (kernel.load() is not None)
-# Its tail-index bound can turn positive at 6 leader pulls: the generic loop plays it.
-adapt = {"kind": "adapt", "c": 1.0, "alpha_floor": 0.2, "mu_floor": 8.0, "delta": 0.5}
-harness.monte_carlo(instance, adapt, runs=4, master_seed=1, n_jobs=2)
-print(*harness._pools[2]._processes)
-# Runs at exit, after the interpreter has joined the threads it waits for.
-atexit.register(lambda: print("threads", *threading.enumerate()[1:]))
+longer = patientbandits.BanditInstance(arms, harness.THREAD_ROUNDS // 4)
+started = []
+for name in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+    def counted(workers, pool=getattr(harness, name), name=name):
+        started.append(name)
+        return pool(workers)
+    setattr(harness, name, counted)
+for instance, spec in [(longer, {"kind": "ucb"}), (OwnDraw(arms, 100), {"kind": "uniform"})]:
+    threads = threading.active_count()
+    harness.monte_carlo(instance, spec, runs=4, master_seed=1, n_jobs=2)
+    assert threading.active_count() == threads, threading.enumerate()
+    assert not multiprocessing.active_children()
+print(*started)
 """
 
 
 def test_import_is_lazy_and_exit_leaves_no_worker_running():
+    # Importing starts no thread or process, and every pooled call joins its
+    # workers before it returns, so none is left running at exit either.
     src = str(Path(harness.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", _LEAVES_NOTHING_RUNNING], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    workers, threads = done.stdout.splitlines()
-    assert threads == "threads"
-    pids = [int(p) for p in workers.split()]
-    assert len(pids) == 2
-    for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+    # Without a compiler the kernel batch plays the generic loop too.
+    first = "ThreadPoolExecutor" if kernel.load() is not None else "ProcessPoolExecutor"
+    assert done.stdout.split() == [first, "ProcessPoolExecutor"]
 
 
 def test_stderr_shrinks_with_doubled_runs():
