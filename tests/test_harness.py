@@ -285,22 +285,16 @@ def test_a_failing_run_stops_the_batch(two_cores, pool_starts):
     assert threading.active_count() == threads and not multiprocessing.active_children()
 
 
-def test_a_forked_child_starts_its_own_pool(two_cores):
-    # A kernel batch on threads and a generic-loop batch in a process pool.
-    batches = [(GAP_INSTANCE, {"kind": "patient", "alpha": 0.3}, threaded_runs(GAP_INSTANCE)),
-               (*POOLED_CONFIGS[0], 6)]
-    serial = [monte_carlo(instance, spec, runs=runs, master_seed=5).regrets.tobytes()
-              for instance, spec, runs in batches]
-    for instance, spec, runs in batches:  # the parent's pooled calls
-        monte_carlo(instance, spec, runs=runs, master_seed=5, n_jobs=2)
+def _forked_child_matches_serial(instance, spec, runs):
+    """Whether a child forked after the parent's pooled call gets the serial bits from
+    its own pooled call of the same batch."""
+    serial = monte_carlo(instance, spec, runs=runs, master_seed=5).regrets.tobytes()
+    monte_carlo(instance, spec, runs=runs, master_seed=5, n_jobs=2)  # the parent's pooled call
     pid = os.fork()
     if pid == 0:  # the child: never return into the test runner
         try:
-            child = [
-                monte_carlo(instance, spec, runs=runs, master_seed=5, n_jobs=2).regrets.tobytes()
-                for instance, spec, runs in batches
-            ]
-            os._exit(0 if child == serial else 2)
+            child = monte_carlo(instance, spec, runs=runs, master_seed=5, n_jobs=2)
+            os._exit(0 if child.regrets.tobytes() == serial else 2)
         finally:
             os._exit(1)
     deadline = time.monotonic() + 60
@@ -309,8 +303,20 @@ def test_a_forked_child_starts_its_own_pool(two_cores):
     if done[0] == 0:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        pytest.fail("monte_carlo hung in a child forked after the pooled calls")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+        pytest.fail("monte_carlo hung in a child forked after the pooled call")
+    return os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_a_forked_child_starts_its_own_pool(two_cores):
+    # A kernel batch: on threads, or in a process pool without a compiler.
+    assert _forked_child_matches_serial(
+        GAP_INSTANCE, {"kind": "patient", "alpha": 0.3}, threaded_runs(GAP_INSTANCE)
+    )
+
+
+def test_a_forked_child_starts_its_own_process_pool(two_cores):
+    # The config runs the generic loop, so the child's batch goes to a process pool.
+    assert _forked_child_matches_serial(*POOLED_CONFIGS[0], 6)
 
 
 # One config of each shape the kernel plays.
